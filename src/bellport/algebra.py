@@ -67,11 +67,8 @@ def delta_sign(j: int, k: int, p: int, q: int) -> int:
     return q ** nu_parity(j * p)
 
 
-# Dense sign tables over all 16 index tuples; the property sweeps hit
+# Dense sign table over all 16 index tuples; the property sweeps hit
 # every tuple repeatedly, so lookups beat recomputation.
-EPSILON_TABLE: dict[tuple[int, int, int, int], int] = {
-    (j, k, p, q): epsilon_sign(j, k, p, q) for j, k, p, q in product(SIGNS, repeat=4)
-}
 DELTA_TABLE: dict[tuple[int, int, int, int], int] = {
     (j, k, p, q): delta_sign(j, k, p, q) for j, k, p, q in product(SIGNS, repeat=4)
 }

@@ -43,7 +43,7 @@ from .channels import (
     stabilizer_report,
     string_order,
 )
-from .measure import ImpossibleOutcomeError, measure_sequence
+from .measure import ImpossibleOutcomeError, bell_branches, measure_sequence
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
@@ -83,6 +83,12 @@ def _parse_class(text: str) -> tuple[int, ...]:
     """Sign pair with p/m accepted for +/- (argparse mangles a bare '--')."""
     translated = text.lower().replace("p", "+").replace("m", "-")
     return tuple(parse_sign_pair(translated))
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_pairing(text: str) -> tuple[tuple[int, int], ...]:
@@ -146,8 +152,7 @@ def _cmd_teleport(args):
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     rows = []
     if args.enumerate_branches:
-        branches = _all_branches(channel.num_sites // 2)
-        for i, branch in enumerate(branches):
+        for i, branch in enumerate(bell_branches(channel.num_sites // 2)):
             try:
                 res = teleport(client, channel, assumed, pairing, forced=branch)
             except ImpossibleOutcomeError:
@@ -168,13 +173,6 @@ def _cmd_teleport(args):
         "enumerate_branches": args.enumerate_branches,
     }
     return meta, columns, rows, 0
-
-
-def _all_branches(n_pairs):
-    if n_pairs == 0:
-        return [()]
-    shorter = _all_branches(n_pairs - 1)
-    return [b + (lab,) for b in shorter for lab in BELL_LABELS]
 
 
 def _teleport_row(i, res):
@@ -509,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials_default=100):
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--trials", type=_positive_int, default=trials_default)
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument(
             "--deterministic",

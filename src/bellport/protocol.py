@@ -23,7 +23,13 @@ from .bell import (
     class_projector_apply,
     upsilon_expectations,
 )
-from .measure import ImpossibleOutcomeError, MeasurementRecord, measure_sequence
+from .measure import (
+    ZERO_PROB_ATOL,
+    ImpossibleOutcomeError,
+    MeasurementRecord,
+    bell_branches,
+    measure_sequence,
+)
 from .states import (
     PureState,
     apply_local,
@@ -177,7 +183,7 @@ def fidelity_formula(
     xt = _x_tilde_mix(coeffs, p, q)
     v = client.amplitudes
     den = abs(np.vdot(v, xt.conj().T @ (xt @ v)))
-    if den <= 4.0 * 1e-14:
+    if den <= 4.0 * ZERO_PROB_ATOL:
         raise ImpossibleOutcomeError(
             f"outcome {tuple(outcome)} has probability {den / 4.0:.3e}"
         )
@@ -319,7 +325,7 @@ def fig2_run(
         for cls in BELL_CLASSES:
             if enumerate_branches:
                 results = []
-                for branch in _product_branches(channel.num_sites // 2):
+                for branch in bell_branches(channel.num_sites // 2):
                     try:
                         results.append(
                             teleport(client, channel, cls, forced=branch)
@@ -340,12 +346,6 @@ def fig2_run(
                     )
                 )
     return rows
-
-
-def _product_branches(n_pairs: int):
-    from itertools import product as _product
-
-    return _product(BELL_LABELS, repeat=n_pairs)
 
 
 def fig2_violations(rows: Sequence[Fig2Row]) -> list[Fig2Row]:

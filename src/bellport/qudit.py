@@ -21,17 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measure import ImpossibleOutcomeError, MeasurementOutcome, MeasurementRecord
+from .measure import MeasurementOutcome, MeasurementRecord, collapse
 from .protocol import TeleportResult
-from .states import (
-    PureState,
-    _as_rng,
-    apply_local,
-    overlap_fidelity,
-    tensor,
-)
-
-ZERO_PROB_ATOL = 1e-14
+from .states import PureState, apply_local, overlap_fidelity, tensor
 
 
 def omega_root(d: int) -> complex:
@@ -77,8 +69,9 @@ def qudit_x_tilde(d: int, j: int, k: int, p: int, q: int) -> np.ndarray:
     return generalized_pauli(d, k, j) @ generalized_pauli(d, q, -p)
 
 
-def _bell_bra_matrix(d: int) -> np.ndarray:
-    rows = [qudit_bell(d, j, k).amplitudes for j in range(d) for k in range(d)]
+def _bell_bra(d: int) -> np.ndarray:
+    """Conjugated |j:k} rows in (j, k) order, one bra per outcome."""
+    rows = [[qudit_bell(d, j, k).amplitudes] for j in range(d) for k in range(d)]
     return np.array(rows).conj()
 
 
@@ -102,24 +95,15 @@ def qudit_bell_measure(
         raise ValueError(f"invalid site pair ({a}, {b})")
     if n < 3:
         raise ValueError("measurement must leave at least one site")
-    t = np.moveaxis(state.as_tensor(), (a, b), (0, 1)).reshape(d * d, -1)
-    comps = _bell_bra_matrix(d) @ t
-    probs = np.sum(np.abs(comps) ** 2, axis=1)
-    labels = [(j, k) for j in range(d) for k in range(d)]
+    row = label = None
     if forced is not None:
-        forced = (forced[0] % d, forced[1] % d)
-        row = labels.index(forced)
-        if probs[row] <= ZERO_PROB_ATOL:
-            raise ImpossibleOutcomeError(
-                f"outcome {forced} has probability {probs[row]:.3e}"
-            )
-    else:
-        gen = _as_rng(rng)
-        row = int(gen.choice(len(labels), p=probs / probs.sum()))
-    prob = float(probs[row])
-    residual = comps[row] / np.sqrt(prob)
-    outcome = MeasurementOutcome(pair=(a, b), label=labels[row], probability=prob)
-    return outcome, PureState(residual, local_dim=d)
+        label = (forced[0] % d, forced[1] % d)
+        row = label[0] * d + label[1]
+    row, prob, residual = collapse(
+        state.as_tensor(), (a, b), _bell_bra(d), row=row, rng=rng, label=label
+    )
+    outcome = MeasurementOutcome(pair=(a, b), label=divmod(row, d), probability=prob)
+    return outcome, PureState(residual.reshape(-1), local_dim=d)
 
 
 def qudit_teleport(

@@ -22,17 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import u_matrix, x_operator, x_tilde_operator
-from .measure import ImpossibleOutcomeError, MeasurementOutcome, MeasurementRecord
+from .measure import MeasurementOutcome, MeasurementRecord, collapse
 from .protocol import TeleportResult
-from .states import (
-    PureState,
-    _as_rng,
-    apply_local,
-    overlap_fidelity,
-    tensor,
-)
-
-ZERO_PROB_ATOL = 1e-14
+from .states import PureState, apply_local, overlap_fidelity, tensor
 
 
 class Bell3Label(NamedTuple):
@@ -62,6 +54,15 @@ def bell3_state(label: Bell3Label | tuple[int, int, int]) -> PureState:
 
 
 _BELL3_BRA = np.array([bell3_state(lab).amplitudes for lab in BELL3_LABELS]).conj()
+# Outcome labels and bras per mode: a full outcome is one |j:k:l}; a
+# reduced outcome (p, q) projects onto both of its l-labels at once.
+_OUTCOMES = {
+    "full": (BELL3_LABELS, _BELL3_BRA[:, None]),
+    "reduced": (
+        tuple(lab[:2] for lab in BELL3_LABELS[::2]),
+        _BELL3_BRA.reshape(4, 2, 8),
+    ),
+}
 
 
 def lambda_operator(alpha: int) -> np.ndarray:
@@ -83,14 +84,6 @@ def y_operator(j: int, k: int, l: int, p: int, q: int, r: int) -> np.ndarray:
     """
     z = np.eye(2, dtype=complex) if k == q else u_matrix(1)
     return np.kron(z, x_operator(j, l, p, r))
-
-
-def _trio_components(state: PureState) -> np.ndarray:
-    """Bell3-basis amplitudes of sites (0, 1, 2): shape (8, rest)."""
-    if state.local_dim != 2 or state.num_sites < 4:
-        raise ValueError("need a qubit state with at least 4 sites")
-    t = state.as_tensor().reshape(8, -1)
-    return _BELL3_BRA @ t
 
 
 def teleport3(
@@ -116,57 +109,30 @@ def teleport3(
         raise ValueError("client must be a single qubit")
     if channel.num_sites != 3 or channel.local_dim != 2:
         raise ValueError("channel must be a 3-qubit state")
-    if mode not in ("full", "reduced"):
+    if mode not in _OUTCOMES:
         raise ValueError(f"mode must be 'full' or 'reduced', got {mode!r}")
-    total = tensor(client, channel)
-    comps = _trio_components(total)  # (8, 2)
-
-    if mode == "full":
-        probs = np.sum(np.abs(comps) ** 2, axis=1)
-        if forced is not None:
-            row = BELL3_LABELS.index(Bell3Label(*forced))
-            if probs[row] <= ZERO_PROB_ATOL:
-                raise ImpossibleOutcomeError(
-                    f"outcome {forced} has probability {probs[row]:.3e}"
-                )
-        else:
-            gen = _as_rng(rng)
-            row = int(gen.choice(8, p=probs / probs.sum()))
-        label: tuple[int, ...] = BELL3_LABELS[row]
-        prob = float(probs[row])
-        residual_amps = comps[row] / np.sqrt(prob)
-        p, q = label.j, label.k
-    else:
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, lab in enumerate(BELL3_LABELS):
-            groups.setdefault((lab.j, lab.k), []).append(i)
-        pairs = list(groups)
-        probs = np.array(
-            [np.sum(np.abs(comps[groups[pq]]) ** 2) for pq in pairs]
-        )
-        if forced is not None:
-            if len(forced) != 2:
-                raise ValueError("reduced-mode forced outcome is a pair (p, q)")
-            row = pairs.index(tuple(forced))
-            if probs[row] <= ZERO_PROB_ATOL:
-                raise ImpossibleOutcomeError(
-                    f"outcome {forced} has probability {probs[row]:.3e}"
-                )
-        else:
-            gen = _as_rng(rng)
-            row = int(gen.choice(len(pairs), p=probs / probs.sum()))
-        label = pairs[row]
-        prob = float(probs[row])
-        block = comps[groups[label]] / np.sqrt(prob)  # (2, 2): l-label x last site
+    labels, bra = _OUTCOMES[mode]
+    row = None
+    if forced is not None:
+        if len(forced) != len(labels[0]):
+            raise ValueError(
+                f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
+            )
+        row = labels.index(tuple(forced))
+    total = tensor(client, channel).as_tensor()
+    row, prob, block = collapse(total, (0, 1, 2), bra, row=row, rng=rng, label=forced)
+    label = labels[row]
+    residual_amps = block[0]
+    if mode == "reduced":
         # The projected trio must factor from the recipient qubit.
-        _, s_, vh = np.linalg.svd(block)
+        _, s_, vh = np.linalg.svd(block)  # (2, 2): l-label x last site
         if s_[1] > 1e-8:
             raise ValueError(
                 "reduced measurement left the recipient entangled; "
                 "the channel is not confined to one (Lambda1, Lambda3) class"
             )
         residual_amps = vh[0]
-        p, q = label
+    p, q = label[:2]
 
     residual = PureState(residual_amps / np.linalg.norm(residual_amps))
     j, l = assumed

@@ -168,6 +168,22 @@ def test_bad_channel_spec_exits_64(tmp_path):
     assert err.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heisenberg-check", "--trials", "0"],
+        ["teleport", "--channel", "ghz:4", "--trials", "-3"],
+    ],
+)
+def test_trials_below_one_exits_64(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(out)])
+    assert err.value.code == 64
+    assert "--trials: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_violation_exit_code(monkeypatch, tmp_path):
     # a row below the bound must flip the exit status to 2
     bad = Fig2Row(

@@ -1,0 +1,331 @@
+"""The collapse kernel against the hand-written measurement paths it replaced.
+
+The oracles below are those paths, kept as references: Bell pairs
+measured on the full state and stripped off afterwards, the three-qubit
+trio with its own row grouping, and the qudit pair.  Random states,
+pairings and forced or seeded outcomes must give the same outcomes,
+probabilities and residuals (to 1e-12), and consume the same random
+draws.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellport.bell import BELL_LABELS, BellClass, BellLabel, bell_basis_state, bell_state
+from bellport.measure import (
+    ZERO_PROB_ATOL,
+    ImpossibleOutcomeError,
+    MeasurementOutcome,
+    bell_branches,
+    bell_measure,
+    measure_sequence,
+)
+from bellport.qudit import qudit_bell, qudit_bell_measure
+from bellport.states import PureState, _as_rng, random_state, tensor
+from bellport.threequbit import BELL3_LABELS, Bell3Label, bell3_state, teleport3
+
+TOL = 1e-12
+PROPERTY = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+# ---------------------------------------------------------------------------
+# oracles: the measurement paths before the collapse kernel
+
+_OLD_BELL_BRA = np.array([bell_state(lab).amplitudes for lab in BELL_LABELS]).conj()
+_OLD_BELL3_BRA = np.array([bell3_state(lab).amplitudes for lab in BELL3_LABELS]).conj()
+
+
+def old_bell_measure(state, a, b, *, forced=None, rng=None):
+    n = state.num_sites
+    t = np.moveaxis(state.as_tensor(), (a, b), (0, 1)).reshape(4, -1)
+    comps = _OLD_BELL_BRA @ t
+    probs = np.sum(np.abs(comps) ** 2, axis=1)
+    if forced is not None:
+        forced = BellLabel(*forced)
+        row = BELL_LABELS.index(forced)
+        if probs[row] <= ZERO_PROB_ATOL:
+            raise ImpossibleOutcomeError(f"outcome {forced} has probability {probs[row]}")
+    else:
+        row = int(_as_rng(rng).choice(4, p=probs / probs.sum()))
+    label = BELL_LABELS[row]
+    prob = float(probs[row])
+    residual = comps[row] / np.sqrt(prob)
+    pair_tensor = bell_state(label).amplitudes.reshape(2, 2)
+    post = np.multiply.outer(pair_tensor, residual.reshape((2,) * (n - 2)))
+    post = np.moveaxis(post, (0, 1), (a, b)).reshape(-1)
+    return MeasurementOutcome(pair=(a, b), label=label, probability=prob), PureState(post)
+
+
+def old_contract_measured(state, measured):
+    t = state.as_tensor()
+    sites = list(range(state.num_sites))
+    for a, b, label in measured:
+        bra = bell_state(label).amplitudes.conj().reshape(2, 2)
+        ia, ib = sites.index(a), sites.index(b)
+        t = np.tensordot(bra, t, axes=([0, 1], [ia, ib]))
+        sites.remove(a)
+        sites.remove(b)
+    amps = t.reshape(-1)
+    return PureState(amps / np.linalg.norm(amps))
+
+
+def old_measure_sequence(state, pairs, *, forced=None, rng=None):
+    gen = _as_rng(rng)
+    outcomes = []
+    current = state
+    for i, (a, b) in enumerate(pairs):
+        want = forced[i] if forced is not None else None
+        if want is None:
+            outcome, current = old_bell_measure(current, a, b, rng=gen)
+        else:
+            outcome, current = old_bell_measure(current, a, b, forced=want)
+        outcomes.append(outcome)
+    residual = old_contract_measured(
+        current, [(o.pair[0], o.pair[1], o.label) for o in outcomes]
+    )
+    return outcomes, residual
+
+
+def old_teleport3_measure(client, channel, mode, *, forced=None, rng=None):
+    """Alice's side of the old teleport3: (label, probability, recipient amps)."""
+    comps = _OLD_BELL3_BRA @ tensor(client, channel).as_tensor().reshape(8, -1)
+    if mode == "full":
+        probs = np.sum(np.abs(comps) ** 2, axis=1)
+        if forced is not None:
+            row = BELL3_LABELS.index(Bell3Label(*forced))
+            if probs[row] <= ZERO_PROB_ATOL:
+                raise ImpossibleOutcomeError(f"outcome {forced}")
+        else:
+            row = int(_as_rng(rng).choice(8, p=probs / probs.sum()))
+        label = BELL3_LABELS[row]
+        prob = float(probs[row])
+        residual = comps[row] / np.sqrt(prob)
+    else:
+        groups = {}
+        for i, lab in enumerate(BELL3_LABELS):
+            groups.setdefault((lab.j, lab.k), []).append(i)
+        pairs = list(groups)
+        probs = np.array([np.sum(np.abs(comps[groups[pq]]) ** 2) for pq in pairs])
+        if forced is not None:
+            row = pairs.index(tuple(forced))
+            if probs[row] <= ZERO_PROB_ATOL:
+                raise ImpossibleOutcomeError(f"outcome {forced}")
+        else:
+            row = int(_as_rng(rng).choice(len(pairs), p=probs / probs.sum()))
+        label = pairs[row]
+        prob = float(probs[row])
+        block = comps[groups[label]] / np.sqrt(prob)
+        residual = np.linalg.svd(block)[2][0]
+    return label, prob, residual / np.linalg.norm(residual)
+
+
+def old_qudit_bell_measure(state, a, b, *, forced=None, rng=None):
+    d = state.local_dim
+    t = np.moveaxis(state.as_tensor(), (a, b), (0, 1)).reshape(d * d, -1)
+    bra = np.array(
+        [qudit_bell(d, j, k).amplitudes for j in range(d) for k in range(d)]
+    ).conj()
+    comps = bra @ t
+    probs = np.sum(np.abs(comps) ** 2, axis=1)
+    labels = [(j, k) for j in range(d) for k in range(d)]
+    if forced is not None:
+        forced = (forced[0] % d, forced[1] % d)
+        row = labels.index(forced)
+        if probs[row] <= ZERO_PROB_ATOL:
+            raise ImpossibleOutcomeError(f"outcome {forced}")
+    else:
+        row = int(_as_rng(rng).choice(len(labels), p=probs / probs.sum()))
+    prob = float(probs[row])
+    return labels[row], prob, comps[row] / np.sqrt(prob)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def run_both(new, old):
+    """Call both paths; each either returns or raises ImpossibleOutcomeError."""
+    results = []
+    for fn in (new, old):
+        try:
+            results.append(fn())
+        except ImpossibleOutcomeError:
+            results.append(None)
+    assert (results[0] is None) == (results[1] is None)
+    return results
+
+
+def same_stream(gen_new, gen_old):
+    """Both paths leave their generators at the same point."""
+    return gen_new.random() == gen_old.random()
+
+
+@st.composite
+def qubit_case(draw):
+    """(state, pairing, forced) on 3 to 9 qubits with a random disjoint pairing."""
+    n = draw(st.integers(3, 9))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, (n - 1) // 2))
+    pairs = [(order[2 * i], order[2 * i + 1]) for i in range(k)]
+    forced = draw(
+        st.none() | st.lists(st.none() | st.sampled_from(BELL_LABELS), min_size=k, max_size=k)
+    )
+    if draw(st.booleans()):
+        state = random_state(n, 2, draw(seeds))
+    else:  # Bell-pair products leave impossible branches to force
+        labels = [draw(st.sampled_from(BELL_LABELS)) for _ in range((n - 1) // 2)]
+        state = tensor(random_state(1, 2, draw(seeds)), bell_basis_state(labels))
+        if n % 2 == 0:
+            state = tensor(state, random_state(1, 2, draw(seeds)))
+    return state, pairs, forced
+
+
+# ---------------------------------------------------------------------------
+# qubit pairs
+
+
+@PROPERTY
+@given(qubit_case(), st.booleans(), seeds)
+def test_bell_measure_matches_oracle(case, force, seed):
+    state, pairs, forced = case
+    a, b = pairs[0]
+    want = (forced or [None])[0] if force else None
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    new, old = run_both(
+        lambda: bell_measure(state, a, b, forced=want, rng=gens[0]),
+        lambda: old_bell_measure(state, a, b, forced=want, rng=gens[1]),
+    )
+    if new is None:
+        return
+    assert new[0].pair == old[0].pair and new[0].label == old[0].label
+    assert abs(new[0].probability - old[0].probability) <= TOL
+    assert np.max(np.abs(new[1].amplitudes - old[1].amplitudes)) <= TOL
+    assert same_stream(*gens)
+
+
+@PROPERTY
+@given(qubit_case(), seeds)
+def test_measure_sequence_matches_oracle(case, seed):
+    state, pairs, forced = case
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    new, old = run_both(
+        lambda: measure_sequence(state, pairs, forced=forced, rng=gens[0]),
+        lambda: old_measure_sequence(state, pairs, forced=forced, rng=gens[1]),
+    )
+    if new is None:
+        return
+    (record, residual), (outcomes, old_residual) = new, old
+    assert [(o.pair, o.label) for o in record.outcomes] == [
+        (o.pair, o.label) for o in outcomes
+    ]
+    for o_new, o_old in zip(record.outcomes, outcomes):
+        assert abs(o_new.probability - o_old.probability) <= TOL
+    assert abs(record.joint_probability - np.prod([o.probability for o in outcomes])) <= TOL
+    assert record.aggregate_class == BellClass(
+        int(np.prod([o.label.j for o in outcomes])),
+        int(np.prod([o.label.k for o in outcomes])),
+    )
+    assert residual.num_sites == old_residual.num_sites
+    assert np.max(np.abs(residual.amplitudes - old_residual.amplitudes)) <= TOL
+    assert same_stream(*gens)
+
+
+def test_bell_branches_order_last_pair_fastest():
+    branches = list(bell_branches(2))
+    assert len(branches) == 16
+    assert branches[:4] == [(BELL_LABELS[0], lab) for lab in BELL_LABELS]
+    assert list(bell_branches(0)) == [()]
+
+
+# ---------------------------------------------------------------------------
+# three-qubit channels
+
+
+@st.composite
+def trio_case(draw):
+    """(client, channel, mode, forced); reduced-mode channels stay in one class."""
+    client = random_state(1, 2, draw(seeds))
+    mode = draw(st.sampled_from(["full", "reduced"]))
+    rng = np.random.default_rng(draw(seeds))
+    if mode == "full":
+        channel = random_state(3, 2, rng)
+        forced = draw(st.none() | st.sampled_from(BELL3_LABELS))
+    else:
+        j, l = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        alpha = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        alpha /= np.linalg.norm(alpha)
+        amps = alpha[0] * bell3_state((j, 1, l)).amplitudes
+        amps = amps + alpha[1] * bell3_state((j, -1, l)).amplitudes
+        channel = PureState(amps)
+        forced = draw(st.none() | st.sampled_from([lab[:2] for lab in BELL_LABELS]))
+    return client, channel, mode, forced
+
+
+@PROPERTY
+@given(trio_case(), seeds)
+def test_teleport3_matches_oracle(case, seed):
+    client, channel, mode, forced = case
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    new, old = run_both(
+        lambda: teleport3(client, channel, (1, 1), mode, forced=forced, rng=gens[0]),
+        lambda: old_teleport3_measure(client, channel, mode, forced=forced, rng=gens[1]),
+    )
+    if new is None:
+        return
+    label, prob, residual = old
+    (outcome,) = new.record.outcomes
+    assert outcome.label == label
+    assert abs(outcome.probability - prob) <= TOL
+    # Bob's gate acts on the old residual exactly as on the new one
+    recipient = new.correction @ residual
+    assert np.max(np.abs(new.recipient_state.amplitudes - recipient)) <= TOL
+    assert same_stream(*gens)
+
+
+def test_teleport3_full_mode_rejects_a_pair():
+    client = random_state(1, 2, 3)
+    channel = bell3_state((1, 1, 1))
+    for mode, forced in (("full", (1, 1)), ("reduced", (1, 1, 1))):
+        with pytest.raises(ValueError, match=f"{mode}-mode forced outcome"):
+            teleport3(client, channel, (1, 1), mode, forced=forced)
+
+
+# ---------------------------------------------------------------------------
+# qudit pairs
+
+
+@st.composite
+def qudit_case(draw):
+    d = draw(st.integers(2, 5))
+    max_sites = {2: 9, 3: 5, 4: 4, 5: 4}[d]
+    n = draw(st.integers(3, max_sites))
+    a, b = draw(st.permutations(range(n)))[:2]
+    forced = draw(st.none() | st.tuples(st.integers(-d, 2 * d), st.integers(-d, 2 * d)))
+    if draw(st.booleans()):
+        state = random_state(n, d, draw(seeds))
+    else:  # a generalized Bell pair on (a, b): all other outcomes impossible
+        rest = random_state(n - 2, d, draw(seeds))
+        pair = qudit_bell(d, draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)))
+        t = np.multiply.outer(pair.as_tensor(), rest.as_tensor())
+        state = PureState(np.moveaxis(t, (0, 1), (a, b)).reshape(-1), local_dim=d)
+    return state, a, b, forced
+
+
+@PROPERTY
+@given(qudit_case(), seeds)
+def test_qudit_bell_measure_matches_oracle(case, seed):
+    state, a, b, forced = case
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    new, old = run_both(
+        lambda: qudit_bell_measure(state, a, b, forced=forced, rng=gens[0]),
+        lambda: old_qudit_bell_measure(state, a, b, forced=forced, rng=gens[1]),
+    )
+    if new is None:
+        return
+    (outcome, residual), (label, prob, old_residual) = new, old
+    assert outcome.label == label and outcome.pair == (a, b)
+    assert abs(outcome.probability - prob) <= TOL
+    assert np.max(np.abs(residual.amplitudes - old_residual)) <= TOL
+    assert same_stream(*gens)
