@@ -67,15 +67,8 @@ def delta_sign(j: int, k: int, p: int, q: int) -> int:
     return q ** nu_parity(j * p)
 
 
-# Dense sign table over all 16 index tuples; the property sweeps hit
-# every tuple repeatedly, so lookups beat recomputation.
-DELTA_TABLE: dict[tuple[int, int, int, int], int] = {
-    (j, k, p, q): delta_sign(j, k, p, q) for j, k, p, q in product(SIGNS, repeat=4)
-}
-
-
 def _build_x(j: int, k: int, p: int, q: int) -> np.ndarray:
-    m = DELTA_TABLE[j, k, p, q] * np.linalg.matrix_power(
+    m = delta_sign(j, k, p, q) * np.linalg.matrix_power(
         _U_MATRICES[1], nu_parity(k * q)
     ) @ np.linalg.matrix_power(_U_MATRICES[2], nu_parity(j * p))
     m = m.astype(complex)

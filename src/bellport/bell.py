@@ -13,8 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import SIGNS, u_matrix
-from .states import PureState, apply_local, inner_product, tensor
+from .algebra import SIGNS
+from .states import PureState, inner_product, tensor
 
 # A state is reported as lying in a single class when its top class
 # weight exceeds 1 - PURE_CLASS_TOL.
@@ -86,17 +86,29 @@ def labels_class(labels: Sequence[BellLabel | tuple[int, int]]) -> BellClass:
     return BellClass(j, k)
 
 
+def _u_string(amps: np.ndarray, factors: Sequence[int]) -> np.ndarray:
+    """Amplitudes of a qubit state after (x)_s U^{factors[s]}, as one index map.
+
+    U^f = U1^(f&1) U2^(f>>1): each U2 factor is the sign (-1)^bit of its
+    site and each U1 factor then flips that bit, so the whole string is
+    one sign vector followed by one flip of the site tensor.  The same
+    rule composes strings: U^a U^b = (-1)^((a>>1)&b&1) U^(a^b).
+    """
+    sign = np.ones(1)
+    for f in reversed(factors):  # site 0 is the most significant bit
+        sign = np.concatenate((sign, -sign if f & 2 else sign))
+    flips = tuple(site for site, f in enumerate(factors) if f & 1)
+    return np.flip((sign * amps).reshape((2,) * len(factors)), flips).reshape(-1)
+
+
 def apply_upsilon(state: PureState, alpha: int) -> PureState:
-    """Apply Upsilon^alpha = prod_sites U^alpha, one site at a time."""
+    """Apply Upsilon^alpha = prod_sites U^alpha."""
     if alpha not in (1, 2, 3):
         raise ValueError(f"Upsilon index must be 1, 2 or 3, got {alpha}")
     if state.local_dim != 2:
         raise ValueError("Upsilon operators are defined for qubit states")
-    out = state
-    u = u_matrix(alpha)
-    for site in range(state.num_sites):
-        out = apply_local(out, u, site)
-    return out
+    amps = _u_string(state.amplitudes, (alpha,) * state.num_sites)
+    return PureState(amps, normalized=state.normalized)
 
 
 def upsilon_expectations(state: PureState) -> tuple[float, float, float]:
@@ -119,15 +131,20 @@ def _require_even_qubits(state: PureState) -> None:
         raise ValueError("Bell classes need an even number of sites")
 
 
-def class_projector_apply(state: PureState, cls: BellClass | tuple[int, int]) -> PureState:
-    """P_[j:k] s = (s + j Y1 s + k Y2 s + jk Y3 s) / 4, possibly unnormalized."""
+def _class_components(
+    state: PureState, classes: Sequence[BellClass | tuple[int, int]]
+) -> list[np.ndarray]:
+    """P_[j:k] s = (s + j Y1 s + k Y2 s + jk Y3 s) / 4 for each class, unnormalized."""
     _require_even_qubits(state)
-    j, k = cls
-    y1 = apply_upsilon(state, 1).amplitudes
-    y2 = apply_upsilon(state, 2).amplitudes
-    y3 = apply_upsilon(state, 3).amplitudes
-    amps = 0.25 * (state.amplitudes + j * y1 + k * y2 + j * k * y3)
-    return PureState(amps, local_dim=2, normalized=False)
+    s = state.amplitudes
+    y1, y2, y3 = (_u_string(s, (a,) * state.num_sites) for a in (1, 2, 3))
+    return [0.25 * (s + j * y1 + k * y2 + j * k * y3) for j, k in classes]
+
+
+def class_projector_apply(state: PureState, cls: BellClass | tuple[int, int]) -> PureState:
+    """P_[j:k] applied to the state, possibly unnormalized."""
+    (amps,) = _class_components(state, [cls])
+    return PureState(amps, normalized=False)
 
 
 @dataclass(frozen=True)
@@ -161,16 +178,11 @@ def decompose_classes(state: PureState) -> ClassDecomposition:
     The weights satisfy |c_[j:k]|^2 = (1 + Omega_[j:k]) / 4 with Omega
     the signed combination of Upsilon expectations.
     """
-    _require_even_qubits(state)
-    base = state.amplitudes
-    ys = [apply_upsilon(state, a).amplitudes for a in (1, 2, 3)]
     coefficients: dict[BellClass, float] = {}
     components: dict[BellClass, PureState] = {}
-    for cls in BELL_CLASSES:
-        j, k = cls
-        amps = 0.25 * (base + j * ys[0] + k * ys[1] + j * k * ys[2])
+    for cls, amps in zip(BELL_CLASSES, _class_components(state, BELL_CLASSES)):
         c = float(np.linalg.norm(amps))
         coefficients[cls] = c
         if c >= COMPONENT_ATOL:
-            components[cls] = PureState(amps / c, local_dim=2)
+            components[cls] = PureState(amps / c)
     return ClassDecomposition(coefficients=coefficients, components=components)

@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import u_matrix
-from .bell import BellLabel, bell_basis_state, bell_state
+from .bell import BellLabel, _u_string, apply_upsilon, bell_basis_state, bell_state
 from .states import (
     PureState,
     _as_rng,
-    apply_local,
     apply_two_site,
     inner_product,
     normalize,
@@ -259,11 +258,10 @@ class UProduct:
     factors: tuple[int, ...]
 
     def apply(self, state: PureState) -> PureState:
-        out = state
-        for site, f in enumerate(self.factors):
-            if f:
-                out = apply_local(out, u_matrix(f), site)
-        return PureState(self.sign * out.amplitudes, normalized=out.normalized)
+        if state.local_dim != 2 or state.num_sites != len(self.factors):
+            raise ValueError(f"{len(self.factors)} U factors need as many qubit sites")
+        amps = self.sign * _u_string(state.amplitudes, self.factors)
+        return PureState(amps, normalized=state.normalized)
 
 
 @dataclass(frozen=True)
@@ -288,26 +286,19 @@ def cluster_stabilizer(j: int, L: int) -> UProduct:
 
 
 def _u_product_multiply(ops: Sequence[UProduct], L: int) -> UProduct:
-    """Site-wise product of commuting U products, refactored as +-U^i."""
-    mats = [np.eye(2, dtype=complex) for _ in range(L)]
+    """Site-wise product of U products, refactored as +-U^i.
+
+    Uses U^a U^b = (-1)^((a>>1)&b&1) U^(a^b), the composition rule of
+    the U-string index map in ``bell._u_string``.
+    """
     sign = 1
+    factors = [0] * L
     for op in ops:  # leftmost factor acts last; accumulate left-to-right
         sign *= op.sign
         for site, f in enumerate(op.factors):
-            if f:
-                mats[site] = mats[site] @ u_matrix(f)
-    factors = []
-    for m in mats:
-        for i in range(4):
-            if np.array_equal(m, u_matrix(i)):
-                factors.append(i)
-                break
-            if np.array_equal(m, -u_matrix(i)):
-                factors.append(i)
+            if (factors[site] >> 1) & f & 1:
                 sign = -sign
-                break
-        else:
-            raise ValueError("site product is not +-U^i")
+            factors[site] ^= f
     return UProduct(sign=sign, factors=tuple(factors))
 
 
@@ -387,15 +378,11 @@ def string_order(state: PureState) -> float:
     Evaluates 4 <s^z_1 (x)[prod_k exp(i pi S^z_k)] (x) s^z_(end)> where
     the boundary spin operators are U2/2 on the first and last qubits
     and exp(i pi S^z) = -U2 (x) U2 on each interior virtual pair.  The
-    result lies in [-1, 1] and equals -(-1)^(L/2) <Upsilon^2>.
+    result lies in [-1, 1] and equals -(-1)^(L/2) <Upsilon^2>, which is
+    how it is evaluated.
     """
     L = state.num_sites
     if state.local_dim != 2 or L % 2 != 0:
         raise ValueError("string order needs an even number of qubit sites")
-    n_pairs = L // 2
-    out = state
-    u2 = u_matrix(2)
-    for site in range(L):
-        out = apply_local(out, u2, site)
-    scalar = 4.0 * 0.5 * 0.5 * (-1.0) ** (n_pairs - 1)
-    return float(scalar * np.real(inner_product(state, out)))
+    e2 = np.real(inner_product(state, apply_upsilon(state, 2)))
+    return float((-1.0) ** (L // 2 - 1) * e2)

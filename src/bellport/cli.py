@@ -505,9 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, trials_default=100):
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--trials", type=_positive_int, default=trials_default)
+    def common(p, *, seed=True, trials_default=None):
+        """Output options, plus --seed and --trials where the handler reads them."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        if trials_default is not None:
+            p.add_argument("--trials", type=_positive_int, default=trials_default)
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument(
             "--deterministic",
@@ -520,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the protocol over a configurable channel",
         epilog="CSV: run,outcomes,measured_class,joint_probability,fidelity",
     )
-    common(p)
+    common(p, trials_default=100)
     p.add_argument(
         "--channel",
         required=True,
@@ -574,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster-state stabilizers, G factorization, class weights",
         epilog="CSV: check,value,deviation,ok",
     )
-    common(p)
+    common(p, seed=False)
     p.add_argument("--qubits", "-L", type=int, default=6)
 
     p = sub.add_parser(
@@ -582,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="AKLT string order and Bell-class purity",
         epilog="CSV: check,value,expected,ok",
     )
-    common(p)
+    common(p, seed=False)
     p.add_argument("--qubits", "-L", type=int, default=6)
 
     p = sub.add_parser(
@@ -590,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid-scan of the worst-case fidelity, min Delta = cos(theta)",
         epilog="CSV: theta,minimum,cos_theta,abs_error,argmin_*,predicted_a",
     )
-    common(p)
+    common(p, seed=False)
     p.add_argument("--theta", type=float, required=True)
 
     p = sub.add_parser(

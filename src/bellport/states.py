@@ -14,8 +14,8 @@ reproduced bit-for-bit from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class PureState:
     amplitudes: np.ndarray
     local_dim: int = 2
     normalized: bool = True
-    num_sites: int = 0  # derived from amplitudes/local_dim
+    num_sites: int = field(init=False)  # derived from amplitudes/local_dim
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)  # always copy
@@ -204,8 +204,3 @@ def random_product_state(
     for _ in range(num_sites - 1):
         out = tensor(out, random_state(1, local_dim, rng))
     return out
-
-
-def single_site_expectations(state: PureState, ops: Iterable[np.ndarray], site: int):
-    """<state| op_site |state> for each operator; plain complex values."""
-    return [inner_product(state, apply_local(state, op, site)) for op in ops]

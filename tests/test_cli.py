@@ -184,6 +184,15 @@ def test_trials_below_one_exits_64(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["appendix-a", "--trials", "5", "--out", str(out)])
+    assert err.value.code == 64
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_violation_exit_code(monkeypatch, tmp_path):
     # a row below the bound must flip the exit status to 2
     bad = Fig2Row(

@@ -1,9 +1,11 @@
 """Byte-exact --deterministic CSV output against committed golden files.
 
-The files in tests/golden were written by the CLI before the measurement
-paths shared one collapse kernel, and are never regenerated to make a
-change pass: a refactor that moves an RNG draw or a printed digit shows
-up here as a byte difference.
+The files in tests/golden were written by the CLI before the refactor
+they guard: the measurement cases before the measurement paths shared
+one collapse kernel, and the order-param, cluster-check and aklt-check
+cases before every qubit U product became one index map.  They are
+never regenerated to make a change pass: a refactor that moves an RNG
+draw or a printed digit shows up here as a byte difference.
 """
 
 from pathlib import Path
@@ -30,6 +32,11 @@ CASES = {
     "three_qubit": ["three-qubit"],
     "qudit_demo_d3": ["qudit-demo", "-d", "3"],
     "heisenberg_check_L6": ["heisenberg-check", "-L", "6"],
+    "order_param_random_8_3": ["order-param", "--channel", "random:8:3"],
+    "order_param_cluster1d_8": ["order-param", "--channel", "cluster1d:8"],
+    "order_param_ghz_6": ["order-param", "--channel", "ghz:6"],
+    "cluster_check_L8": ["cluster-check", "-L", "8"],
+    "aklt_check_L8": ["aklt-check", "-L", "8"],
 }
 
 

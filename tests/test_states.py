@@ -237,3 +237,9 @@ def test_amplitudes_read_only():
 def test_bad_amplitude_length():
     with pytest.raises(ValueError):
         PureState(np.ones(3) / np.sqrt(3), local_dim=2)
+
+
+def test_num_sites_is_derived_not_settable():
+    assert PureState(np.ones(8) / np.sqrt(8)).num_sites == 3
+    with pytest.raises(TypeError):
+        PureState(np.ones(8) / np.sqrt(8), num_sites=7)
