@@ -12,12 +12,9 @@ from bellport import (
     cluster_state,
     decompose_classes,
     random_state,
-    teleport,
+    teleport_branches,
 )
 from bellport.channels import cluster_g_operators, cluster_stabilizer, stabilizer_report
-from bellport.measure import ImpossibleOutcomeError
-from itertools import product
-from bellport.bell import BELL_LABELS
 
 for L in (4, 6, 8):
     state = cluster_state(L)
@@ -38,11 +35,5 @@ for L in (4, 6, 8):
 
 print("\nteleporting through cluster(4), assumed class [+:+]:")
 client = random_state(1, 2, 3)
-worst = 1.0
-for branch in product(BELL_LABELS, repeat=2):
-    try:
-        res = teleport(client, cluster_state(4), (1, 1), forced=list(branch))
-    except ImpossibleOutcomeError:
-        continue
-    worst = min(worst, res.fidelity)
+worst = min(res.fidelity for res in teleport_branches(client, cluster_state(4), (1, 1)))
 print(f"worst branch fidelity = {worst:.6f}  (protocol fails: basis misaligned)")

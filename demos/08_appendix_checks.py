@@ -15,7 +15,7 @@ import numpy as np
 
 from bellport import PureState, bell_state, min_fidelity_scan, random_state, tensor
 from bellport.bell import BELL_LABELS, labels_class
-from bellport.measure import ImpossibleOutcomeError, measure_sequence
+from bellport.measure import measure_branches
 
 phi = 0.3
 amps = np.cos(phi) * np.kron(
@@ -27,13 +27,13 @@ total = tensor(random_state(1, 2, 16), PureState(amps))
 
 print(f"branch probabilities at phi={phi} (expect (1 +- sin 2phi)/16"
       f" = {(1 - np.sin(2 * phi)) / 16:.5f} or {(1 + np.sin(2 * phi)) / 16:.5f}):")
+branch_prob = {
+    tuple(o.label for o in record.outcomes): record.joint_probability
+    for record, _ in measure_branches(total, [(0, 1), (2, 3)])
+}
 class_prob = {}
 for lab1, lab2 in product(BELL_LABELS, repeat=2):
-    try:
-        record, _ = measure_sequence(total, [(0, 1), (2, 3)], forced=[lab1, lab2])
-        prob = record.joint_probability
-    except ImpossibleOutcomeError:
-        prob = 0.0
+    prob = branch_prob.get((lab1, lab2), 0.0)
     cls = labels_class([lab1, lab2])
     class_prob[cls] = class_prob.get(cls, 0.0) + prob
     print(f"  ({lab1.j:+d}:{lab1.k:+d})({lab2.j:+d}:{lab2.k:+d})  {prob:.5f}")

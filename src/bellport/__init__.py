@@ -53,6 +53,7 @@ from .measure import (
     MeasurementOutcome,
     MeasurementRecord,
     bell_measure,
+    measure_branches,
     measure_sequence,
     outcome_distribution,
 )
@@ -70,6 +71,7 @@ from .protocol import (
     outcome_probability_formula,
     rotation_gate,
     teleport,
+    teleport_branches,
 )
 from .qudit import (
     generalized_pauli,

@@ -192,9 +192,9 @@ def singlet_random(
     """
     L = 2 * n_pairs
     rng = _as_rng(seed)
-    basis = [dimer_product(m, L) for m in noncrossing_matchings(L)]
+    basis = noncrossing_matchings(L)  # dimer products are built one at a time
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    amps = sum(c * s.amplitudes for c, s in zip(coeffs, basis))
+    amps = sum(c * dimer_product(m, L).amplitudes for c, m in zip(coeffs, basis))
     return normalize(PureState(amps, normalized=False))
 
 

@@ -43,7 +43,7 @@ from .channels import (
     stabilizer_report,
     string_order,
 )
-from .measure import ImpossibleOutcomeError, bell_branches, measure_sequence
+from .measure import measure_branches
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
@@ -52,6 +52,7 @@ from .protocol import (
     min_fidelity_scan,
     order_parameter,
     teleport,
+    teleport_branches,
 )
 from .qudit import qudit_teleport
 from .states import PureState, random_state, tensor
@@ -152,12 +153,10 @@ def _cmd_teleport(args):
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     rows = []
     if args.enumerate_branches:
-        for i, branch in enumerate(bell_branches(channel.num_sites // 2)):
-            try:
-                res = teleport(client, channel, assumed, pairing, forced=branch)
-            except ImpossibleOutcomeError:
-                continue
-            rows.append(_teleport_row(i, res))
+        for res in teleport_branches(client, channel, assumed, pairing):
+            # run: the branch's outcome rows read as base-4 digits
+            digits = [str(BELL_LABELS.index(o.label)) for o in res.record.outcomes]
+            rows.append(_teleport_row(int("".join(digits), 4), res))
     else:
         rng = np.random.default_rng(args.seed + 1)
         for i in range(args.trials):
@@ -230,15 +229,13 @@ def _cmd_appendix_a(args):
     rows = []
     violations = 0
     class_prob = {c: 0.0 for c in BELL_CLASSES}
+    branch_prob = {
+        tuple(o.label for o in record.outcomes): record.joint_probability
+        for record, _ in measure_branches(total, [(0, 1), (2, 3)])
+    }
     for lab1 in BELL_LABELS:
         for lab2 in BELL_LABELS:
-            try:
-                record, _ = measure_sequence(
-                    total, [(0, 1), (2, 3)], forced=[lab1, lab2]
-                )
-                prob = record.joint_probability
-            except ImpossibleOutcomeError:
-                prob = 0.0
+            prob = branch_prob.get((lab1, lab2), 0.0)
             expected = (1.0 - lab2.j * lab2.k * np.sin(2 * phi)) / 16.0
             agg = labels_class([lab1, lab2])
             class_prob[agg] += prob
@@ -401,7 +398,7 @@ def _cmd_three_qubit(args):
                         lab.k,
                         lab.l,
                         mode,
-                        "".join("+" if s == 1 else "-" for s in branch),
+                        format_sign_pair(branch),
                         res.record.joint_probability,
                         res.fidelity,
                     ]

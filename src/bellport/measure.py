@@ -1,31 +1,30 @@
-"""Projective measurements through one collapse kernel.
+"""Projective measurements through one collapse kernel and one outcome tree.
 
 A Bell measurement on sites (a, b) is the simultaneous measurement of
 (U1)_a (U1)_b and (U2)_a (U2)_b; the outcome (j:k) collapses the pair
-exactly onto the Bell state |j:k}.  Every measurement in the package --
-Bell pairs here, the three-qubit trio in ``threequbit`` and qudit pairs
-in ``qudit`` -- is one call of ``collapse``: the measured axes of the
+exactly onto the Bell state |j:k}.  A single measurement -- a Bell pair
+in ``bell_measure``, the three-qubit trio in ``threequbit`` and a qudit
+pair in ``qudit`` -- is one call of ``collapse``: the measured axes of the
 site tensor are contracted with a bra of shape (outcomes, group, d^k)
 (4x4 Bell rows, 8 trio rows taken one or two per outcome, d^2 qudit
 rows), one outcome is forced or sampled, and the renormalised residual
 on the other sites is returned.  The cost is O(d^n) per measurement;
 no projector matrix is ever built.
 
-Outcomes can be sampled (seeded, reproducible) or forced, which lets
-tests enumerate every branch of a protocol deterministically.  Forcing
-a branch whose probability is below ZERO_PROB_ATOL raises
-ImpossibleOutcomeError: that branch cannot physically occur.
+A sequence of Bell measurements walks the outcome tree of its pairs,
+contracting each node once: sampling follows one seeded draw per pair,
+forcing the given rows (raising ImpossibleOutcomeError at or below
+ZERO_PROB_ATOL), and enumeration (``measure_branches``) every possible row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bell import BELL_LABELS, BellClass, BellLabel, bell_state
+from .bell import BELL_LABELS, BellClass, BellLabel, bell_state, labels_class
 from .states import PureState, _as_rng
 
 ZERO_PROB_ATOL = 1e-14
@@ -60,16 +59,25 @@ class MeasurementRecord:
     joint_probability: float
 
 
-def bell_branches(n_pairs: int) -> Iterator[tuple[BellLabel, ...]]:
-    """Every outcome tuple of ``n_pairs`` Bell measurements, last pair fastest."""
-    return product(BELL_LABELS, repeat=n_pairs)
-
-
-def _components(t: np.ndarray, axes: Sequence[int], bra: np.ndarray) -> np.ndarray:
-    """Outcome amplitudes of the measured axes: shape (outcomes, group * rest)."""
+def _components(
+    t: np.ndarray, axes: Sequence[int], bra: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome amplitudes, shape (outcomes, group * rest), and probabilities."""
     m, group, width = bra.shape
     moved = np.moveaxis(t, axes, range(len(axes))).reshape(width, -1)
-    return (bra.reshape(m * group, width) @ moved).reshape(m, -1)
+    comps = (bra.reshape(m * group, width) @ moved).reshape(m, -1)
+    return comps, np.sum(np.abs(comps) ** 2, axis=1)
+
+
+def _pick(probs: np.ndarray, row: int | None, label: object, rng) -> int:
+    """The forced ``row`` (refused when impossible) or one drawn from ``rng``."""
+    if row is None:
+        return int(_as_rng(rng).choice(len(probs), p=probs / probs.sum()))
+    if probs[row] <= ZERO_PROB_ATOL:
+        raise ImpossibleOutcomeError(
+            f"outcome {label} has probability {probs[row]:.3e}"
+        )
+    return row
 
 
 def collapse(
@@ -90,15 +98,8 @@ def collapse(
     probability and the renormalised residual of shape (group, *rest),
     the unmeasured axes keeping their order.
     """
-    comps = _components(t, axes, bra)
-    probs = np.sum(np.abs(comps) ** 2, axis=1)
-    if row is not None:
-        if probs[row] <= ZERO_PROB_ATOL:
-            raise ImpossibleOutcomeError(
-                f"outcome {label} has probability {probs[row]:.3e}"
-            )
-    else:
-        row = int(_as_rng(rng).choice(len(probs), p=probs / probs.sum()))
+    comps, probs = _components(t, axes, bra)
+    row = _pick(probs, row, label, rng)
     prob = float(probs[row])
     rest = [n for i, n in enumerate(t.shape) if i not in axes]
     return row, prob, (comps[row] / np.sqrt(prob)).reshape(bra.shape[1], *rest)
@@ -117,26 +118,55 @@ def _check_pair(state: PureState, a: int, b: int) -> None:
 def outcome_distribution(state: PureState, a: int, b: int) -> dict[BellLabel, float]:
     """Probability of each Bell outcome for a measurement on (a, b)."""
     _check_pair(state, a, b)
-    comps = _components(state.as_tensor(), (a, b), _BELL_BRA)
-    probs = np.sum(np.abs(comps) ** 2, axis=1)
+    _, probs = _components(state.as_tensor(), (a, b), _BELL_BRA)
     return {lab: float(p) for lab, p in zip(BELL_LABELS, probs)}
 
 
-def _collapse_pair(
-    t: np.ndarray,
-    axes: tuple[int, int],
-    pair: tuple[int, int],
-    forced: BellLabel | tuple[int, int] | None,
-    rng: int | np.random.Generator | None,
-) -> tuple[MeasurementOutcome, np.ndarray]:
-    """Bell-measure two axes of ``t``; the residual drops them."""
-    row = label = None
-    if forced is not None:
-        forced = BellLabel(*forced)
-        row, label = BELL_LABELS.index(forced), f"{forced} on sites {pair}"
-    row, prob, residual = collapse(t, axes, _BELL_BRA, row=row, rng=rng, label=label)
-    outcome = MeasurementOutcome(pair=pair, label=BELL_LABELS[row], probability=prob)
-    return outcome, residual[0]
+def _forced_row(forced, pair: Sequence[int]) -> tuple[int | None, str | None]:
+    """Row of a forced Bell label and its name in errors; (None, None) samples."""
+    if forced is None:
+        return None, None
+    forced = BellLabel(*forced)
+    return BELL_LABELS.index(forced), f"{forced} on sites {tuple(pair)}"
+
+
+def _walk(
+    state: PureState,
+    pairs: Sequence[tuple[int, int]],
+    follow: Callable[[int, np.ndarray], Iterable[int]],
+) -> Iterator[tuple[MeasurementRecord, PureState]]:
+    """Walk the outcome tree of Bell measurements over ``pairs``: the node of
+    pair i is contracted once and descends into the rows ``follow(i, probs)``
+    lists.  Yields (record, residual) for each leaf, in walk order."""
+    flat = [s for pair in pairs for s in pair]
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"measurement pairs overlap: {pairs}")
+    if len(flat) > state.num_sites - 1:
+        raise ValueError("measurements must leave at least one site untouched")
+    for a, b in pairs:
+        _check_pair(state, a, b)
+
+    def descend(t, sites, outcomes):  # sites[i] is the original site of axis i
+        if len(outcomes) == len(pairs):
+            agg = labels_class([o.label for o in outcomes])
+            joint = float(np.prod([o.probability for o in outcomes]))
+            record = MeasurementRecord(
+                outcomes=outcomes, aggregate_class=agg, joint_probability=joint
+            )
+            amps = t.reshape(-1)
+            yield record, PureState(amps / np.linalg.norm(amps), local_dim=2)
+            return
+        a, b = pairs[len(outcomes)]
+        comps, probs = _components(t, (sites.index(a), sites.index(b)), _BELL_BRA)
+        rest = [s for s in sites if s not in (a, b)]
+        for row in follow(len(outcomes), probs):
+            prob = float(probs[row])
+            label = BELL_LABELS[row]
+            outcome = MeasurementOutcome(pair=(a, b), label=label, probability=prob)
+            residual = (comps[row] / np.sqrt(prob)).reshape((2,) * len(rest))
+            yield from descend(residual, rest, outcomes + (outcome,))
+
+    return descend(state.as_tensor(), list(range(state.num_sites)), ())
 
 
 def bell_measure(
@@ -155,9 +185,13 @@ def bell_measure(
     selects the branch.
     """
     _check_pair(state, a, b)
-    outcome, residual = _collapse_pair(state.as_tensor(), (a, b), (a, b), forced, rng)
+    row, label = _forced_row(forced, (a, b))
+    row, prob, residual = collapse(
+        state.as_tensor(), (a, b), _BELL_BRA, row=row, rng=rng, label=label
+    )
+    outcome = MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
     pair_tensor = bell_state(outcome.label).amplitudes.reshape(2, 2)
-    post = np.moveaxis(np.multiply.outer(pair_tensor, residual), (0, 1), (a, b))
+    post = np.moveaxis(np.multiply.outer(pair_tensor, residual[0]), (0, 1), (a, b))
     return outcome, PureState(post.reshape(-1), local_dim=2)
 
 
@@ -174,35 +208,18 @@ def measure_sequence(
     sampled).  Returns the record plus the residual state on the
     unmeasured sites, in their original order.
     """
-    n = state.num_sites
-    flat = [s for pair in pairs for s in pair]
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"measurement pairs overlap: {pairs}")
-    if len(flat) > n - 1:
-        raise ValueError("measurements must leave at least one site untouched")
     if forced is not None and len(forced) != len(pairs):
         raise ValueError("one forced label (or None) is needed per pair")
     gen = _as_rng(rng)
+    wants = [None] * len(pairs) if forced is None else forced
+    rows = [_forced_row(want, pair) for want, pair in zip(wants, pairs)]
+    (result,) = _walk(state, pairs, lambda i, probs: [_pick(probs, *rows[i], gen)])
+    return result
 
-    outcomes: list[MeasurementOutcome] = []
-    t = state.as_tensor()
-    sites = list(range(n))  # original site of each remaining axis
-    for i, (a, b) in enumerate(pairs):
-        _check_pair(state, a, b)
-        want = forced[i] if forced is not None else None
-        axes = (sites.index(a), sites.index(b))
-        outcome, t = _collapse_pair(t, axes, (a, b), want, gen)
-        sites.remove(a)
-        sites.remove(b)
-        outcomes.append(outcome)
 
-    agg = BellClass(
-        int(np.prod([o.label.j for o in outcomes])),
-        int(np.prod([o.label.k for o in outcomes])),
-    )
-    joint = float(np.prod([o.probability for o in outcomes]))
-    record = MeasurementRecord(
-        outcomes=tuple(outcomes), aggregate_class=agg, joint_probability=joint
-    )
-    amps = t.reshape(-1)
-    return record, PureState(amps / np.linalg.norm(amps), local_dim=2)
+def measure_branches(
+    state: PureState, pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[MeasurementRecord, PureState]]:
+    """``measure_sequence`` forced onto every possible branch, yielded in
+    ``product(BELL_LABELS, repeat=len(pairs))`` order (last pair fastest)."""
+    return _walk(state, pairs, lambda i, probs: np.flatnonzero(probs > ZERO_PROB_ATOL))

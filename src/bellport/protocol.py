@@ -9,7 +9,7 @@ order parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,13 +21,14 @@ from .bell import (
     BellLabel,
     bell_state,
     class_projector_apply,
+    format_sign_pair,
     upsilon_expectations,
 )
 from .measure import (
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
     MeasurementRecord,
-    bell_branches,
+    measure_branches,
     measure_sequence,
 )
 from .states import (
@@ -69,6 +70,34 @@ def default_pairing(total_sites: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(0, total_sites - 1, 2))
 
 
+def _teleport_setup(
+    client: PureState, channel: PureState, pairing: Sequence[tuple[int, int]] | None
+) -> tuple[PureState, Sequence[tuple[int, int]]]:
+    """Client (x) channel, and the pairing that measures all but the recipient."""
+    if client.num_sites != 1 or client.local_dim != 2:
+        raise ValueError("client must be a single qubit")
+    if channel.num_sites % 2 != 0:
+        raise ValueError("channel must have an even number of qubits")
+    total = tensor(client, channel)
+    if pairing is None:
+        pairing = default_pairing(total.num_sites)
+    measured = [s for pair in pairing for s in pair]
+    if len(measured) != total.num_sites - 1:
+        raise ValueError("pairing must cover all sites except the recipient")
+    return total, pairing
+
+
+def _corrected(
+    client: PureState, gate: np.ndarray, record: MeasurementRecord, residual: PureState
+) -> TeleportResult:
+    """Bob's ``gate`` on the one-site ``residual``, scored against ``client``."""
+    recipient = apply_local(residual, gate, 0)
+    fid = overlap_fidelity(client, recipient)
+    return TeleportResult(
+        record=record, correction=gate, recipient_state=recipient, fidelity=fid
+    )
+
+
 def teleport(
     client: PureState,
     channel: PureState,
@@ -86,22 +115,23 @@ def teleport(
     ``assumed_class`` is Bob's prior knowledge of the channel class; no
     auto-detection happens here.
     """
-    if client.num_sites != 1 or client.local_dim != 2:
-        raise ValueError("client must be a single qubit")
-    if channel.num_sites % 2 != 0:
-        raise ValueError("channel must have an even number of qubits")
-    total = tensor(client, channel)
-    if pairing is None:
-        pairing = default_pairing(total.num_sites)
-    measured = [s for pair in pairing for s in pair]
-    if len(measured) != total.num_sites - 1:
-        raise ValueError("pairing must cover all sites except the recipient")
+    total, pairing = _teleport_setup(client, channel, pairing)
     record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
     gate = correction_gate(assumed_class, record.aggregate_class)
-    recipient = apply_local(residual, gate, 0)
-    fid = overlap_fidelity(client, recipient)
-    return TeleportResult(
-        record=record, correction=gate, recipient_state=recipient, fidelity=fid
+    return _corrected(client, gate, record, residual)
+
+
+def teleport_branches(
+    client: PureState,
+    channel: PureState,
+    assumed_class: BellClass | tuple[int, int],
+    pairing: Sequence[tuple[int, int]] | None = None,
+) -> Iterator[TeleportResult]:
+    """``teleport`` forced onto every possible branch of ``measure_branches``."""
+    total, pairing = _teleport_setup(client, channel, pairing)
+    return (
+        _corrected(client, correction_gate(assumed_class, rec.aggregate_class), rec, res)
+        for rec, res in measure_branches(total, pairing)
     )
 
 
@@ -288,7 +318,7 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     """
     if rng.random() < 0.5:
         cls = BELL_CLASSES[rng.integers(4)]
-        tag = "".join("+" if s == 1 else "-" for s in cls)
+        tag = format_sign_pair(cls)
         while True:
             draw = random_state(4, 2, rng)
             projected = class_projector_apply(draw, cls)
@@ -324,14 +354,7 @@ def fig2_run(
         omega = order_parameter(channel).omega
         for cls in BELL_CLASSES:
             if enumerate_branches:
-                results = []
-                for branch in bell_branches(channel.num_sites // 2):
-                    try:
-                        results.append(
-                            teleport(client, channel, cls, forced=branch)
-                        )
-                    except ImpossibleOutcomeError:
-                        continue
+                results = teleport_branches(client, channel, cls)
             else:
                 results = [teleport(client, channel, cls, rng=rng)]
             for result in results:

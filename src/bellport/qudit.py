@@ -19,11 +19,13 @@ to the qubit Upsilon operators).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .measure import MeasurementOutcome, MeasurementRecord, collapse
-from .protocol import TeleportResult
-from .states import PureState, apply_local, overlap_fidelity, tensor
+from .protocol import TeleportResult, _corrected
+from .states import PureState, apply_local, tensor
 
 
 def omega_root(d: int) -> complex:
@@ -69,10 +71,13 @@ def qudit_x_tilde(d: int, j: int, k: int, p: int, q: int) -> np.ndarray:
     return generalized_pauli(d, k, j) @ generalized_pauli(d, q, -p)
 
 
+@lru_cache(maxsize=None)
 def _bell_bra(d: int) -> np.ndarray:
-    """Conjugated |j:k} rows in (j, k) order, one bra per outcome."""
+    """Conjugated |j:k} rows in (j, k) order, one bra per outcome (read-only)."""
     rows = [[qudit_bell(d, j, k).amplitudes] for j in range(d) for k in range(d)]
-    return np.array(rows).conj()
+    bra = np.array(rows).conj()
+    bra.flags.writeable = False
+    return bra
 
 
 def qudit_bell_measure(
@@ -141,18 +146,12 @@ def qudit_teleport(
     outcome, residual = qudit_bell_measure(total, 0, 1, forced=forced, rng=rng)
     p, q = outcome.label
     gate = qudit_x_tilde(dim, assumed[0], assumed[1], p, q).conj().T
-    recipient = apply_local(residual, gate, 0)
     record = MeasurementRecord(
         outcomes=(outcome,),
         aggregate_class=outcome.label,
         joint_probability=outcome.probability,
     )
-    return TeleportResult(
-        record=record,
-        correction=gate,
-        recipient_state=recipient,
-        fidelity=overlap_fidelity(client, recipient),
-    )
+    return _corrected(client, gate, record, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import u_matrix, x_operator, x_tilde_operator
+from .algebra import u_matrix, x_operator
 from .measure import MeasurementOutcome, MeasurementRecord, collapse
-from .protocol import TeleportResult
-from .states import PureState, apply_local, overlap_fidelity, tensor
+from .protocol import TeleportResult, _corrected, correction_gate
+from .states import PureState, tensor
 
 
 class Bell3Label(NamedTuple):
@@ -135,9 +135,7 @@ def teleport3(
     p, q = label[:2]
 
     residual = PureState(residual_amps / np.linalg.norm(residual_amps))
-    j, l = assumed
-    gate = x_tilde_operator(j, l, p, q).conj().T
-    recipient = apply_local(residual, gate, 0)
+    gate = correction_gate(assumed, (p, q))
     # sites 0..2 are measured jointly; the pair field records the span
     outcome = MeasurementOutcome(pair=(0, 2), label=label, probability=prob)
     record = MeasurementRecord(
@@ -145,12 +143,7 @@ def teleport3(
         aggregate_class=(p, q),
         joint_probability=prob,
     )
-    return TeleportResult(
-        record=record,
-        correction=gate,
-        recipient_state=recipient,
-        fidelity=overlap_fidelity(client, recipient),
-    )
+    return _corrected(client, gate, record, residual)
 
 
 def theta_operator(kappa: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Channel families: singlets, Heisenberg, cluster states, AKLT."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,29 @@ def test_singlet_random_invariance_and_class(n_pairs):
         assert abs(abs(inner_product(state, rotated)) - 1.0) < 1e-10
     cls = decompose_classes(state).pure_class()
     assert cls == ((-1) ** n_pairs, (-1) ** n_pairs)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_singlet_random_matches_listed_basis_sum(n_pairs):
+    """Summing the dimer products one at a time changes no bit."""
+    L = 2 * n_pairs
+    rng = np.random.default_rng(17)
+    basis = [dimer_product(m, L) for m in noncrossing_matchings(L)]
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    amps = sum(c * s.amplitudes for c, s in zip(coeffs, basis))
+    expected = amps / np.linalg.norm(amps)
+    assert np.array_equal(singlet_random(n_pairs, 17).amplitudes, expected)
+
+
+def test_singlet_random_keeps_one_dimer_product_at_a_time():
+    """132 dimer products of 12 qubits would hold 8.25 MiB at once."""
+    tracemalloc.start()
+    try:
+        singlet_random(6, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_singlet_random_reproducible():

@@ -1,27 +1,34 @@
-"""The collapse kernel against the hand-written measurement paths it replaced.
+"""The collapse kernel and the outcome-tree walker against the
+hand-written measurement paths they replaced.
 
 The oracles below are those paths, kept as references: Bell pairs
 measured on the full state and stripped off afterwards, the three-qubit
-trio with its own row grouping, and the qudit pair.  Random states,
+trio with its own row grouping, the qudit pair, and the branch
+enumerator that forced every outcome tuple from scratch.  Random states,
 pairings and forced or seeded outcomes must give the same outcomes,
 probabilities and residuals (to 1e-12), and consume the same random
-draws.
+draws; enumerated branches must equal the forced ones exactly.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellport import measure
 from bellport.bell import BELL_LABELS, BellClass, BellLabel, bell_basis_state, bell_state
+from bellport.channels import build, parse_channel_spec
 from bellport.measure import (
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
     MeasurementOutcome,
-    bell_branches,
     bell_measure,
+    measure_branches,
     measure_sequence,
 )
+from bellport.protocol import default_pairing, teleport, teleport_branches
 from bellport.qudit import qudit_bell, qudit_bell_measure
 from bellport.states import PureState, _as_rng, random_state, tensor
 from bellport.threequbit import BELL3_LABELS, Bell3Label, bell3_state, teleport3
@@ -232,11 +239,138 @@ def test_measure_sequence_matches_oracle(case, seed):
     assert same_stream(*gens)
 
 
-def test_bell_branches_order_last_pair_fastest():
-    branches = list(bell_branches(2))
-    assert len(branches) == 16
+# ---------------------------------------------------------------------------
+# branch enumeration
+
+
+def old_measure_branches(state, pairs):
+    """Every outcome tuple forced from scratch, impossible ones skipped."""
+    branches = []
+    for branch in product(BELL_LABELS, repeat=len(pairs)):
+        try:
+            branches.append(measure_sequence(state, pairs, forced=branch))
+        except ImpossibleOutcomeError:
+            continue
+    return branches
+
+
+def old_teleport_branches(client, channel, assumed, pairing):
+    branches = []
+    for branch in product(BELL_LABELS, repeat=channel.num_sites // 2):
+        try:
+            branches.append(teleport(client, channel, assumed, pairing, forced=branch))
+        except ImpossibleOutcomeError:
+            continue
+    return branches
+
+
+# channels with impossible branches for a client teleported across them
+SPARSE_CHANNELS = ("ghz", "cluster1d", "mg-dimers")
+
+
+@st.composite
+def branch_case(draw):
+    """(state, pairing) on up to 11 qubits: a random state, or a client
+    next to a channel whose outcome tree has impossible branches."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 11))
+        state = random_state(n, 2, draw(seeds))
+    else:
+        kind = draw(st.sampled_from(SPARSE_CHANNELS))
+        L = draw(st.sampled_from([4, 6, 8, 10]))
+        channel = build(parse_channel_spec(f"{kind}:{L}"))
+        state = tensor(random_state(1, 2, draw(seeds)), channel)
+        n = L + 1
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, (n - 1) // 2))
+    return state, [(order[2 * i], order[2 * i + 1]) for i in range(k)]
+
+
+def assert_same_record(new, old):
+    assert new.outcomes == old.outcomes  # pairs, labels, exact probabilities
+    assert new.aggregate_class == old.aggregate_class
+    assert new.joint_probability == old.joint_probability
+
+
+@PROPERTY
+@given(branch_case())
+def test_measure_branches_matches_forced_oracle(case):
+    state, pairs = case
+    new, old = list(measure_branches(state, pairs)), old_measure_branches(state, pairs)
+    assert len(new) == len(old)
+    for (record, residual), (old_record, old_residual) in zip(new, old):
+        assert_same_record(record, old_record)
+        assert np.array_equal(residual.amplitudes, old_residual.amplitudes)
+
+
+@st.composite
+def teleport_case(draw):
+    """(client, channel, assumed class, pairing) over channel families."""
+    kind = draw(st.sampled_from(SPARSE_CHANNELS + ("random", "singlet-random")))
+    L = draw(st.sampled_from([2, 4, 6, 8] if kind in ("ghz", "random") else [4, 6, 8]))
+    spec = f"{kind}:{L}:{draw(seeds)}" if "random" in kind else f"{kind}:{L}"
+    pairing = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(L + 1)))
+        pairing = [(order[2 * i], order[2 * i + 1]) for i in range(L // 2)]
+    return (
+        random_state(1, 2, draw(seeds)),
+        build(parse_channel_spec(spec)),
+        draw(st.sampled_from(BELL_LABELS)),
+        pairing,
+    )
+
+
+@PROPERTY
+@given(teleport_case())
+def test_teleport_branches_matches_forced_teleport(case):
+    client, channel, assumed, pairing = case
+    new = list(teleport_branches(client, channel, assumed, pairing))
+    old = old_teleport_branches(client, channel, assumed, pairing)
+    assert len(new) == len(old)
+    for res, old_res in zip(new, old):
+        assert_same_record(res.record, old_res.record)
+        assert np.array_equal(res.correction, old_res.correction)
+        assert np.array_equal(
+            res.recipient_state.amplitudes, old_res.recipient_state.amplitudes
+        )
+        assert res.fidelity == old_res.fidelity
+
+
+def test_measure_branches_order_last_pair_fastest():
+    state = random_state(5, 2, 11)
+    branches = [
+        tuple(o.label for o in record.outcomes)
+        for record, _ in measure_branches(state, [(0, 1), (2, 3)])
+    ]
+    assert branches == list(product(BELL_LABELS, repeat=2))
     assert branches[:4] == [(BELL_LABELS[0], lab) for lab in BELL_LABELS]
-    assert list(bell_branches(0)) == [()]
+    ((record, residual),) = measure_branches(state, [])
+    assert record.outcomes == () and record.joint_probability == 1.0
+    assert np.array_equal(residual.amplitudes, state.amplitudes / state.norm())
+
+
+def test_ghz_channel_skips_impossible_branches():
+    state = tensor(random_state(1, 2, 5), build(parse_channel_spec("ghz:6")))
+    pairs = default_pairing(7)
+    branches = list(measure_branches(state, pairs))
+    assert len(branches) == 16
+    assert sum(record.joint_probability for record, _ in branches) == pytest.approx(1.0)
+
+
+def test_each_tree_node_is_contracted_once(monkeypatch):
+    calls = []
+    components = measure._components
+
+    def counting(*args):
+        calls.append(args)
+        return components(*args)
+
+    monkeypatch.setattr(measure, "_components", counting)
+    state = random_state(9, 2, 7)
+    branches = list(measure_branches(state, default_pairing(9)))
+    assert len(branches) == 256  # a generic state leaves every branch possible
+    assert len(calls) == 1 + 4 + 16 + 64
 
 
 # ---------------------------------------------------------------------------

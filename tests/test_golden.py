@@ -2,8 +2,10 @@
 
 The files in tests/golden were written by the CLI before the refactor
 they guard: the measurement cases before the measurement paths shared
-one collapse kernel, and the order-param, cluster-check and aklt-check
-cases before every qubit U product became one index map.  They are
+one collapse kernel, the order-param, cluster-check and aklt-check
+cases before every qubit U product became one index map, and the two
+cases with impossible branches (ghz:6 and appendix-a at phi = pi/4)
+before branch enumeration walked one outcome tree.  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -28,7 +30,11 @@ CASES = {
         "teleport", "--channel", "cluster1d:4", "--enumerate-branches",
         "--pairing", "0-2,1-3",
     ],
+    "teleport_ghz_6_pm_enum": [
+        "teleport", "--channel", "ghz:6", "--enumerate-branches", "--assumed-class", "pm",
+    ],
     "appendix_a": ["appendix-a"],
+    "appendix_a_phi_pi4": ["appendix-a", "--phi", "0.785398163397448"],
     "three_qubit": ["three-qubit"],
     "qudit_demo_d3": ["qudit-demo", "-d", "3"],
     "heisenberg_check_L6": ["heisenberg-check", "-L", "6"],

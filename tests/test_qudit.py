@@ -9,6 +9,7 @@ from bellport.algebra import u_matrix
 from bellport.bell import bell_state
 from bellport.protocol import teleport
 from bellport.qudit import (
+    _bell_bra,
     apply_qudit_upsilon,
     generalized_pauli,
     omega_root,
@@ -150,6 +151,16 @@ def test_qudit_teleport_all_branches(d):
             res = qudit_teleport(client, label, forced=(p, q))
             assert abs(res.fidelity - 1.0) < 1e-10
             assert abs(res.record.joint_probability - 1.0 / d**2) < 1e-12
+
+
+def test_qudit_bell_bra_built_once_and_read_only():
+    bra = _bell_bra(4)
+    assert _bell_bra(4) is bra
+    assert not bra.flags.writeable
+    with pytest.raises(ValueError):
+        bra[0, 0, 0] = 0.0
+    rows = [qudit_bell(4, j, k).amplitudes for j in range(4) for k in range(4)]
+    assert np.array_equal(bra[:, 0], np.array(rows).conj())
 
 
 def test_qudit_teleport_sampled_reproducible():
