@@ -7,7 +7,10 @@ coverings, and antiferromagnetic Heisenberg ring ground states as
 physical examples.  Linear cluster states come with their K_j
 stabilizers and the derived G1/G2 string operators; the AKLT ground
 state is built in the virtual-qubit picture together with its string
-order parameter.
+order parameter.  These builders are index maps: a dimer product moves
+the bits of the Majumdar-Ghosh product, the Heisenberg ring uses
+S_i . S_j = SWAP_ij / 2 - 1/4 in its S^z = 0 sector, and an AKLT
+junction is (1 + SWAP) / 2.  No builder exceeds MAX_QUBITS qubits.
 """
 
 from __future__ import annotations
@@ -17,17 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import u_matrix
-from .bell import BellLabel, _u_string, apply_upsilon, bell_basis_state, bell_state
-from .states import (
-    PureState,
-    _as_rng,
-    apply_two_site,
-    inner_product,
-    normalize,
-    permute_sites,
-    random_state,
-)
+from .bell import BellLabel, _u_string, apply_upsilon, bell_basis_state
+from .states import PureState, _as_rng, inner_product, normalize, random_state
+
+# 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
+MAX_QUBITS = 20
 
 CHANNEL_KINDS = (
     "bell-product",
@@ -73,6 +70,7 @@ def build(spec: ChannelSpec) -> PureState:
     if kind == "bell-product":
         if not spec.labels:
             raise ValueError("bell-product spec needs labels")
+        _check_size(2 * len(spec.labels))
         return bell_basis_state(spec.labels)
     if kind == "explicit":
         if spec.amplitudes is None:
@@ -80,6 +78,7 @@ def build(spec: ChannelSpec) -> PureState:
         return normalize(PureState(spec.amplitudes, normalized=False))
     L = spec.qubits
     if kind == "random":
+        _check_size(L)
         return random_state(L, 2, spec.seed)
     if kind == "singlet-random":
         _require_even(L)
@@ -129,8 +128,14 @@ def _require_even(L: int) -> None:
         raise ValueError(f"channel size must be a positive even qubit count, got {L}")
 
 
+def _check_size(L: int) -> None:
+    if L > MAX_QUBITS:
+        raise ValueError(f"{L} qubits exceed the limit of {MAX_QUBITS}")
+
+
 def ghz_state(L: int) -> PureState:
     """(|++...+> + |--...->) / sqrt(2); lies in Bell class [+:+] for even L."""
+    _check_size(L)
     if L < 2:
         raise ValueError("GHZ needs at least 2 qubits")
     amps = np.zeros(2**L, dtype=complex)
@@ -144,6 +149,7 @@ def ghz_state(L: int) -> PureState:
 
 def majumdar_ghosh_dimers(n_pairs: int) -> PureState:
     """Product of nearest-neighbour singlets, the Majumdar-Ghosh ground state."""
+    _check_size(2 * n_pairs)
     if n_pairs < 1:
         raise ValueError("need at least one dimer")
     return bell_basis_state([BellLabel(-1, -1)] * n_pairs)
@@ -170,18 +176,6 @@ def noncrossing_matchings(L: int) -> list[tuple[tuple[int, int], ...]]:
     return match(tuple(range(L)))
 
 
-def dimer_product(matching: Sequence[tuple[int, int]], L: int) -> PureState:
-    """Singlet placed on every pair of the matching (pairs may be nested)."""
-    state = bell_basis_state([BellLabel(-1, -1)] * (L // 2))
-    perm = [0] * L
-    slot = 0
-    for a, b in matching:
-        perm[slot] = a
-        perm[slot + 1] = b
-        slot += 2
-    return permute_sites(state, perm)
-
-
 def singlet_random(
     n_pairs: int, seed: int | np.random.Generator | None = None
 ) -> PureState:
@@ -191,41 +185,46 @@ def singlet_random(
     products (which span the singlet space) and normalizes.
     """
     L = 2 * n_pairs
+    _check_size(L)
     rng = _as_rng(seed)
-    basis = noncrossing_matchings(L)  # dimer products are built one at a time
+    basis = noncrossing_matchings(L)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    amps = sum(c * dimer_product(m, L).amplitudes for c, m in zip(coeffs, basis))
+    mg = majumdar_ghosh_dimers(n_pairs).amplitudes
+    nz = np.flatnonzero(mg)
+    bits = (nz[:, None] >> np.arange(L - 1, -1, -1)) & 1  # bits[:, s] is slot s
+    amps = np.zeros(2**L, dtype=complex)
+    for c, m in zip(coeffs, basis):  # the bit of slot s moves to site m[s]
+        amps[(bits << (L - 1 - np.ravel(m))).sum(1)] += c * mg[nz]
     return normalize(PureState(amps, normalized=False))
 
 
 def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     """Ground state of the spin-1/2 antiferromagnetic Heisenberg ring.
 
-    H = sum_i S_i . S_{i+1} with periodic boundary, diagonalized densely;
-    practical for L <= 12.  Raises DegenerateGroundStateError when the
+    H = sum_i S_i . S_{i+1} with periodic boundary and S_i . S_j =
+    SWAP_ij / 2 - 1/4, diagonalized in the S^z = 0 sector for L <= 12
+    (its gap is the full gap: every SU(2) multiplet of an even ring has
+    an S^z = 0 member).  Raises DegenerateGroundStateError when the
     spectral gap falls below ``degeneracy_tol``.
     """
     _require_even(L)
     if L > 12:
-        raise ValueError("dense diagonalization is limited to L <= 12")
-    sx = 0.5 * u_matrix(1)
-    sy = 0.5j * u_matrix(3)  # sigma_y / 2 = i U3 / 2
-    sz = 0.5 * u_matrix(2)
-    dim = 2**L
-    H = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(2, dtype=complex)
+        raise ValueError("the Heisenberg ring ground state is limited to L <= 12")
+    weights = 2 ** np.arange(L - 1, -1, -1)  # site s is bit L-1-s
+    bits = np.arange(2**L)[:, None] // weights % 2
+    basis = np.flatnonzero(bits.sum(1) == L // 2)
+    bits = bits[basis]
+    H = np.diag(np.full(len(basis), -L / 4))
     for i in range(L):
         j = (i + 1) % L
-        for op in (sx, sy, sz):
-            term = np.array([[1.0]], dtype=complex)
-            for site in range(L):
-                term = np.kron(term, op if site in (i, j) else eye)
-            H += term
+        swapped = basis + (bits[:, j] - bits[:, i]) * (weights[i] - weights[j])
+        H[np.arange(len(basis)), np.searchsorted(basis, swapped)] += 0.5
     energies, vectors = np.linalg.eigh(H)
     gap = float(energies[1] - energies[0])
     if gap < degeneracy_tol:
         raise DegenerateGroundStateError(gap, degeneracy_tol)
-    ground = vectors[:, 0]
+    ground = np.zeros(2**L, dtype=complex)
+    ground[basis] = vectors[:, 0]
     return normalize(PureState(ground, normalized=False))
 
 
@@ -239,6 +238,7 @@ def cluster_state(L: int) -> PureState:
     Built by the two-site factors (|+>_j + |->_j U2_{j+1}): the sign of
     each computational amplitude is (-1)^(number of adjacent |-,-> pairs).
     """
+    _check_size(L)
     if L < 2:
         raise ValueError("cluster state needs at least 2 qubits")
     amps = np.ones(2**L, dtype=complex)
@@ -339,20 +339,15 @@ def stabilizer_report(state: PureState, op: UProduct, name: str) -> StabilizerRe
 # AKLT ground state in the virtual-qubit picture
 
 
-def _triplet_projector() -> np.ndarray:
-    singlet = bell_state(BellLabel(-1, -1)).amplitudes
-    return np.eye(4, dtype=complex) - np.outer(singlet, singlet.conj())
-
-
 def _aklt_build(L: int) -> tuple[PureState, float]:
+    _check_size(L)
     _require_even(L)
     if L < 4:
         raise ValueError("AKLT construction needs L >= 4")
-    n_pairs = L // 2
-    state = bell_basis_state([BellLabel(-1, -1)] * n_pairs)
-    pt = _triplet_projector()
+    t = majumdar_ghosh_dimers(L // 2).as_tensor()
     for r in range(1, L - 2, 2):  # pairs (1,2), (3,4), ..., (L-3,L-2)
-        state = apply_two_site(state, pt, r, r + 1)
+        t = 0.5 * (t + t.swapaxes(r, r + 1))  # triplet projector (1 + SWAP) / 2
+    state = PureState(t.reshape(-1), normalized=False)
     nrm = state.norm()
     return normalize(state), nrm
 
@@ -360,9 +355,9 @@ def _aklt_build(L: int) -> tuple[PureState, float]:
 def aklt_state(L: int) -> PureState:
     """AKLT ground state with spin-1/2 boundaries on L virtual qubits.
 
-    Triplet projectors act across the junctions of a singlet product;
-    qubits 0 and L-1 are the boundary spin-1/2 sites and each interior
-    pair (2r-1, 2r) represents one spin-1 site.
+    Triplet projectors (1 + SWAP) / 2 act across the junctions of a
+    singlet product; qubits 0 and L-1 are the boundary spin-1/2 sites
+    and each interior pair (2r-1, 2r) represents one spin-1 site.
     """
     return _aklt_build(L)[0]
 

@@ -421,9 +421,7 @@ def _cmd_qudit_demo(args):
     d = args.dim
     if d < 2:
         raise UsageError("qudit dimension must be >= 2")
-    rng = np.random.default_rng(args.seed)
-    client_amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    client = PureState(client_amps / np.linalg.norm(client_amps), local_dim=d)
+    client = random_state(1, d, np.random.default_rng(args.seed))
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     rows = []
     violations = 0

@@ -210,10 +210,11 @@ def measure_sequence(
     """
     if forced is not None and len(forced) != len(pairs):
         raise ValueError("one forced label (or None) is needed per pair")
-    gen = _as_rng(rng)
     wants = [None] * len(pairs) if forced is None else forced
+    if any(want is None for want in wants):
+        rng = _as_rng(rng)  # one generator for every sampled pair
     rows = [_forced_row(want, pair) for want, pair in zip(wants, pairs)]
-    (result,) = _walk(state, pairs, lambda i, probs: [_pick(probs, *rows[i], gen)])
+    (result,) = _walk(state, pairs, lambda i, probs: [_pick(probs, *rows[i], rng)])
     return result
 
 

@@ -116,15 +116,14 @@ def qudit_teleport(
     channel: PureState | tuple[int, int],
     assumed: tuple[int, int] | None = None,
     *,
-    d: int | None = None,
     forced: tuple[int, int] | None = None,
     rng: int | np.random.Generator | None = None,
 ) -> TeleportResult:
     """Teleport one qudit across a two-qudit channel.
 
     ``channel`` is either a 2-site state or a label pair (j, k), in
-    which case the generalized Bell state is built (``d`` defaults to
-    the client dimension).  ``assumed`` defaults to the channel label
+    which case the generalized Bell state of the client dimension is
+    built.  ``assumed`` defaults to the channel label
     when one is given.  Alice sends the two mod-d symbols (p, q) -- the
     qudit analogue of two classical bits -- and Bob applies
     (Xtilde^{jk}_{pq})^dagger.
@@ -133,9 +132,9 @@ def qudit_teleport(
         raise ValueError("client must be a single qudit")
     dim = client.local_dim
     if isinstance(channel, tuple):
-        chan_state = qudit_bell(d or dim, *channel)
+        chan_state = qudit_bell(dim, *channel)
         if assumed is None:
-            assumed = (channel[0] % (d or dim), channel[1] % (d or dim))
+            assumed = (channel[0] % dim, channel[1] % dim)
     else:
         chan_state = channel
     if chan_state.local_dim != dim or chan_state.num_sites != 2:

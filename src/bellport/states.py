@@ -3,9 +3,9 @@
 Amplitude indexing puts site 0 in the most significant digit, matching
 the left-to-right order of tensor-product notation (the client state of
 the teleportation protocol is always the leftmost factor).  States are
-immutable; every operation returns a new state.  Dense vectors are
-practical up to about 21 qubit sites (16M amplitudes); everything in
-this package needs at most 13.
+immutable; every operation returns a new state.  A dense vector of n
+qubits takes 16 * 2^n bytes; the channel builders stop at
+channels.MAX_QUBITS = 20 qubits (16 MiB), so a teleport needs 21 sites.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64): named,
 seedable, and splittable via ``spawn``, so any sampled output can be

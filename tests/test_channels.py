@@ -1,9 +1,17 @@
-"""Channel families: singlets, Heisenberg, cluster states, AKLT."""
+"""Channel families: singlets, Heisenberg, cluster states, AKLT.
+
+The many-body builders are index maps; the dense constructions they
+replaced are kept here as oracles: the dimer product as a permuted
+Majumdar-Ghosh state, the Heisenberg Hamiltonian as a sum of Kronecker
+strings, and the AKLT junctions as a 4x4 triplet projector.
+"""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellport.bell import (
     bell_basis_state,
@@ -12,6 +20,7 @@ from bellport.bell import (
     upsilon_expectations,
 )
 from bellport.channels import (
+    MAX_QUBITS,
     ChannelSpec,
     DegenerateGroundStateError,
     aklt_projection_norm,
@@ -20,7 +29,6 @@ from bellport.channels import (
     cluster_g_operators,
     cluster_stabilizer,
     cluster_state,
-    dimer_product,
     ghz_state,
     heisenberg_ring_ground,
     majumdar_ghosh_dimers,
@@ -30,13 +38,21 @@ from bellport.channels import (
     stabilizer_report,
     string_order,
 )
+from bellport.algebra import u_matrix
 from bellport.states import (
     apply_local,
+    apply_two_site,
     inner_product,
+    normalize,
     overlap_fidelity,
+    permute_sites,
     qubit_ket,
     random_state,
 )
+
+TOL = 1e-12
+PROPERTY = settings(max_examples=20, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
 
 # Single-site factorizations of the string operators, L=6 and L=8.
 # The overall signs come from multiplying the K factors site by site
@@ -51,6 +67,49 @@ G_FACTORIZATIONS = {
         "G2": (1, (2, 3, 3, 2, 2, 3, 3, 2)),
     },
 }
+
+
+# ---------------------------------------------------------------------------
+# oracles: the dense builders before the index maps
+
+
+def dimer_product(matching, L):
+    """Singlet placed on every pair of the matching (pairs may be nested)."""
+    state = bell_basis_state([(-1, -1)] * (L // 2))
+    perm = [0] * L
+    slot = 0
+    for a, b in matching:
+        perm[slot] = a
+        perm[slot + 1] = b
+        slot += 2
+    return permute_sites(state, perm)
+
+
+def dense_heisenberg_ring(L):
+    """sum_i S_i . S_{i+1} on the full 2^L space, from Kronecker strings."""
+    sx = 0.5 * u_matrix(1)
+    sy = 0.5j * u_matrix(3)  # sigma_y / 2 = i U3 / 2
+    sz = 0.5 * u_matrix(2)
+    H = np.zeros((2**L, 2**L), dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    for i in range(L):
+        j = (i + 1) % L
+        for op in (sx, sy, sz):
+            term = np.array([[1.0]], dtype=complex)
+            for site in range(L):
+                term = np.kron(term, op if site in (i, j) else eye)
+            H += term
+    return H
+
+
+def dense_aklt(L):
+    """Triplet projector I - |s><s| applied at every junction; (state, norm)."""
+    singlet = bell_state((-1, -1)).amplitudes
+    pt = np.eye(4, dtype=complex) - np.outer(singlet, singlet.conj())
+    state = bell_basis_state([(-1, -1)] * (L // 2))
+    for r in range(1, L - 2, 2):
+        state = apply_two_site(state, pt, r, r + 1)
+    return normalize(state), state.norm()
 
 
 def random_unitary(rng):
@@ -132,6 +191,19 @@ def test_singlet_random_matches_listed_basis_sum(n_pairs):
     assert np.array_equal(singlet_random(n_pairs, 17).amplitudes, expected)
 
 
+@PROPERTY
+@given(st.integers(1, 7), seeds)
+def test_singlet_random_equals_dimer_sum_oracle(n_pairs, seed):
+    """The scatter-adds change no bit of the sum of dense dimer products."""
+    L = 2 * n_pairs
+    rng = np.random.default_rng(seed)
+    basis = noncrossing_matchings(L)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    amps = sum(c * dimer_product(m, L).amplitudes for c, m in zip(coeffs, basis))
+    expected = amps / np.linalg.norm(amps)
+    assert np.array_equal(singlet_random(n_pairs, seed).amplitudes, expected)
+
+
 def test_singlet_random_keeps_one_dimer_product_at_a_time():
     """132 dimer products of 12 qubits would hold 8.25 MiB at once."""
     tracemalloc.start()
@@ -157,6 +229,18 @@ def test_heisenberg_ground_is_singlet_class(L):
     assert abs(abs(inner_product(ground, rotated)) - 1.0) < 1e-8
     cls = decompose_classes(ground).pure_class(1e-8)
     assert cls == ((-1) ** (L // 2), (-1) ** (L // 2))
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 10])
+def test_heisenberg_matches_dense_hamiltonian(L):
+    """The S^z = 0 sector gives the dense ground state and the dense gap."""
+    energies, vectors = np.linalg.eigh(dense_heisenberg_ring(L))
+    gap = energies[1] - energies[0]
+    ground = heisenberg_ring_ground(L)
+    assert abs(abs(np.vdot(vectors[:, 0], ground.amplitudes)) - 1.0) < TOL
+    with pytest.raises(DegenerateGroundStateError) as err:
+        heisenberg_ring_ground(L, degeneracy_tol=gap + 1e-6)
+    assert abs(err.value.gap - gap) < TOL
 
 
 def test_heisenberg_degeneracy_guard():
@@ -218,6 +302,13 @@ def test_aklt_string_order(L):
     assert decompose_classes(state).pure_class() is not None
 
 
+@pytest.mark.parametrize("L", [4, 6, 8, 10, 12])
+def test_aklt_matches_dense_triplet_projector(L):
+    state, nrm = dense_aklt(L)
+    assert np.max(np.abs(aklt_state(L).amplitudes - state.amplitudes)) < TOL
+    assert abs(aklt_projection_norm(L) - nrm) < TOL
+
+
 def test_aklt_l4_matches_dense_projector_oracle():
     singlet = bell_state((-1, -1)).amplitudes
     two = np.kron(singlet, singlet)
@@ -255,6 +346,27 @@ def test_string_order_product_and_pre_projection_values():
 def test_string_order_rejects_odd():
     with pytest.raises(ValueError):
         string_order(random_state(3, 2, 65))
+
+
+def test_builders_refuse_more_than_max_qubits():
+    """22 qubits would be 64 MiB per vector; refused before allocating."""
+    L = MAX_QUBITS + 2
+    for make in (
+        lambda: ghz_state(L),
+        lambda: majumdar_ghosh_dimers(L // 2),
+        lambda: singlet_random(L // 2, 1),
+        lambda: cluster_state(L),
+        lambda: aklt_state(L),
+        lambda: aklt_projection_norm(L),
+        lambda: build(ChannelSpec(kind="random", qubits=L, seed=1)),
+        lambda: build(parse_channel_spec("bell:" + ",".join(["+-"] * (L // 2)))),
+    ):
+        with pytest.raises(ValueError, match="limit"):
+            make()
+
+
+def test_builders_accept_max_qubits():
+    assert ghz_state(MAX_QUBITS).num_sites == MAX_QUBITS
 
 
 def test_ghz_class():

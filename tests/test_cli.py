@@ -184,6 +184,23 @@ def test_trials_below_one_exits_64(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--channel", "random:22"],
+        ["cluster-check", "-L", "22"],
+        ["aklt-check", "-L", "22"],
+    ],
+)
+def test_oversized_state_exits_64(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(out)])
+    assert err.value.code == 64
+    assert "22 qubits exceed the limit of 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as err:

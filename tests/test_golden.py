@@ -5,7 +5,10 @@ they guard: the measurement cases before the measurement paths shared
 one collapse kernel, the order-param, cluster-check and aklt-check
 cases before every qubit U product became one index map, and the two
 cases with impossible branches (ghz:6 and appendix-a at phi = pi/4)
-before branch enumeration walked one outcome tree.  They are
+before branch enumeration walked one outcome tree, and the
+heisenberg-check -L 8, singlet-random:10:4, aklt-check -L 12 and
+aklt:6 branch cases before the Heisenberg, singlet and AKLT builders
+became index maps.  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -43,6 +46,10 @@ CASES = {
     "order_param_ghz_6": ["order-param", "--channel", "ghz:6"],
     "cluster_check_L8": ["cluster-check", "-L", "8"],
     "aklt_check_L8": ["aklt-check", "-L", "8"],
+    "aklt_check_L12": ["aklt-check", "-L", "12"],
+    "heisenberg_check_L8": ["heisenberg-check", "-L", "8"],
+    "order_param_singlet_random_10_4": ["order-param", "--channel", "singlet-random:10:4"],
+    "teleport_aklt_6_enum": ["teleport", "--channel", "aklt:6", "--enumerate-branches"],
 }
 
 

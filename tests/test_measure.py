@@ -5,6 +5,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from bellport import measure
 from bellport.bell import (
     BELL_CLASSES,
     BELL_LABELS,
@@ -19,6 +20,7 @@ from bellport.measure import (
     measure_sequence,
     outcome_distribution,
 )
+from bellport.protocol import teleport
 from bellport.states import (
     PureState,
     normalize,
@@ -201,6 +203,22 @@ def test_aggregate_class_uniform_for_class_channels():
                 class_prob[record.aggregate_class] += record.joint_probability
             for p in class_prob.values():
                 assert abs(p - 0.25) < 1e-12
+
+
+def test_fully_forced_sequence_builds_no_generator(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("a fully forced sequence needs no generator")
+
+    monkeypatch.setattr(measure, "_as_rng", no_generator)
+    v = random_state(1, 2, 52)
+    channel = bell_basis_state([(1, -1), (-1, 1)])
+    total = tensor(v, channel)
+    record, _ = measure_sequence(total, [(0, 1), (2, 3)], forced=[(1, 1), (-1, 1)])
+    assert record.aggregate_class == (-1, 1)
+    res = teleport(v, channel, (-1, -1), forced=[(1, 1), (1, -1)])
+    assert abs(res.fidelity - 1.0) < 1e-10
+    with pytest.raises(AssertionError, match="no generator"):
+        measure_sequence(total, [(0, 1), (2, 3)], forced=[(1, 1), None])
 
 
 def test_localisable_entanglement_bell_class_states():

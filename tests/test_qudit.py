@@ -174,6 +174,15 @@ def test_qudit_teleport_sampled_reproducible():
     assert abs(a.fidelity - 1.0) < 1e-10
 
 
+def test_qudit_teleport_label_channel_takes_client_dimension():
+    client = random_state(1, 3, 106)
+    res = qudit_teleport(client, (4, 5), forced=(1, 2))
+    assert res.recipient_state.local_dim == 3
+    assert abs(res.fidelity - 1.0) < 1e-10
+    with pytest.raises(TypeError):
+        qudit_teleport(client, (1, 2), d=3)
+
+
 def test_d2_qudit_protocol_agrees_with_qubit_protocol():
     mapping = {(0, 0): (1, 1), (0, 1): (1, -1), (1, 0): (-1, 1), (1, 1): (-1, -1)}
     client = random_state(1, 2, 104)
