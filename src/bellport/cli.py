@@ -33,6 +33,7 @@ from .bell import (
     upsilon_expectations,
 )
 from .channels import (
+    MAX_QUBITS,
     aklt_state,
     build,
     cluster_g_operators,
@@ -421,6 +422,11 @@ def _cmd_qudit_demo(args):
     d = args.dim
     if d < 2:
         raise UsageError("qudit dimension must be >= 2")
+    if d**4 > 2**MAX_QUBITS:  # the d^2 x d^2 Bell bra against one MAX_QUBITS state
+        raise UsageError(
+            f"qudit dimension {d} needs a {16 * d**4} B Bell bra, over the "
+            f"{16 * 2**MAX_QUBITS} B limit"
+        )
     client = random_state(1, d, np.random.default_rng(args.seed))
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     rows = []

@@ -11,16 +11,23 @@ rows), one outcome is forced or sampled, and the renormalised residual
 on the other sites is returned.  The cost is O(d^n) per measurement;
 no projector matrix is ever built.
 
-A sequence of Bell measurements walks the outcome tree of its pairs,
-contracting each node once: sampling follows one seeded draw per pair,
-forcing the given rows (raising ImpossibleOutcomeError at or below
-ZERO_PROB_ATOL), and enumeration (``measure_branches``) every possible row.
+A sequence of Bell measurements walks the outcome tree of its pairs
+level by level over a stack of site tensors: at each pair one batched
+contraction covers every live node, and the walk descends into the rows
+it is told to follow -- one seeded draw per pair when sampling, the
+given rows when forcing (raising ImpossibleOutcomeError at or below
+ZERO_PROB_ATOL), every possible row when enumerating
+(``measure_branches``).  A sampled outcome is the search that
+``Generator.choice`` makes in the cumulative distribution, on one
+uniform draw, so a stack of many roots (``protocol.fig2_run`` batches
+all its trials) samples exactly as one root at a time would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,19 +67,37 @@ class MeasurementRecord:
 
 
 def _components(
-    t: np.ndarray, axes: Sequence[int], bra: np.ndarray
+    stack: np.ndarray, axes: Sequence[int], bra: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome amplitudes, shape (outcomes, group * rest), and probabilities."""
+    """Outcome amplitudes of every node of ``stack`` (axis 0 lists the nodes,
+    the others are its sites), shape (nodes, outcomes, group * rest), and
+    their probabilities, shape (nodes, outcomes)."""
     m, group, width = bra.shape
-    moved = np.moveaxis(t, axes, range(len(axes))).reshape(width, -1)
-    comps = (bra.reshape(m * group, width) @ moved).reshape(m, -1)
-    return comps, np.sum(np.abs(comps) ** 2, axis=1)
+    front = [1 + a for a in axes]
+    rest = [i for i in range(1, stack.ndim) if i not in front]
+    size = math.prod(stack.shape[i] for i in rest)  # not -1: a stack may be empty
+    moved = stack.transpose([0, *front, *rest]).reshape(len(stack), width, size)
+    comps = (bra.reshape(m * group, width) @ moved).reshape(len(stack), m, group * size)
+    return comps, (abs(comps) ** 2).sum(axis=-1)
+
+
+def _choose(probs: np.ndarray, u) -> np.ndarray:
+    """The rows ``Generator.choice(k, p=probs / probs.sum())`` draws on the
+    uniforms ``u``: a search in the cdf of each (..., k) probability row.
+    Like ``choice`` it refuses NaN or negative entries, the only way
+    the normalised row can fail to be finite and non-negative."""
+    q = probs / probs.sum(axis=-1, keepdims=True)
+    if not (q >= 0).all():
+        raise ValueError(f"outcome probabilities {probs} cannot be sampled")
+    cdf = q.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
 def _pick(probs: np.ndarray, row: int | None, label: object, rng) -> int:
     """The forced ``row`` (refused when impossible) or one drawn from ``rng``."""
     if row is None:
-        return int(_as_rng(rng).choice(len(probs), p=probs / probs.sum()))
+        return int(_choose(probs, _as_rng(rng).random()))
     if probs[row] <= ZERO_PROB_ATOL:
         raise ImpossibleOutcomeError(
             f"outcome {label} has probability {probs[row]:.3e}"
@@ -98,7 +123,7 @@ def collapse(
     probability and the renormalised residual of shape (group, *rest),
     the unmeasured axes keeping their order.
     """
-    comps, probs = _components(t, axes, bra)
+    (comps,), (probs,) = _components(t[None], axes, bra)
     row = _pick(probs, row, label, rng)
     prob = float(probs[row])
     rest = [n for i, n in enumerate(t.shape) if i not in axes]
@@ -118,7 +143,7 @@ def _check_pair(state: PureState, a: int, b: int) -> None:
 def outcome_distribution(state: PureState, a: int, b: int) -> dict[BellLabel, float]:
     """Probability of each Bell outcome for a measurement on (a, b)."""
     _check_pair(state, a, b)
-    _, probs = _components(state.as_tensor(), (a, b), _BELL_BRA)
+    _, (probs,) = _components(state.as_tensor()[None], (a, b), _BELL_BRA)
     return {lab: float(p) for lab, p in zip(BELL_LABELS, probs)}
 
 
@@ -131,13 +156,48 @@ def _forced_row(forced, pair: Sequence[int]) -> tuple[int | None, str | None]:
 
 
 def _walk(
+    stack: np.ndarray,
+    pairs: Sequence[tuple[int, int]],
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the outcome trees of Bell measurements over ``pairs`` from each
+    root site tensor in ``stack`` (axis 0 lists the roots), level by level.
+
+    At pair i one contraction covers every live node, and ``follow(i,
+    probs)`` maps the (nodes, 4) probabilities to the (node, row) pairs
+    to descend into, as flat indices node * 4 + row in ascending node
+    order, so leaves come out in depth-first order.  Returns, per leaf:
+    the root index, the outcome rows and probabilities, shape (leaves,
+    len(pairs)), and the renormalised residual amplitudes.
+    """
+    sites = list(range(stack.ndim - 1))  # sites[i] is the original site of axis i + 1
+    roots = np.arange(len(stack))
+    rows = np.zeros((len(stack), 0), dtype=int)
+    probs = np.zeros((len(stack), 0))
+    for i, (a, b) in enumerate(pairs):
+        comps, level = _components(stack, (sites.index(a), sites.index(b)), _BELL_BRA)
+        pick = np.asarray(follow(i, level))  # flat indices node * 4 + row
+        node, row = np.divmod(pick, 4)
+        prob = level.reshape(-1)[pick]
+        sites = [s for s in sites if s not in (a, b)]
+        residual = comps.reshape(-1, comps.shape[2])[pick] / np.sqrt(prob)[:, None]
+        stack = residual.reshape(len(pick), *(2,) * len(sites))
+        roots = roots[node]
+        rows = np.concatenate([rows[node], row[:, None]], axis=1)
+        probs = np.concatenate([probs[node], prob[:, None]], axis=1)
+    amps = stack.reshape(len(stack), 2 ** len(sites))
+    re, im = amps.real, amps.imag  # each dot as np.linalg.norm takes it
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    return roots, rows, probs, amps / norms[:, 0]
+
+
+def _leaves(
     state: PureState,
     pairs: Sequence[tuple[int, int]],
-    follow: Callable[[int, np.ndarray], Iterable[int]],
+    follow: Callable[[int, np.ndarray], Sequence[int]],
 ) -> Iterator[tuple[MeasurementRecord, PureState]]:
-    """Walk the outcome tree of Bell measurements over ``pairs``: the node of
-    pair i is contracted once and descends into the rows ``follow(i, probs)``
-    lists.  Yields (record, residual) for each leaf, in walk order."""
+    """Check ``pairs`` on ``state``, walk its outcome tree alone and give
+    each leaf as (record, residual), in walk order."""
     flat = [s for pair in pairs for s in pair]
     if len(set(flat)) != len(flat):
         raise ValueError(f"measurement pairs overlap: {pairs}")
@@ -145,28 +205,21 @@ def _walk(
         raise ValueError("measurements must leave at least one site untouched")
     for a, b in pairs:
         _check_pair(state, a, b)
+    _, rows, probs, residuals = _walk(state.as_tensor()[None], pairs, follow)
 
-    def descend(t, sites, outcomes):  # sites[i] is the original site of axis i
-        if len(outcomes) == len(pairs):
-            agg = labels_class([o.label for o in outcomes])
-            joint = float(np.prod([o.probability for o in outcomes]))
-            record = MeasurementRecord(
-                outcomes=outcomes, aggregate_class=agg, joint_probability=joint
-            )
-            amps = t.reshape(-1)
-            yield record, PureState(amps / np.linalg.norm(amps), local_dim=2)
-            return
-        a, b = pairs[len(outcomes)]
-        comps, probs = _components(t, (sites.index(a), sites.index(b)), _BELL_BRA)
-        rest = [s for s in sites if s not in (a, b)]
-        for row in follow(len(outcomes), probs):
-            prob = float(probs[row])
-            label = BELL_LABELS[row]
-            outcome = MeasurementOutcome(pair=(a, b), label=label, probability=prob)
-            residual = (comps[row] / np.sqrt(prob)).reshape((2,) * len(rest))
-            yield from descend(residual, rest, outcomes + (outcome,))
+    def leaf(leaf_rows, leaf_probs, amps):
+        outcomes = tuple(
+            MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
+            for (a, b), row, prob in zip(pairs, leaf_rows, leaf_probs)
+        )
+        agg = labels_class([o.label for o in outcomes])
+        joint = float(np.prod(leaf_probs))
+        record = MeasurementRecord(
+            outcomes=outcomes, aggregate_class=agg, joint_probability=joint
+        )
+        return record, PureState(amps, local_dim=2)
 
-    return descend(state.as_tensor(), list(range(state.num_sites)), ())
+    return map(leaf, rows.tolist(), probs.tolist(), residuals)
 
 
 def bell_measure(
@@ -214,7 +267,7 @@ def measure_sequence(
     if any(want is None for want in wants):
         rng = _as_rng(rng)  # one generator for every sampled pair
     rows = [_forced_row(want, pair) for want, pair in zip(wants, pairs)]
-    (result,) = _walk(state, pairs, lambda i, probs: [_pick(probs, *rows[i], rng)])
+    (result,) = _leaves(state, pairs, lambda i, probs: [_pick(probs[0], *rows[i], rng)])
     return result
 
 
@@ -223,4 +276,4 @@ def measure_branches(
 ) -> Iterator[tuple[MeasurementRecord, PureState]]:
     """``measure_sequence`` forced onto every possible branch, yielded in
     ``product(BELL_LABELS, repeat=len(pairs))`` order (last pair fastest)."""
-    return _walk(state, pairs, lambda i, probs: np.flatnonzero(probs > ZERO_PROB_ATOL))
+    return _leaves(state, pairs, lambda i, probs: np.flatnonzero(probs > ZERO_PROB_ATOL))

@@ -9,6 +9,7 @@ order parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,12 +23,15 @@ from .bell import (
     bell_state,
     class_projector_apply,
     format_sign_pair,
+    labels_class,
     upsilon_expectations,
 )
 from .measure import (
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
     MeasurementRecord,
+    _choose,
+    _walk,
     measure_branches,
     measure_sequence,
 )
@@ -331,6 +335,38 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
             return draw, "haar"
 
 
+def _sampled_teleports(
+    clients: np.ndarray,
+    channels: np.ndarray,
+    pairing: Sequence[tuple[int, int]],
+    draws: np.ndarray,
+) -> Iterator[tuple[BellClass, float]]:
+    """One sampled ``teleport`` per (trial, assumed class), as one walk.
+
+    ``clients`` and ``channels`` stack the amplitudes of the trials and
+    ``draws`` their uniforms, class-major and pair-minor per trial: the
+    draws ``teleport`` would take in turn, so every outcome is the same.
+    Yields the measured class and the fidelity, trial-major.
+    """
+    totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
+    u = draws.reshape(-1, len(pairing))
+
+    def follow(i, probs):  # each trial's root descends once per class
+        node = np.arange(len(u)) // (len(u) // len(probs))
+        return node * 4 + _choose(probs[node], u[:, i])
+
+    shape = (len(totals),) + (2,) * (2 * len(pairing) + 1)
+    roots, rows, _, residuals = _walk(totals.reshape(shape), pairing, follow)
+    branches = product(BELL_LABELS, repeat=len(pairing))
+    measured = [labels_class(labels) for labels in branches]
+    gates = np.array([[correction_gate(c, m) for m in measured] for c in BELL_CLASSES])
+    branch = np.ravel_multi_index(rows.T, (4,) * len(pairing))
+    recipients = gates[np.arange(len(u)) % 4, branch] @ residuals[:, :, None]
+    overlaps = clients[roots].conj()[:, None, :] @ recipients
+    for b, z in zip(branch.tolist(), overlaps.ravel().tolist()):
+        yield measured[b], abs(z) ** 2  # as overlap_fidelity rounds it
+
+
 def fig2_run(
     trials: int, seed: int, enumerate_branches: bool = False
 ) -> list[Fig2Row]:
@@ -339,36 +375,45 @@ def fig2_run(
 
     Every row satisfies fidelity >= (omega - 1) / 2 - 1e-9; trials use
     independently spawned RNG streams so runs are reproducible and could
-    be distributed.  With ``enumerate_branches`` every reachable outcome
-    branch is forced instead of sampling one (a verification mode: the
-    bound must survive even the improbable branches).
+    be distributed.  Each trial takes its teleport draws after its
+    channel; the sampled runs of all trials then go through one batched
+    walk of the outcome tree.  With ``enumerate_branches`` every
+    reachable outcome branch is forced instead of sampling one (a
+    verification mode: the bound must survive even the improbable
+    branches).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows: list[Fig2Row] = []
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    for t, ss in enumerate(streams):
+    sampled = []  # per trial: client, channel, its kind and omega
+    draws = []
+    pairing = default_pairing(5)  # the client and a 4-qubit scatter channel
+    for ss in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(ss)
         client = random_state(1, 2, rng)
         channel, kind = sample_scatter_channel(rng)
-        omega = order_parameter(channel).omega
-        for cls in BELL_CLASSES:
-            if enumerate_branches:
-                results = teleport_branches(client, channel, cls)
-            else:
-                results = [teleport(client, channel, cls, rng=rng)]
-            for result in results:
-                rows.append(
-                    Fig2Row(
-                        trial=t,
-                        assumed_class=cls,
-                        omega=float(omega[cls]),
-                        measured_class=result.record.aggregate_class,
-                        fidelity=result.fidelity,
-                        channel_kind=kind,
-                    )
-                )
-    return rows
+        sampled.append((client, channel, kind, order_parameter(channel).omega))
+        if not enumerate_branches:
+            draws.append(rng.random(len(BELL_CLASSES) * len(pairing)))
+    if enumerate_branches:
+        return [
+            Fig2Row(
+                t, cls, float(omega[cls]), res.record.aggregate_class, res.fidelity, kind
+            )
+            for t, (client, channel, kind, omega) in enumerate(sampled)
+            for cls in BELL_CLASSES
+            for res in teleport_branches(client, channel, cls)
+        ]
+    runs = _sampled_teleports(
+        np.array([client.amplitudes for client, *_ in sampled]),
+        np.array([channel.amplitudes for _, channel, *_ in sampled]),
+        pairing,
+        np.array(draws),
+    )
+    return [
+        Fig2Row(t, cls, float(omega[cls]), *next(runs), kind)
+        for t, (_, _, kind, omega) in enumerate(sampled)
+        for cls in BELL_CLASSES
+    ]
 
 
 def fig2_violations(rows: Sequence[Fig2Row]) -> list[Fig2Row]:

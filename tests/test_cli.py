@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bellport import cli
+from bellport import cli, qudit
 from bellport.protocol import Fig2Row
 
 
@@ -198,6 +198,19 @@ def test_oversized_state_exits_64(argv, tmp_path, capsys):
         cli.main(argv + ["--out", str(out)])
     assert err.value.code == 64
     assert "22 qubits exceed the limit of 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_qudit_dimension_exits_64(monkeypatch, tmp_path, capsys):
+    def refuse(d):
+        raise AssertionError("the Bell bra was built before the size check")
+
+    monkeypatch.setattr(qudit, "_bell_bra", refuse)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["qudit-demo", "-d", "33", "--out", str(out)])
+    assert err.value.code == 64
+    assert "qudit dimension 33 needs a 18974736 B Bell bra" in capsys.readouterr().err
     assert not out.exists()
 
 

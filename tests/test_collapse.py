@@ -3,11 +3,13 @@ hand-written measurement paths they replaced.
 
 The oracles below are those paths, kept as references: Bell pairs
 measured on the full state and stripped off afterwards, the three-qubit
-trio with its own row grouping, the qudit pair, and the branch
-enumerator that forced every outcome tuple from scratch.  Random states,
-pairings and forced or seeded outcomes must give the same outcomes,
-probabilities and residuals (to 1e-12), and consume the same random
-draws; enumerated branches must equal the forced ones exactly.
+trio with its own row grouping, the qudit pair, the branch enumerator
+that forced every outcome tuple from scratch, ``Generator.choice`` for
+sampled rows, and the fig2 scatter that ran one ``teleport`` per trial
+and class.  Random states, pairings and forced or seeded outcomes must
+give the same outcomes, probabilities and residuals (to 1e-12), and
+consume the same random draws; enumerated branches and the batched
+fig2 rows must equal theirs exactly.
 """
 
 from itertools import product
@@ -18,7 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellport import measure
-from bellport.bell import BELL_LABELS, BellClass, BellLabel, bell_basis_state, bell_state
+from bellport.bell import (
+    BELL_CLASSES,
+    BELL_LABELS,
+    BellClass,
+    BellLabel,
+    bell_basis_state,
+    bell_state,
+)
 from bellport.channels import build, parse_channel_spec
 from bellport.measure import (
     ZERO_PROB_ATOL,
@@ -28,7 +37,15 @@ from bellport.measure import (
     measure_branches,
     measure_sequence,
 )
-from bellport.protocol import default_pairing, teleport, teleport_branches
+from bellport.protocol import (
+    Fig2Row,
+    default_pairing,
+    fig2_run,
+    order_parameter,
+    sample_scatter_channel,
+    teleport,
+    teleport_branches,
+)
 from bellport.qudit import qudit_bell, qudit_bell_measure
 from bellport.states import PureState, _as_rng, random_state, tensor
 from bellport.threequbit import BELL3_LABELS, Bell3Label, bell3_state, teleport3
@@ -358,6 +375,12 @@ def test_ghz_channel_skips_impossible_branches():
     assert sum(record.joint_probability for record, _ in branches) == pytest.approx(1.0)
 
 
+def test_zero_state_has_no_branches():
+    # the walk carries a level with no live node through to no leaves
+    state = PureState(np.zeros(32), normalized=False)
+    assert list(measure_branches(state, default_pairing(5))) == []
+
+
 def test_each_tree_node_is_contracted_once(monkeypatch):
     calls = []
     components = measure._components
@@ -370,7 +393,68 @@ def test_each_tree_node_is_contracted_once(monkeypatch):
     state = random_state(9, 2, 7)
     branches = list(measure_branches(state, default_pairing(9)))
     assert len(branches) == 256  # a generic state leaves every branch possible
-    assert len(calls) == 1 + 4 + 16 + 64
+    # one batched contraction per level, over every live node of that level
+    assert [len(stack) for stack, _, _ in calls] == [1, 4, 16, 64]
+
+
+# ---------------------------------------------------------------------------
+# sampling: one cdf search per uniform draw
+
+
+@st.composite
+def weight_rows(draw):
+    """1 to 4 rows of 2 to 25 non-negative weights, with zeros, none all zero."""
+    k = draw(st.integers(2, 25))
+    weight = st.just(0.0) | st.floats(0.0, 1.0)
+    row = st.lists(weight, min_size=k, max_size=k).filter(lambda w: sum(w) > 0)
+    return np.array(draw(st.lists(row, min_size=1, max_size=4)))
+
+
+@PROPERTY
+@given(weight_rows(), seeds)
+def test_choose_is_generator_choice(probs, seed):
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    want = [gens[1].choice(len(p), p=p / p.sum()) for p in probs]
+    assert measure._choose(probs[0], gens[0].random()) == want[0]
+    assert list(measure._choose(probs[1:], gens[0].random(len(probs) - 1))) == want[1:]
+    assert same_stream(*gens)
+
+
+@pytest.mark.parametrize("probs", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.0]])
+def test_choose_refuses_what_choice_refuses(probs):
+    probs = np.array(probs)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, p=probs / probs.sum())
+        with pytest.raises(ValueError):
+            measure._choose(probs, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the fig2 scatter, sampled as one batch
+
+
+def old_fig2_run(trials, seed):
+    """Sampled fig2_run before batching: one teleport per (trial, class)."""
+    rows = []
+    for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(ss)
+        client = random_state(1, 2, rng)
+        channel, kind = sample_scatter_channel(rng)
+        omega = order_parameter(channel).omega
+        for cls in BELL_CLASSES:
+            res = teleport(client, channel, cls, rng=rng)
+            rows.append(
+                Fig2Row(t, cls, float(omega[cls]), res.record.aggregate_class, res.fidelity, kind)
+            )
+    return rows
+
+
+@PROPERTY
+@given(st.integers(1, 24), seeds)
+def test_fig2_run_matches_per_trial_teleports(trials, seed):
+    # Fig2Row equality compares every float with ==
+    assert fig2_run(trials, seed) == old_fig2_run(trials, seed)
 
 
 # ---------------------------------------------------------------------------

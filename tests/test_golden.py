@@ -8,7 +8,9 @@ cases with impossible branches (ghz:6 and appendix-a at phi = pi/4)
 before branch enumeration walked one outcome tree, and the
 heisenberg-check -L 8, singlet-random:10:4, aklt-check -L 12 and
 aklt:6 branch cases before the Heisenberg, singlet and AKLT builders
-became index maps.  They are
+became index maps, and the fig2 seed-42, random:8:3 branch and
+random:10:3 sampled cases before the walker went level by level over a
+stack of site tensors and fig2 sampled every trial in one batch.  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -50,6 +52,9 @@ CASES = {
     "heisenberg_check_L8": ["heisenberg-check", "-L", "8"],
     "order_param_singlet_random_10_4": ["order-param", "--channel", "singlet-random:10:4"],
     "teleport_aklt_6_enum": ["teleport", "--channel", "aklt:6", "--enumerate-branches"],
+    "fig2_t120_s42": ["fig2", "--trials", "120", "--seed", "42"],
+    "teleport_random_8_3_enum": ["teleport", "--channel", "random:8:3", "--enumerate-branches"],
+    "teleport_random_10_3_t200": ["teleport", "--channel", "random:10:3", "--trials", "200"],
 }
 
 
