@@ -9,6 +9,7 @@ Every state inside one class is a perfect teleportation channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -92,7 +93,8 @@ def _u_string(amps: np.ndarray, factors: Sequence[int]) -> np.ndarray:
     U^f = U1^(f&1) U2^(f>>1): each U2 factor is the sign (-1)^bit of its
     site and each U1 factor then flips that bit, so the whole string is
     one sign vector followed by one flip of the site tensor.  The same
-    rule composes strings: U^a U^b = (-1)^((a>>1)&b&1) U^(a^b).
+    rule composes strings: U^a U^b = (-1)^((a>>1)&b&1) U^(a^b).  It serves
+    the mixed-factor products; a uniform string Upsilon^a is ``_upsilons``.
     """
     sign = np.ones(1)
     for f in reversed(factors):  # site 0 is the most significant bit
@@ -101,13 +103,40 @@ def _u_string(amps: np.ndarray, factors: Sequence[int]) -> np.ndarray:
     return np.flip((sign * amps).reshape((2,) * len(factors)), flips).reshape(-1)
 
 
+@cache
+def _parity(size: int) -> np.ndarray:
+    """(-1)^(number of 1 bits of i) for i < size, by the U-string doubling rule."""
+    sign = np.ones(1)
+    while sign.size < size:
+        sign = np.concatenate((sign, -sign))
+    sign.flags.writeable = False  # shared by every caller
+    return sign
+
+
+def _upsilons(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upsilon^1, Upsilon^2, Upsilon^3 of a stack of qubit states (..., 2^n).
+
+    U1 on every site flips every bit of the index, which reverses the
+    vector; U2 on every site is the parity sign; Upsilon^3 is both.  The
+    reversals are copied: BLAS sums a reversed view in another order.
+    """
+    y2 = _parity(amps.shape[-1]) * amps
+    return amps[..., ::-1].copy(), y2, y2[..., ::-1].copy()
+
+
+def _expectations(amps: np.ndarray) -> np.ndarray:
+    """Re <Upsilon^a> for a = 1, 2, 3 of a stack (..., 2^n), shape (..., 3)."""
+    bras = amps.conj()[..., None, :]
+    return np.stack([(bras @ y[..., None])[..., 0, 0].real for y in _upsilons(amps)], -1)
+
+
 def apply_upsilon(state: PureState, alpha: int) -> PureState:
     """Apply Upsilon^alpha = prod_sites U^alpha."""
     if alpha not in (1, 2, 3):
         raise ValueError(f"Upsilon index must be 1, 2 or 3, got {alpha}")
     if state.local_dim != 2:
         raise ValueError("Upsilon operators are defined for qubit states")
-    amps = _u_string(state.amplitudes, (alpha,) * state.num_sites)
+    amps = _upsilons(state.amplitudes)[alpha - 1]
     return PureState(amps, normalized=state.normalized)
 
 
@@ -118,10 +147,9 @@ def upsilon_expectations(state: PureState) -> tuple[float, float, float]:
     sites its expectation is purely imaginary and the returned real part
     is zero.
     """
-    return tuple(
-        float(np.real(inner_product(state, apply_upsilon(state, a))))
-        for a in (1, 2, 3)
-    )
+    if state.local_dim != 2:
+        raise ValueError("Upsilon operators are defined for qubit states")
+    return tuple(_expectations(state.amplitudes).tolist())
 
 
 def _require_even_qubits(state: PureState) -> None:
@@ -132,18 +160,17 @@ def _require_even_qubits(state: PureState) -> None:
 
 
 def _class_components(
-    state: PureState, classes: Sequence[BellClass | tuple[int, int]]
+    amps: np.ndarray, classes: Sequence[BellClass | tuple[int, int]]
 ) -> list[np.ndarray]:
-    """P_[j:k] s = (s + j Y1 s + k Y2 s + jk Y3 s) / 4 for each class, unnormalized."""
-    _require_even_qubits(state)
-    s = state.amplitudes
-    y1, y2, y3 = (_u_string(s, (a,) * state.num_sites) for a in (1, 2, 3))
-    return [0.25 * (s + j * y1 + k * y2 + j * k * y3) for j, k in classes]
+    """P_[j:k] a = (a + j Y1 a + k Y2 a + jk Y3 a) / 4 for each class, unnormalized."""
+    y1, y2, y3 = _upsilons(amps)
+    return [0.25 * (amps + j * y1 + k * y2 + j * k * y3) for j, k in classes]
 
 
 def class_projector_apply(state: PureState, cls: BellClass | tuple[int, int]) -> PureState:
     """P_[j:k] applied to the state, possibly unnormalized."""
-    (amps,) = _class_components(state, [cls])
+    _require_even_qubits(state)
+    (amps,) = _class_components(state.amplitudes, [cls])
     return PureState(amps, normalized=False)
 
 
@@ -178,9 +205,10 @@ def decompose_classes(state: PureState) -> ClassDecomposition:
     The weights satisfy |c_[j:k]|^2 = (1 + Omega_[j:k]) / 4 with Omega
     the signed combination of Upsilon expectations.
     """
+    _require_even_qubits(state)
     coefficients: dict[BellClass, float] = {}
     components: dict[BellClass, PureState] = {}
-    for cls, amps in zip(BELL_CLASSES, _class_components(state, BELL_CLASSES)):
+    for cls, amps in zip(BELL_CLASSES, _class_components(state.amplitudes, BELL_CLASSES)):
         c = float(np.linalg.norm(amps))
         coefficients[cls] = c
         if c >= COMPONENT_ATOL:

@@ -8,15 +8,19 @@ timestamp comment is included unless --deterministic is given.
 
 Exit codes: 0 success, 2 when a quantitative claim checked by the
 subcommand is violated (a scientific regression, distinct from a
-crash), 64 for usage errors.
+crash), 64 for usage errors: bad options, channel specs, sizes over the
+MAX_QUBITS cap and measurement pairings.  Any other error is a fault of
+the program and ends in a traceback (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from functools import cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,16 +79,28 @@ class UsageError(ValueError):
     """Invalid sizes or option combinations detected inside a handler."""
 
 
+@contextmanager
+def _usage_errors() -> Iterator[None]:
+    """Re-raise the ValueError of parsing or sizing user input as a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
+@_usage_errors()
 def _parse_class(text: str) -> tuple[int, ...]:
     """Sign pair with p/m accepted for +/- (argparse mangles a bare '--')."""
-    translated = text.lower().replace("p", "+").replace("m", "-")
-    return tuple(parse_sign_pair(translated))
+    pair = parse_sign_pair(text.lower().replace("p", "+").replace("m", "-"))
+    if len(pair) != 2:
+        raise ValueError(f"a class is two signs, got {text!r}")
+    return pair
 
 
 def _positive_int(text: str) -> int:
@@ -93,12 +109,40 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _parse_pairing(text: str) -> tuple[tuple[int, int], ...]:
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+@_usage_errors()
+def _parse_pairing(text: str, sites: int) -> tuple[tuple[int, int], ...]:
+    """Pairs like 0-1,2-3 measuring each of ``sites`` sites but one, once."""
     pairs = []
     for chunk in text.split(","):
         a, _, b = chunk.partition("-")
         pairs.append((int(a), int(b)))
+    measured = [s for pair in pairs for s in pair]
+    if not len(set(measured) & set(range(sites))) == len(measured) == sites - 1:
+        raise ValueError(f"pairing {text!r} must measure all but one of sites 0..{sites - 1}")
     return tuple(pairs)
+
+
+@_usage_errors()
+def _channel(text: str) -> PureState:
+    """The channel a --channel spec builds, with an even number of qubits."""
+    channel = build(parse_channel_spec(text))
+    if channel.num_sites % 2:
+        raise ValueError(f"channel {text!r} has an odd number of qubits")
+    return channel
+
+
+@_usage_errors()
+def _built(builder: Callable[[int], PureState], L: int, command: str) -> PureState:
+    """``builder(L)`` for a subcommand's even -L of at least 4."""
+    if L < 4 or L % 2:
+        raise ValueError(f"{command} needs an even qubit count >= 4")
+    return builder(L)
 
 
 def write_table(
@@ -146,11 +190,10 @@ def emit_plotdata(rows: Sequence[Fig2Row], path: str) -> None:
 
 
 def _cmd_teleport(args):
-    spec = parse_channel_spec(args.channel)
-    channel = build(spec)
+    channel = _channel(args.channel)
     assumed = _parse_class(args.assumed_class)
+    pairing = _parse_pairing(args.pairing, channel.num_sites + 1) if args.pairing else None
     client = random_state(1, 2, np.random.default_rng(args.seed))
-    pairing = _parse_pairing(args.pairing) if args.pairing else None
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     rows = []
     if args.enumerate_branches:
@@ -261,8 +304,7 @@ def _cmd_appendix_a(args):
 
 
 def _cmd_order_param(args):
-    spec = parse_channel_spec(args.channel)
-    state = build(spec)
+    state = _channel(args.channel)
     op = order_parameter(state)
     dec = decompose_classes(state)
     columns = (
@@ -279,9 +321,7 @@ def _cmd_order_param(args):
 
 def _cmd_cluster_check(args):
     L = args.qubits
-    if L < 4 or L % 2:
-        raise UsageError("cluster-check needs an even qubit count >= 4")
-    state = cluster_state(L)
+    state = _built(cluster_state, L, "cluster-check")
     columns = ["check", "value", "deviation", "ok"]
     rows = []
     violations = 0
@@ -313,9 +353,7 @@ def _cmd_cluster_check(args):
 
 def _cmd_aklt_check(args):
     L = args.qubits
-    if L < 4 or L % 2:
-        raise UsageError("aklt-check needs an even qubit count >= 4")
-    state = aklt_state(L)
+    state = _built(aklt_state, L, "aklt-check")
     s_order = string_order(state)
     e2 = upsilon_expectations(state)[1]
     relation = -((-1.0) ** (L // 2)) * s_order
@@ -342,6 +380,8 @@ def _cmd_aklt_check(args):
 
 
 def _cmd_bound_scan(args):
+    if not 0 <= args.theta < np.pi:
+        raise UsageError(f"theta must lie in [0, pi), got {args.theta}")
     res = min_fidelity_scan(args.theta)
     expected = float(np.cos(args.theta))
     ok = abs(res.minimum - expected) <= 1e-3
@@ -452,9 +492,7 @@ def _cmd_qudit_demo(args):
 
 def _cmd_heisenberg_check(args):
     L = args.qubits
-    if L < 4 or L % 2:
-        raise UsageError("heisenberg-check needs an even qubit count >= 4")
-    ground = heisenberg_ring_ground(L)
+    ground = _built(heisenberg_ring_ground, L, "heisenberg-check")
     op = order_parameter(ground)
     dec = decompose_classes(ground)
     pure = dec.pure_class(1e-8)
@@ -498,6 +536,7 @@ _HANDLERS: dict[str, Callable] = {
 }
 
 
+@cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bellport",
@@ -509,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seed=True, trials_default=None):
         """Output options, plus --seed and --trials where the handler reads them."""
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+            p.add_argument("--seed", type=_seed, default=0, help="non-negative RNG seed")
         if trials_default is not None:
             p.add_argument("--trials", type=_positive_int, default=trials_default)
         p.add_argument("--out", help="output CSV path (default: stdout)")
@@ -629,7 +668,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = _HANDLERS[args.subcommand]
     try:
         meta, columns, rows, violations = handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     meta = {"subcommand": meta.pop("subcommand", args.subcommand), **meta}
     if args.out:

@@ -20,8 +20,9 @@ from .bell import (
     BELL_LABELS,
     BellClass,
     BellLabel,
+    _class_components,
+    _expectations,
     bell_state,
-    class_projector_apply,
     format_sign_pair,
     labels_class,
     upsilon_expectations,
@@ -35,15 +36,7 @@ from .measure import (
     measure_branches,
     measure_sequence,
 )
-from .states import (
-    PureState,
-    apply_local,
-    inner_product,
-    normalize,
-    overlap_fidelity,
-    random_state,
-    tensor,
-)
+from .states import PureState, _haar, apply_local, inner_product, overlap_fidelity, tensor
 
 FIG2_BOUND_SLACK = 1e-9
 
@@ -158,15 +151,15 @@ class OrderParameter:
     omega: dict[BellClass, float]
 
 
+def _omega(e1: float, e2: float, e3: float) -> dict[BellClass, float]:
+    """Omega_[j:k] = j <Upsilon^1> + k <Upsilon^2> + jk <Upsilon^3> per class."""
+    return {c: c.j * e1 + c.k * e2 + c.j * c.k * e3 for c in BELL_CLASSES}
+
+
 def order_parameter(state: PureState) -> OrderParameter:
-    e1, e2, e3 = upsilon_expectations(state)
-    t = np.array([e1, e2, e3]) / np.sqrt(3.0)
-    omega = {
-        BellClass(j, k): j * e1 + k * e2 + j * k * e3 for j, k in BELL_CLASSES
-    }
-    return OrderParameter(
-        t_vector=t, efficiency=float(t @ t), omega=omega
-    )
+    e = upsilon_expectations(state)
+    t = np.array(e) / np.sqrt(3.0)
+    return OrderParameter(t_vector=t, efficiency=float(t @ t), omega=_omega(*e))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +303,26 @@ class Fig2Row:
     channel_kind: str
 
 
+def _scatter_channel(
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, str, dict[BellClass, float]]:
+    """``sample_scatter_channel`` on raw amplitudes, with the channel's Omega_c."""
+    if rng.random() < 0.5:
+        cls = BELL_CLASSES[rng.integers(4)]
+        while True:
+            (projected,) = _class_components(_haar(16, rng), [cls])
+            norm = float(np.linalg.norm(projected))
+            if norm > 1e-6:  # guard against a lucky orthogonal draw
+                amps = projected / norm
+                omega = _omega(*_expectations(amps).tolist())
+                return amps, f"pure-class {format_sign_pair(cls)}", omega
+    while True:
+        amps = _haar(16, rng)
+        omega = _omega(*_expectations(amps).tolist())
+        if max(omega.values()) <= 0.98:
+            return amps, "haar", omega
+
+
 def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     """Random 4-qubit channel for the scatter experiment.
 
@@ -318,28 +331,26 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     teleports at fidelity 1 on every branch; otherwise a Haar draw
     resampled until max_c Omega_c <= 0.98, where the fidelity bound is
     vacuous.  Either way no sampled row can dip below the bound, while
-    the scatter still reaches Omega = 3 and Omega < 0.
+    the scatter still reaches Omega = 3 and Omega < 0.  The draws run on
+    raw amplitude vectors; only the accepted channel becomes a state.
     """
-    if rng.random() < 0.5:
-        cls = BELL_CLASSES[rng.integers(4)]
-        tag = format_sign_pair(cls)
-        while True:
-            draw = random_state(4, 2, rng)
-            projected = class_projector_apply(draw, cls)
-            if projected.norm() > 1e-6:  # guard against a lucky orthogonal draw
-                return normalize(projected), f"pure-class {tag}"
-    while True:
-        draw = random_state(4, 2, rng)
-        omega = order_parameter(draw).omega
-        if max(omega.values()) <= 0.98:
-            return draw, "haar"
+    amps, kind, _ = _scatter_channel(rng)
+    return PureState(amps), kind
+
+
+# Bob's gates for the scatter's two measured pairs, [assumed class, branch],
+# with the branch's aggregate class; branches in ``product`` order.
+_SCATTER_PAIRING = default_pairing(5)  # the client and a 4-qubit channel
+_SCATTER_MEASURED = [
+    labels_class(labels) for labels in product(BELL_LABELS, repeat=len(_SCATTER_PAIRING))
+]
+_SCATTER_GATES = np.array(
+    [[correction_gate(c, m) for m in _SCATTER_MEASURED] for c in BELL_CLASSES]
+)
 
 
 def _sampled_teleports(
-    clients: np.ndarray,
-    channels: np.ndarray,
-    pairing: Sequence[tuple[int, int]],
-    draws: np.ndarray,
+    clients: np.ndarray, channels: np.ndarray, draws: np.ndarray
 ) -> Iterator[tuple[BellClass, float]]:
     """One sampled ``teleport`` per (trial, assumed class), as one walk.
 
@@ -348,6 +359,7 @@ def _sampled_teleports(
     draws ``teleport`` would take in turn, so every outcome is the same.
     Yields the measured class and the fidelity, trial-major.
     """
+    pairing = _SCATTER_PAIRING
     totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
     u = draws.reshape(-1, len(pairing))
 
@@ -357,14 +369,11 @@ def _sampled_teleports(
 
     shape = (len(totals),) + (2,) * (2 * len(pairing) + 1)
     roots, rows, _, residuals = _walk(totals.reshape(shape), pairing, follow)
-    branches = product(BELL_LABELS, repeat=len(pairing))
-    measured = [labels_class(labels) for labels in branches]
-    gates = np.array([[correction_gate(c, m) for m in measured] for c in BELL_CLASSES])
     branch = np.ravel_multi_index(rows.T, (4,) * len(pairing))
-    recipients = gates[np.arange(len(u)) % 4, branch] @ residuals[:, :, None]
+    recipients = _SCATTER_GATES[np.arange(len(u)) % 4, branch] @ residuals[:, :, None]
     overlaps = clients[roots].conj()[:, None, :] @ recipients
     for b, z in zip(branch.tolist(), overlaps.ravel().tolist()):
-        yield measured[b], abs(z) ** 2  # as overlap_fidelity rounds it
+        yield _SCATTER_MEASURED[b], abs(z) ** 2  # as overlap_fidelity rounds it
 
 
 def fig2_run(
@@ -375,25 +384,22 @@ def fig2_run(
 
     Every row satisfies fidelity >= (omega - 1) / 2 - 1e-9; trials use
     independently spawned RNG streams so runs are reproducible and could
-    be distributed.  Each trial takes its teleport draws after its
-    channel; the sampled runs of all trials then go through one batched
-    walk of the outcome tree.  With ``enumerate_branches`` every
-    reachable outcome branch is forced instead of sampling one (a
-    verification mode: the bound must survive even the improbable
-    branches).
+    be distributed.  Each trial draws its client, its channel (with its
+    Omega_c, computed once) and its teleport uniforms as raw arrays; the
+    sampled runs of all trials then go through one batched walk of the
+    outcome tree.  With ``enumerate_branches`` every reachable outcome
+    branch is forced instead of sampling one (a verification mode: the
+    bound must survive even the improbable branches).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sampled = []  # per trial: client, channel, its kind and omega
+    sampled = []  # per trial: client and channel amplitudes, kind, Omega_c
     draws = []
-    pairing = default_pairing(5)  # the client and a 4-qubit scatter channel
     for ss in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(ss)
-        client = random_state(1, 2, rng)
-        channel, kind = sample_scatter_channel(rng)
-        sampled.append((client, channel, kind, order_parameter(channel).omega))
+        sampled.append((_haar(2, rng), *_scatter_channel(rng)))
         if not enumerate_branches:
-            draws.append(rng.random(len(BELL_CLASSES) * len(pairing)))
+            draws.append(rng.random(len(BELL_CLASSES) * len(_SCATTER_PAIRING)))
     if enumerate_branches:
         return [
             Fig2Row(
@@ -401,17 +407,13 @@ def fig2_run(
             )
             for t, (client, channel, kind, omega) in enumerate(sampled)
             for cls in BELL_CLASSES
-            for res in teleport_branches(client, channel, cls)
+            for res in teleport_branches(PureState(client), PureState(channel), cls)
         ]
-    runs = _sampled_teleports(
-        np.array([client.amplitudes for client, *_ in sampled]),
-        np.array([channel.amplitudes for _, channel, *_ in sampled]),
-        pairing,
-        np.array(draws),
-    )
+    clients, channels, kinds, omegas = zip(*sampled)
+    runs = _sampled_teleports(np.array(clients), np.array(channels), np.array(draws))
     return [
         Fig2Row(t, cls, float(omega[cls]), *next(runs), kind)
-        for t, (_, _, kind, omega) in enumerate(sampled)
+        for t, (kind, omega) in enumerate(zip(kinds, omegas))
         for cls in BELL_CLASSES
     ]
 

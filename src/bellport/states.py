@@ -175,6 +175,12 @@ def normalize(state: PureState) -> PureState:
     return PureState(state.amplitudes / nrm, local_dim=state.local_dim)
 
 
+def _haar(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vector of ``size`` i.i.d. complex normal amplitudes."""
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return amps / np.linalg.norm(amps)
+
+
 def random_state(
     num_sites: int,
     local_dim: int = 2,
@@ -187,10 +193,7 @@ def random_state(
     """
     if num_sites < 1:
         raise ValueError("num_sites must be >= 1")
-    rng = _as_rng(seed)
-    size = local_dim**num_sites
-    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return PureState(amps / np.linalg.norm(amps), local_dim=local_dim)
+    return PureState(_haar(local_dim**num_sites, _as_rng(seed)), local_dim=local_dim)
 
 
 def random_product_state(

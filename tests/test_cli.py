@@ -223,6 +223,64 @@ def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["teleport", "--channel", "ghz:3"], "odd number of qubits"),
+        (["teleport", "--channel", "ghz:4", "--pairing", "0-1,1-2"], "must measure all but one"),
+        (["teleport", "--channel", "ghz:4", "--pairing", "0-1,2-x"], "invalid literal"),
+        (["teleport", "--channel", "ghz:4", "--assumed-class", "ppp"], "two signs"),
+        (["order-param", "--channel", "singlet-random:5"], "positive even qubit count"),
+        (["heisenberg-check", "-L", "14"], "limited to L <= 12"),
+        (["bound-scan", "--theta", "4"], "theta must lie in [0, pi)"),
+        (["fig2", "--seed", "-1"], "--seed: must be a non-negative integer"),
+    ],
+)
+def test_bad_input_exits_64(argv, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(out)])
+    assert err.value.code == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plain_value_error_is_not_a_usage_error(monkeypatch, tmp_path):
+    def broken(args):
+        raise ValueError("a fault inside the program")
+
+    monkeypatch.setitem(cli._HANDLERS, "fig2", broken)
+    with pytest.raises(ValueError, match="a fault inside the program"):
+        cli.main(["fig2", "--out", str(tmp_path / "x.csv")])
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    plot = tmp_path / "plot.dat"
+    code, text = run_cli(
+        ["fig2", "--trials", "1", "--seed", "5", "--enumerate-branches",
+         "--plot-out", str(plot)],
+        tmp_path,
+    )
+    assert code == 0 and plot.exists()
+    assert parse_csv(text)[0]["enumerate_branches"] == "True"
+    code, text = run_cli(
+        ["teleport", "--channel", "ghz:4", "--trials", "2", "--pairing", "2-3,0-1"], tmp_path
+    )
+    meta, _, rows = parse_csv(text)
+    assert code == 0 and len(rows) == 2
+    assert meta["seed"] == "0" and meta["assumed_class"] == "++"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["fig2", "--trials", "0"])
+    assert err.value.code == 64
+    plot.unlink()
+    code, text = run_cli(["fig2", "--trials", "1"], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 0 and not plot.exists()
+    assert meta["seed"] == "0" and meta["trials"] == "1"
+    assert meta["enumerate_branches"] == "False" and len(rows) == 4
+
+
 def test_violation_exit_code(monkeypatch, tmp_path):
     # a row below the bound must flip the exit status to 2
     bad = Fig2Row(

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellport.algebra import u_matrix, x_operator
 from bellport.bell import (
@@ -13,11 +15,13 @@ from bellport.bell import (
     bell_state,
     class_projector_apply,
     decompose_classes,
+    format_sign_pair,
     labels_class,
 )
 from bellport.channels import cluster_state, ghz_state, singlet_random
 from bellport.measure import ImpossibleOutcomeError, outcome_distribution
 from bellport.protocol import (
+    _scatter_channel,
     correction_gate,
     fidelity_formula,
     fig2_run,
@@ -342,3 +346,34 @@ def test_scatter_channel_sampler_components():
         else:
             assert max(omega.values()) > 3.0 - 1e-9
     assert kinds == {"haar", "pure-class"}
+
+
+def old_sample_scatter_channel(rng):
+    """The scatter sampler before it ran on raw amplitudes."""
+    if rng.random() < 0.5:
+        cls = BELL_CLASSES[rng.integers(4)]
+        tag = format_sign_pair(cls)
+        while True:
+            draw = random_state(4, 2, rng)
+            projected = class_projector_apply(draw, cls)
+            if projected.norm() > 1e-6:
+                return normalize(projected), f"pure-class {tag}"
+    while True:
+        draw = random_state(4, 2, rng)
+        if max(order_parameter(draw).omega.values()) <= 0.98:
+            return draw, "haar"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_raw_scatter_sampler_matches_state_sampler(seed):
+    old_rng, new_rng, public_rng = (np.random.default_rng(seed) for _ in range(3))
+    old, old_kind = old_sample_scatter_channel(old_rng)
+    amps, kind, omega = _scatter_channel(new_rng)
+    channel, public_kind = sample_scatter_channel(public_rng)
+    assert kind == public_kind == old_kind
+    assert np.array_equal(amps.view(np.uint64), old.amplitudes.view(np.uint64))
+    assert np.array_equal(channel.amplitudes.view(np.uint64), amps.view(np.uint64))
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert public_rng.bit_generator.state == old_rng.bit_generator.state
+    assert omega == order_parameter(channel).omega  # dict of floats, compared with ==

@@ -7,6 +7,12 @@ old implementations, kept as references: one ``apply_local`` call per
 site, and U products multiplied as 2x2 matrices and matched against
 +-U^i.  Random qubit states up to 12 sites must give the same
 amplitudes, coefficients and expectations (to 1e-12).
+
+The uniform strings Upsilon^a now skip the index map too: the stack
+kernel ``bell._upsilons`` reverses the amplitude vector and multiplies
+by the parity sign.  Its oracle is the U-string path it replaced
+(``_u_string`` into a ``PureState``, then ``inner_product``), and the
+two must agree bit for bit on stacks of random states.
 """
 
 import numpy as np
@@ -19,10 +25,15 @@ from bellport.bell import (
     BELL_CLASSES,
     BELL_LABELS,
     COMPONENT_ATOL,
+    _class_components,
+    _expectations,
+    _u_string,
+    _upsilons,
     apply_upsilon,
     bell_basis_state,
     class_projector_apply,
     decompose_classes,
+    upsilon_expectations,
 )
 from bellport.channels import UProduct, _u_product_multiply, string_order
 from bellport.states import PureState, apply_local, inner_product, random_state
@@ -56,6 +67,18 @@ def old_string_order(state):
         out = apply_local(out, u_matrix(2), site)
     scalar = 4.0 * 0.5 * 0.5 * (-1.0) ** (state.num_sites // 2 - 1)
     return float(scalar * np.real(inner_product(state, out)))
+
+
+def u_string_upsilon(state, alpha):
+    """apply_upsilon before the stack kernel: one U-string index map."""
+    return PureState(_u_string(state.amplitudes, (alpha,) * state.num_sites))
+
+
+def u_string_expectations(state):
+    """upsilon_expectations before the stack kernel."""
+    return [
+        float(np.real(inner_product(state, u_string_upsilon(state, a)))) for a in (1, 2, 3)
+    ]
 
 
 def old_class_projector_apply(state, cls):
@@ -186,3 +209,31 @@ def test_u_product_rejects_mismatched_sites():
         UProduct(sign=1, factors=(1, 2)).apply(random_state(3, 2, 0))
     with pytest.raises(ValueError, match="qubit sites"):
         UProduct(sign=1, factors=(1, 2)).apply(random_state(2, 3, 0))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.integers(1, 8), seeds)
+def test_upsilon_stack_kernel_matches_u_string_bits(n, count, seed):
+    rng = np.random.default_rng(seed)
+    states = [random_state(n, 2, rng) for _ in range(count)]
+    stack = np.array([s.amplitudes for s in states])
+    ys = _upsilons(stack)
+    expectations = _expectations(stack)
+    assert expectations.shape == (count, 3)
+    for i, state in enumerate(states):
+        old = u_string_expectations(state)
+        assert np.array_equal(bits(expectations[i]), bits(old))
+        assert np.array_equal(bits(upsilon_expectations(state)), bits(old))
+        for alpha in (1, 2, 3):
+            old_amps = u_string_upsilon(state, alpha).amplitudes
+            assert np.array_equal(ys[alpha - 1][i].view(np.uint64), old_amps.view(np.uint64))
+        if n % 2 == 0:
+            y1, y2, y3 = (u_string_upsilon(state, a).amplitudes for a in (1, 2, 3))
+            s = state.amplitudes
+            for (j, k), new in zip(BELL_CLASSES, _class_components(stack, BELL_CLASSES)):
+                old_amps = 0.25 * (s + j * y1 + k * y2 + j * k * y3)
+                assert np.array_equal(new[i].view(np.uint64), old_amps.view(np.uint64))
