@@ -72,6 +72,7 @@ from .protocol import (
     rotation_gate,
     teleport,
     teleport_branches,
+    teleport_samples,
 )
 from .qudit import (
     generalized_pauli,

@@ -16,6 +16,7 @@ the program and ends in a traceback (exit 1).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -56,8 +57,8 @@ from .protocol import (
     fig2_violations,
     min_fidelity_scan,
     order_parameter,
-    teleport,
     teleport_branches,
+    teleport_samples,
 )
 from .qudit import qudit_teleport
 from .states import PureState, random_state, tensor
@@ -195,17 +196,18 @@ def _cmd_teleport(args):
     pairing = _parse_pairing(args.pairing, channel.num_sites + 1) if args.pairing else None
     client = random_state(1, 2, np.random.default_rng(args.seed))
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
-    rows = []
     if args.enumerate_branches:
+        rows = []
         for res in teleport_branches(client, channel, assumed, pairing):
             # run: the branch's outcome rows read as base-4 digits
             digits = [str(BELL_LABELS.index(o.label)) for o in res.record.outcomes]
             rows.append(_teleport_row(int("".join(digits), 4), res))
     else:
         rng = np.random.default_rng(args.seed + 1)
-        for i in range(args.trials):
-            res = teleport(client, channel, assumed, pairing, rng=rng)
-            rows.append(_teleport_row(i, res))
+        runs = teleport_samples(
+            client, channel, assumed, pairing, trials=args.trials, rng=rng
+        )
+        rows = [_teleport_row(i, res) for i, res in enumerate(runs)]
     meta = {
         "subcommand": "teleport",
         "seed": args.seed,
@@ -261,6 +263,8 @@ def _cmd_fig2(args):
 
 def _cmd_appendix_a(args):
     phi = args.phi
+    if not math.isfinite(2 * phi):
+        raise UsageError(f"phi must be a number with 2 * phi finite, got {phi}")
     channel_amps = np.cos(phi) * np.kron(
         bell_state((1, -1)).amplitudes, bell_state((-1, 1)).amplitudes
     ) + np.sin(phi) * np.kron(
@@ -283,13 +287,13 @@ def _cmd_appendix_a(args):
             expected = (1.0 - lab2.j * lab2.k * np.sin(2 * phi)) / 16.0
             agg = labels_class([lab1, lab2])
             class_prob[agg] += prob
-            if abs(prob - expected) > 1e-12:
+            if not abs(prob - expected) <= 1e-12:  # NaN is a violation too
                 violations += 1
             rows.append(
                 [lab1.j, lab1.k, lab2.j, lab2.k, prob, expected, format_sign_pair(agg)]
             )
     for c, p in class_prob.items():
-        if abs(p - 0.25) > 1e-12:
+        if not abs(p - 0.25) <= 1e-12:
             violations += 1
     meta = {
         "subcommand": "appendix-a",
@@ -498,11 +502,9 @@ def _cmd_heisenberg_check(args):
     pure = dec.pure_class(1e-8)
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
-    fidelities = []
-    for _ in range(args.trials):
-        res = teleport(client, ground, dec.dominant_class(), rng=rng)
-        fidelities.append(res.fidelity)
-    min_f = min(fidelities)
+    assumed = dec.dominant_class()
+    runs = teleport_samples(client, ground, assumed, trials=args.trials, rng=rng)
+    min_f = min(res.fidelity for res in runs)
     violations = int(abs(op.efficiency - 1.0) > 1e-8) + int(min_f < 1.0 - 1e-8)
     columns = ["L", "efficiency", "pure_class", "sampled_runs", "min_fidelity"]
     row = [

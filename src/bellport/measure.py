@@ -19,8 +19,12 @@ given rows when forcing (raising ImpossibleOutcomeError at or below
 ZERO_PROB_ATOL), every possible row when enumerating
 (``measure_branches``).  A sampled outcome is the search that
 ``Generator.choice`` makes in the cumulative distribution, on one
-uniform draw, so a stack of many roots (``protocol.fig2_run`` batches
-all its trials) samples exactly as one root at a time would.
+uniform draw, so many sampled runs walk together exactly as each would
+alone: every run picks its row on its own draw, and the walk descends
+once into each distinct (node, row), so runs that share a prefix share
+its nodes and no level holds more amplitudes than its roots.
+``protocol.teleport_samples`` walks all the runs of one channel from one
+root this way, and ``protocol.fig2_run`` all its trials, one root each.
 """
 
 from __future__ import annotations
@@ -191,13 +195,9 @@ def _walk(
     return roots, rows, probs, amps / norms[:, 0]
 
 
-def _leaves(
-    state: PureState,
-    pairs: Sequence[tuple[int, int]],
-    follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> Iterator[tuple[MeasurementRecord, PureState]]:
-    """Check ``pairs`` on ``state``, walk its outcome tree alone and give
-    each leaf as (record, residual), in walk order."""
+def _check_pairs(state: PureState, pairs: Sequence[tuple[int, int]]) -> None:
+    """Refuse ``pairs`` that overlap, leave no site of ``state`` unmeasured or
+    fail ``_check_pair``."""
     flat = [s for pair in pairs for s in pair]
     if len(set(flat)) != len(flat):
         raise ValueError(f"measurement pairs overlap: {pairs}")
@@ -205,21 +205,57 @@ def _leaves(
         raise ValueError("measurements must leave at least one site untouched")
     for a, b in pairs:
         _check_pair(state, a, b)
+
+
+def _record(
+    pairs: Sequence[tuple[int, int]], rows: Sequence[int], probs: Sequence[float]
+) -> MeasurementRecord:
+    """The record of one leaf: its outcome ``rows`` and their ``probs``."""
+    outcomes = tuple(
+        MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
+        for (a, b), row, prob in zip(pairs, rows, probs)
+    )
+    agg = labels_class([o.label for o in outcomes])
+    return MeasurementRecord(
+        outcomes=outcomes, aggregate_class=agg, joint_probability=float(np.prod(probs))
+    )
+
+
+def _leaves(
+    state: PureState,
+    pairs: Sequence[tuple[int, int]],
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> Iterator[tuple[MeasurementRecord, PureState]]:
+    """Check ``pairs`` on ``state``, walk its outcome tree alone and give
+    each leaf as (record, residual), in walk order."""
+    _check_pairs(state, pairs)
     _, rows, probs, residuals = _walk(state.as_tensor()[None], pairs, follow)
+    return (
+        (_record(pairs, leaf_rows, leaf_probs), PureState(amps, local_dim=2))
+        for leaf_rows, leaf_probs, amps in zip(rows.tolist(), probs.tolist(), residuals)
+    )
 
-    def leaf(leaf_rows, leaf_probs, amps):
-        outcomes = tuple(
-            MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
-            for (a, b), row, prob in zip(pairs, leaf_rows, leaf_probs)
-        )
-        agg = labels_class([o.label for o in outcomes])
-        joint = float(np.prod(leaf_probs))
-        record = MeasurementRecord(
-            outcomes=outcomes, aggregate_class=agg, joint_probability=joint
-        )
-        return record, PureState(amps, local_dim=2)
 
-    return map(leaf, rows.tolist(), probs.tolist(), residuals)
+def _sampled(
+    stack: np.ndarray, pairs: Sequence[tuple[int, int]], at: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample one run per entry of ``at`` (its root in ``stack``) down the
+    outcome tree, on the uniforms ``u`` (runs, len(pairs)), as one ``_walk``.
+
+    At each level every run picks its row with ``_choose``, and the walk
+    descends once into each distinct (node, row): runs that share a prefix
+    share its nodes, so no level holds more amplitudes than its roots do,
+    whatever the number of runs.  Returns each run's leaf index, then
+    ``_walk``'s rows, probabilities and residuals per leaf.
+    """
+
+    def follow(i, probs):
+        nonlocal at
+        pick, at = np.unique(at * 4 + _choose(probs[at], u[:, i]), return_inverse=True)
+        return pick  # sorted, so nodes stay in ascending order
+
+    _, rows, probs, residuals = _walk(stack, pairs, follow)
+    return at, rows, probs, residuals
 
 
 def bell_measure(

@@ -9,7 +9,6 @@ order parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,19 +23,28 @@ from .bell import (
     _expectations,
     bell_state,
     format_sign_pair,
-    labels_class,
     upsilon_expectations,
 )
 from .measure import (
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
     MeasurementRecord,
-    _choose,
-    _walk,
+    _check_pairs,
+    _record,
+    _sampled,
     measure_branches,
     measure_sequence,
 )
-from .states import PureState, _haar, apply_local, inner_product, overlap_fidelity, tensor
+from .states import (
+    PureState,
+    _as_rng,
+    _haar,
+    _wrap,
+    apply_local,
+    inner_product,
+    overlap_fidelity,
+    tensor,
+)
 
 FIG2_BOUND_SLACK = 1e-9
 
@@ -130,6 +138,63 @@ def teleport_branches(
         _corrected(client, correction_gate(assumed_class, rec.aggregate_class), rec, res)
         for rec, res in measure_branches(total, pairing)
     )
+
+
+def teleport_samples(
+    client: PureState,
+    channel: PureState,
+    assumed_class: BellClass | tuple[int, int],
+    pairing: Sequence[tuple[int, int]] | None = None,
+    *,
+    trials: int,
+    rng: int | np.random.Generator | None,
+) -> Iterator[TeleportResult]:
+    """``trials`` sampled ``teleport`` runs, as one walk of the outcome tree.
+
+    Every run makes the same measurements on the same state, so the runs
+    are paths down one tree.  They take their uniforms from ``rng`` in the
+    order successive ``teleport(..., rng=rng)`` calls would, all at once,
+    and the walk contracts each node their paths share once.  Yields
+    what those calls return, in order, and leaves a Generator ``rng``
+    where they leave it (a seed starts one generator for every run);
+    runs that end on the same branch share one result.
+    """
+    total, pairing = _teleport_setup(client, channel, pairing)
+    _check_pairs(total, pairing)
+    u = _as_rng(rng).random((trials, len(pairing)))
+    root = np.zeros(trials, dtype=int)
+    leaf, rows, probs, residuals = _sampled(total.as_tensor()[None], pairing, root, u)
+    gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(rows, axis=1)]
+    clients = np.broadcast_to(client.amplitudes, (len(rows), 2))
+    recipients, fidelities = _corrected_stack(clients, gates, residuals)
+    results = [
+        TeleportResult(
+            record=_record(pairing, leaf_rows, leaf_probs),
+            correction=gate,
+            recipient_state=_wrap(amps, 2),
+            fidelity=fid,
+        )
+        for leaf_rows, leaf_probs, gate, amps, fid in zip(
+            rows.tolist(), probs.tolist(), gates, recipients, fidelities
+        )
+    ]
+    return map(results.__getitem__, leaf.tolist())
+
+
+def _gate_table(assumed_class: BellClass | tuple[int, int]) -> np.ndarray:
+    """Bob's gates for ``assumed_class``, one per aggregate class in
+    BELL_CLASSES order, which is the XOR of a branch's outcome rows."""
+    return np.array([correction_gate(assumed_class, m) for m in BELL_CLASSES])
+
+
+def _corrected_stack(
+    clients: np.ndarray, gates: np.ndarray, residuals: np.ndarray
+) -> tuple[np.ndarray, list[float]]:
+    """Bob's ``gates`` on the one-qubit ``residuals``, and the fidelity of
+    each result with its client, rounded as ``overlap_fidelity`` rounds it."""
+    recipients = gates @ residuals[:, :, None]
+    overlaps = clients.conj()[:, None, :] @ recipients
+    return recipients[:, :, 0], [abs(z) ** 2 for z in overlaps.ravel().tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +403,9 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     return PureState(amps), kind
 
 
-# Bob's gates for the scatter's two measured pairs, [assumed class, branch],
-# with the branch's aggregate class; branches in ``product`` order.
-_SCATTER_PAIRING = default_pairing(5)  # the client and a 4-qubit channel
-_SCATTER_MEASURED = [
-    labels_class(labels) for labels in product(BELL_LABELS, repeat=len(_SCATTER_PAIRING))
-]
-_SCATTER_GATES = np.array(
-    [[correction_gate(c, m) for m in _SCATTER_MEASURED] for c in BELL_CLASSES]
-)
+# The client and a 4-qubit channel; Bob's gates [assumed class, measured class].
+_SCATTER_PAIRING = default_pairing(5)
+_SCATTER_GATES = np.array([_gate_table(c) for c in BELL_CLASSES])
 
 
 def _sampled_teleports(
@@ -361,19 +420,14 @@ def _sampled_teleports(
     """
     pairing = _SCATTER_PAIRING
     totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
-    u = draws.reshape(-1, len(pairing))
-
-    def follow(i, probs):  # each trial's root descends once per class
-        node = np.arange(len(u)) // (len(u) // len(probs))
-        return node * 4 + _choose(probs[node], u[:, i])
-
+    runs = np.repeat(np.arange(len(totals)), len(BELL_CLASSES))  # each root once per class
     shape = (len(totals),) + (2,) * (2 * len(pairing) + 1)
-    roots, rows, _, residuals = _walk(totals.reshape(shape), pairing, follow)
-    branch = np.ravel_multi_index(rows.T, (4,) * len(pairing))
-    recipients = _SCATTER_GATES[np.arange(len(u)) % 4, branch] @ residuals[:, :, None]
-    overlaps = clients[roots].conj()[:, None, :] @ recipients
-    for b, z in zip(branch.tolist(), overlaps.ravel().tolist()):
-        yield _SCATTER_MEASURED[b], abs(z) ** 2  # as overlap_fidelity rounds it
+    u = draws.reshape(len(runs), len(pairing))
+    leaf, rows, _, residuals = _sampled(totals.reshape(shape), pairing, runs, u)
+    measured = np.bitwise_xor.reduce(rows, axis=1)[leaf]
+    gates = _SCATTER_GATES[np.arange(len(runs)) % len(BELL_CLASSES), measured]
+    _, fidelities = _corrected_stack(clients[runs], gates, residuals[leaf])
+    return zip([BELL_CLASSES[m] for m in measured.tolist()], fidelities)
 
 
 def fig2_run(

@@ -1,5 +1,7 @@
 """CLI subcommands: CSV output, determinism, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,9 @@ def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
         (["heisenberg-check", "-L", "14"], "limited to L <= 12"),
         (["bound-scan", "--theta", "4"], "theta must lie in [0, pi)"),
         (["fig2", "--seed", "-1"], "--seed: must be a non-negative integer"),
+        (["appendix-a", "--phi", "nan"], "2 * phi finite"),
+        (["appendix-a", "--phi", "inf"], "2 * phi finite"),
+        (["appendix-a", "--phi", "1e308"], "2 * phi finite"),  # sin(2 * phi) overflows
     ],
 )
 def test_bad_input_exits_64(argv, message, tmp_path, capsys):
@@ -243,6 +248,19 @@ def test_bad_input_exits_64(argv, message, tmp_path, capsys):
     assert err.value.code == 64
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_appendix_a_counts_nan_probabilities_as_violations(monkeypatch, tmp_path):
+    real = cli.measure_branches
+
+    def nan_branches(state, pairs):
+        for record, residual in real(state, pairs):
+            yield dataclasses.replace(record, joint_probability=float("nan")), residual
+
+    monkeypatch.setattr(cli, "measure_branches", nan_branches)
+    code, text = run_cli(["appendix-a"], tmp_path)
+    assert code == 2
+    assert parse_csv(text)[0]["violations"] == str(16 + 4)  # every branch and class
 
 
 def test_plain_value_error_is_not_a_usage_error(monkeypatch, tmp_path):

@@ -5,13 +5,15 @@ The oracles below are those paths, kept as references: Bell pairs
 measured on the full state and stripped off afterwards, the three-qubit
 trio with its own row grouping, the qudit pair, the branch enumerator
 that forced every outcome tuple from scratch, ``Generator.choice`` for
-sampled rows, and the fig2 scatter that ran one ``teleport`` per trial
-and class.  Random states, pairings and forced or seeded outcomes must
-give the same outcomes, probabilities and residuals (to 1e-12), and
-consume the same random draws; enumerated branches and the batched
-fig2 rows must equal theirs exactly.
+sampled rows, the fig2 scatter that ran one ``teleport`` per trial and
+class, and the sampled runs of one channel as successive ``teleport``
+calls.  Random states, pairings and forced or seeded outcomes must give
+the same outcomes, probabilities and residuals (to 1e-12), and consume
+the same random draws; enumerated branches, the batched fig2 rows and
+the batched sampled runs must equal theirs exactly.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -45,6 +47,7 @@ from bellport.protocol import (
     sample_scatter_channel,
     teleport,
     teleport_branches,
+    teleport_samples,
 )
 from bellport.qudit import qudit_bell, qudit_bell_measure
 from bellport.states import PureState, _as_rng, random_state, tensor
@@ -455,6 +458,69 @@ def old_fig2_run(trials, seed):
 def test_fig2_run_matches_per_trial_teleports(trials, seed):
     # Fig2Row equality compares every float with ==
     assert fig2_run(trials, seed) == old_fig2_run(trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# sampled teleports of one channel, as one shared-prefix walk
+
+
+@st.composite
+def sampled_case(draw):
+    """(client, channel, assumed class, pairing, trials): a random channel of
+    up to 10 qubits, or a pure-class one on which most runs share a prefix."""
+    kind = draw(st.sampled_from(("random", "ghz", "singlet-random")))
+    sizes = [4, 6, 8, 10] if kind == "singlet-random" else [2, 4, 6, 8, 10]
+    L = draw(st.sampled_from(sizes))
+    spec = f"{kind}:{L}:{draw(seeds)}" if "random" in kind else f"{kind}:{L}"
+    pairing = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(L + 1)))
+        pairing = [(order[2 * i], order[2 * i + 1]) for i in range(L // 2)]
+    return (
+        random_state(1, 2, draw(seeds)),
+        build(parse_channel_spec(spec)),
+        draw(st.sampled_from(BELL_CLASSES)),
+        pairing,
+        draw(st.integers(1, 64)),
+    )
+
+
+@PROPERTY
+@given(sampled_case(), seeds)
+def test_teleport_samples_matches_successive_teleports(case, seed):
+    client, channel, assumed, pairing, trials = case
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    new = list(
+        teleport_samples(client, channel, assumed, pairing, trials=trials, rng=gens[0])
+    )
+    old = [teleport(client, channel, assumed, pairing, rng=gens[1]) for _ in range(trials)]
+    assert len(new) == len(old)
+    for res, old_res in zip(new, old):
+        assert_same_record(res.record, old_res.record)
+        assert np.array_equal(res.correction, old_res.correction)
+        assert np.array_equal(
+            res.recipient_state.amplitudes, old_res.recipient_state.amplitudes
+        )
+        assert res.recipient_state.normalized == old_res.recipient_state.normalized
+        assert res.fidelity == old_res.fidelity
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+def test_teleport_samples_hold_at_most_one_state_per_level():
+    # 1,000 runs over 7 pairs: a walk that kept one node per run would
+    # hold 1,000 x 2^13 amplitudes (125 MiB) after its first level
+    channel = build(parse_channel_spec("random:14:1"))
+    client = random_state(1, 2, 0)
+    total_bytes = 16 * 2**15  # client (x) channel, 512 KiB
+    tracemalloc.start()
+    try:
+        runs = teleport_samples(client, channel, (1, 1), trials=1000, rng=2)
+        for _ in runs:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * total_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ heisenberg-check -L 8, singlet-random:10:4, aklt-check -L 12 and
 aklt:6 branch cases before the Heisenberg, singlet and AKLT builders
 became index maps, and the fig2 seed-42, random:8:3 branch and
 random:10:3 sampled cases before the walker went level by level over a
-stack of site tensors and fig2 sampled every trial in one batch.  They are
+stack of site tensors and fig2 sampled every trial in one batch, and the
+heisenberg-check -L 10 and the seeded sampled teleport cases (ghz:6,
+singlet-random:12:5, random:6:3 with a pairing) before the sampled runs
+of one command shared a single walk of the outcome tree.  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -55,6 +58,18 @@ CASES = {
     "fig2_t120_s42": ["fig2", "--trials", "120", "--seed", "42"],
     "teleport_random_8_3_enum": ["teleport", "--channel", "random:8:3", "--enumerate-branches"],
     "teleport_random_10_3_t200": ["teleport", "--channel", "random:10:3", "--trials", "200"],
+    "heisenberg_check_L10_s3": ["heisenberg-check", "-L", "10", "--seed", "3"],
+    "teleport_singlet_random_12_5_t20": [
+        "teleport", "--channel", "singlet-random:12:5", "--trials", "20", "--seed", "3",
+    ],
+    "teleport_ghz_6_pm_t300": [
+        "teleport", "--channel", "ghz:6", "--trials", "300", "--seed", "7",
+        "--assumed-class", "pm",
+    ],
+    "teleport_random_6_3_pairing_t77": [
+        "teleport", "--channel", "random:6:3", "--pairing", "0-5,1-3,2-4",
+        "--trials", "77", "--seed", "4",
+    ],
 }
 
 
