@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -26,7 +27,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .algebra import SIGNS
 from .bell import (
     BELL_CLASSES,
     BELL_LABELS,
@@ -49,20 +49,21 @@ from .channels import (
     stabilizer_report,
     string_order,
 )
-from .measure import measure_branches
+from .measure import _possible, measure_branches
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
+    _teleports,
     fig2_run,
     fig2_violations,
     min_fidelity_scan,
     order_parameter,
-    teleport_branches,
-    teleport_samples,
 )
-from .qudit import qudit_teleport
+from .qudit import _teleports as _qudit_teleports
+from .qudit import qudit_bell
 from .states import PureState, random_state, tensor
-from .threequbit import BELL3_LABELS, bell3_state, teleport3, theta_rank
+from .threequbit import BELL3_LABELS, _OUTCOMES, bell3_state, theta_rank
+from .threequbit import _teleports as _trio_teleports
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
@@ -130,9 +131,13 @@ def _parse_pairing(text: str, sites: int) -> tuple[tuple[int, int], ...]:
 
 
 @_usage_errors()
-def _channel(text: str) -> PureState:
-    """The channel a --channel spec builds, with an even number of qubits."""
-    channel = build(parse_channel_spec(text))
+def _channel(text: str, seed: int) -> PureState:
+    """The channel a --channel spec builds, with an even number of qubits; a
+    spec without a seed of its own (random:N, singlet-random:N) takes ``seed``."""
+    spec = parse_channel_spec(text)
+    if spec.seed is None:
+        spec = replace(spec, seed=seed)
+    channel = build(spec)
     if channel.num_sites % 2:
         raise ValueError(f"channel {text!r} has an odd number of qubits")
     return channel
@@ -191,23 +196,28 @@ def emit_plotdata(rows: Sequence[Fig2Row], path: str) -> None:
 
 
 def _cmd_teleport(args):
-    channel = _channel(args.channel)
+    channel = _channel(args.channel, args.seed)
     assumed = _parse_class(args.assumed_class)
     pairing = _parse_pairing(args.pairing, channel.num_sites + 1) if args.pairing else None
     client = random_state(1, 2, np.random.default_rng(args.seed))
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     if args.enumerate_branches:
-        rows = []
-        for res in teleport_branches(client, channel, assumed, pairing):
-            # run: the branch's outcome rows read as base-4 digits
-            digits = [str(BELL_LABELS.index(o.label)) for o in res.record.outcomes]
-            rows.append(_teleport_row(int("".join(digits), 4), res))
+        _, _, branches = _teleports(client, channel, assumed, pairing)
+        leaves = range(len(branches.rows))
+        # run: the branch's outcome rows read as base-4 digits
+        runs = (branches.rows @ 4 ** np.arange(branches.rows.shape[1])[::-1]).tolist()
     else:
         rng = np.random.default_rng(args.seed + 1)
-        runs = teleport_samples(
-            client, channel, assumed, pairing, trials=args.trials, rng=rng
-        )
-        rows = [_teleport_row(i, res) for i, res in enumerate(runs)]
+        _, leaves, branches = _teleports(client, channel, assumed, pairing, args.trials, rng)
+        leaves, runs = leaves.tolist(), range(args.trials)
+    signs = [format_sign_pair(lab) for lab in BELL_LABELS]  # and of BELL_CLASSES
+    outcomes = [";".join(signs[r] for r in row) for row in branches.rows.tolist()]
+    measured = np.bitwise_xor.reduce(branches.rows, axis=1).tolist()
+    joint = branches.probs.prod(axis=1).tolist()
+    rows = [
+        [run, outcomes[i], signs[measured[i]], joint[i], branches.fidelities[i]]
+        for run, i in zip(runs, leaves)
+    ]
     meta = {
         "subcommand": "teleport",
         "seed": args.seed,
@@ -218,17 +228,6 @@ def _cmd_teleport(args):
         "enumerate_branches": args.enumerate_branches,
     }
     return meta, columns, rows, 0
-
-
-def _teleport_row(i, res):
-    outcomes = ";".join(format_sign_pair(o.label) for o in res.record.outcomes)
-    return [
-        i,
-        outcomes,
-        format_sign_pair(res.record.aggregate_class),
-        res.record.joint_probability,
-        res.fidelity,
-    ]
 
 
 def _cmd_fig2(args):
@@ -308,7 +307,7 @@ def _cmd_appendix_a(args):
 
 
 def _cmd_order_param(args):
-    state = _channel(args.channel)
+    state = _channel(args.channel, args.seed)
     op = order_parameter(state)
     dec = decompose_classes(state)
     columns = (
@@ -421,33 +420,18 @@ def _cmd_bound_scan(args):
 def _cmd_three_qubit(args):
     columns = ["j", "k", "l", "mode", "outcome", "probability", "fidelity"]
     rows = []
-    violations = 0
     client = random_state(1, 2, np.random.default_rng(args.seed))
     for lab in BELL3_LABELS:
         channel = bell3_state(lab)
-        for mode in ("full", "reduced"):
-            branches = (
-                [(p, q, lab.k * q) for p in SIGNS for q in SIGNS]
-                if mode == "full"
-                else [(p, q) for p in SIGNS for q in SIGNS]
-            )
-            for branch in branches:
-                res = teleport3(
-                    client, channel, (lab.j, lab.l), mode=mode, forced=branch
+        for mode, (labels, _) in _OUTCOMES.items():
+            branches = _trio_teleports(client, channel, (lab.j, lab.l), mode, _possible)
+            rows += [
+                [*lab, mode, format_sign_pair(labels[row]), prob, fidelity]
+                for row, prob, fidelity in zip(
+                    branches.rows.tolist(), branches.probs.tolist(), branches.fidelities
                 )
-                ok = res.fidelity >= 1.0 - 1e-10
-                violations += not ok
-                rows.append(
-                    [
-                        lab.j,
-                        lab.k,
-                        lab.l,
-                        mode,
-                        format_sign_pair(branch),
-                        res.record.joint_probability,
-                        res.fidelity,
-                    ]
-                )
+            ]
+    violations = sum(not row[-1] >= 1.0 - 1e-10 for row in rows)
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
     meta = {
@@ -474,17 +458,16 @@ def _cmd_qudit_demo(args):
     client = random_state(1, d, np.random.default_rng(args.seed))
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     rows = []
-    violations = 0
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]
     for j, k in dict.fromkeys(labels):
-        for p in range(d):
-            for q in range(d):
-                res = qudit_teleport(client, (j, k), forced=(p, q))
-                ok = res.fidelity >= 1.0 - 1e-10
-                violations += not ok
-                rows.append(
-                    [d, j, k, p, q, res.record.joint_probability, res.fidelity]
-                )
+        branches = _qudit_teleports(client, qudit_bell(d, j, k), (j, k), _possible)
+        rows += [
+            [d, j, k, *divmod(row, d), prob, fidelity]
+            for row, prob, fidelity in zip(
+                branches.rows.tolist(), branches.probs.tolist(), branches.fidelities
+            )
+        ]
+    violations = sum(not row[-1] >= 1.0 - 1e-10 for row in rows)
     meta = {
         "subcommand": "qudit-demo",
         "seed": args.seed,
@@ -503,8 +486,7 @@ def _cmd_heisenberg_check(args):
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
     assumed = dec.dominant_class()
-    runs = teleport_samples(client, ground, assumed, trials=args.trials, rng=rng)
-    min_f = min(res.fidelity for res in runs)
+    min_f = min(_teleports(client, ground, assumed, None, args.trials, rng)[2].fidelities)
     violations = int(abs(op.efficiency - 1.0) > 1e-8) + int(min_f < 1.0 - 1e-8)
     columns = ["L", "efficiency", "pure_class", "sampled_runs", "min_fidelity"]
     row = [

@@ -4,12 +4,15 @@ A Bell measurement on sites (a, b) is the simultaneous measurement of
 (U1)_a (U1)_b and (U2)_a (U2)_b; the outcome (j:k) collapses the pair
 exactly onto the Bell state |j:k}.  A single measurement -- a Bell pair
 in ``bell_measure``, the three-qubit trio in ``threequbit`` and a qudit
-pair in ``qudit`` -- is one call of ``collapse``: the measured axes of the
-site tensor are contracted with a bra of shape (outcomes, group, d^k)
-(4x4 Bell rows, 8 trio rows taken one or two per outcome, d^2 qudit
-rows), one outcome is forced or sampled, and the renormalised residual
-on the other sites is returned.  The cost is O(d^n) per measurement;
-no projector matrix is ever built.
+pair in ``qudit`` -- is one contraction (``_outcomes``): the measured
+axes of the site tensor are contracted with a bra of shape (outcomes,
+group, d^k) (4x4 Bell rows, 8 trio rows taken one or two per outcome,
+d^2 qudit rows), and the renormalised residuals on the other sites are
+returned for the rows it is told to take.  ``collapse`` takes one row,
+forced or sampled; the trio and qudit teleports take every possible row
+at once and look Bob's gates up in a table, so all their branches cost
+one contraction.  The cost is O(d^n) per measurement; no projector
+matrix is ever built.
 
 A sequence of Bell measurements walks the outcome tree of its pairs
 level by level over a stack of site tensors: at each pair one batched
@@ -17,12 +20,16 @@ contraction covers every live node, and the walk descends into the rows
 it is told to follow -- one seeded draw per pair when sampling, the
 given rows when forcing (raising ImpossibleOutcomeError at or below
 ZERO_PROB_ATOL), every possible row when enumerating
-(``measure_branches``).  A sampled outcome is the search that
-``Generator.choice`` makes in the cumulative distribution, on one
-uniform draw, so many sampled runs walk together exactly as each would
-alone: every run picks its row on its own draw, and the walk descends
-once into each distinct (node, row), so runs that share a prefix share
-its nodes and no level holds more amplitudes than its roots.
+(``measure_branches``, ``protocol.teleport_branches``, and ``fig2``
+with every branch, one walk per trial for all four assumed classes).
+Bob's gate depends on a branch only through its aggregate class, the
+XOR of its outcome rows, so it is a row of a 4-gate table.  A sampled
+outcome is the search that ``Generator.choice`` makes in the cumulative
+distribution, on one uniform draw, so many sampled runs walk together
+exactly as each would alone: every run picks its row on its own draw,
+and the walk descends once into each distinct (node, row), so runs that
+share a prefix share its nodes and no level holds more amplitudes than
+its roots.
 ``protocol.teleport_samples`` walks all the runs of one channel from one
 root this way, and ``protocol.fig2_run`` all its trials, one root each.
 """
@@ -109,6 +116,35 @@ def _pick(probs: np.ndarray, row: int | None, label: object, rng) -> int:
     return row
 
 
+def _outcomes(
+    t: np.ndarray,
+    axes: Sequence[int],
+    bra: np.ndarray,
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One projective measurement of the ``axes`` of the site tensor ``t``,
+    onto the outcome rows ``follow(0, probs)`` picks from their
+    probabilities, as a one-level ``_walk`` would.
+
+    ``bra`` has shape (outcomes, group, d^k): outcome i projects onto the
+    span of the ``group`` states whose conjugates are ``bra[i]``.  Returns
+    the rows, their probabilities and their renormalised residuals, shape
+    (rows, group, *rest), the unmeasured axes keeping their order.
+    """
+    (comps,), (probs,) = _components(t[None], axes, bra)
+    rows = np.asarray(follow(0, probs), dtype=int)
+    prob = probs[rows]
+    rest = [n for i, n in enumerate(t.shape) if i not in axes]
+    residuals = comps[rows] / np.sqrt(prob)[:, None]
+    return rows, prob, residuals.reshape(len(rows), bra.shape[1], *rest)
+
+
+def _possible(i: int, probs: np.ndarray) -> np.ndarray:
+    """The follow that takes every row (flat index) of ``probs`` above
+    ZERO_PROB_ATOL, in order, at any level ``i``."""
+    return np.flatnonzero(probs > ZERO_PROB_ATOL)
+
+
 def collapse(
     t: np.ndarray,
     axes: Sequence[int],
@@ -118,20 +154,14 @@ def collapse(
     rng: int | np.random.Generator | None = None,
     label: object = None,
 ) -> tuple[int, float, np.ndarray]:
-    """One projective measurement of the ``axes`` of the site tensor ``t``.
-
-    ``bra`` has shape (outcomes, group, d^k): outcome i projects onto the
-    span of the ``group`` states whose conjugates are ``bra[i]``.  The
-    outcome is ``row`` when given (``label`` names it in the error) and
-    is drawn from ``rng`` otherwise.  Returns the outcome row, its
-    probability and the renormalised residual of shape (group, *rest),
-    the unmeasured axes keeping their order.
+    """``_outcomes`` onto one row: ``row`` when given (``label`` names it in
+    the error) and drawn from ``rng`` otherwise.  Returns the outcome row,
+    its probability and its renormalised residual of shape (group, *rest).
     """
-    (comps,), (probs,) = _components(t[None], axes, bra)
-    row = _pick(probs, row, label, rng)
-    prob = float(probs[row])
-    rest = [n for i, n in enumerate(t.shape) if i not in axes]
-    return row, prob, (comps[row] / np.sqrt(prob)).reshape(bra.shape[1], *rest)
+    (row,), (prob,), (residual,) = _outcomes(
+        t, axes, bra, lambda i, probs: [_pick(probs, row, label, rng)]
+    )
+    return int(row), float(prob), residual
 
 
 def _check_pair(state: PureState, a: int, b: int) -> None:
@@ -189,10 +219,14 @@ def _walk(
         roots = roots[node]
         rows = np.concatenate([rows[node], row[:, None]], axis=1)
         probs = np.concatenate([probs[node], prob[:, None]], axis=1)
-    amps = stack.reshape(len(stack), 2 ** len(sites))
+    return roots, rows, probs, _normalized(stack.reshape(len(stack), 2 ** len(sites)))
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """Each row of ``amps`` over its norm, rounded as ``np.linalg.norm`` rounds it."""
     re, im = amps.real, amps.imag  # each dot as np.linalg.norm takes it
     norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
-    return roots, rows, probs, amps / norms[:, 0]
+    return amps / norms[:, 0]
 
 
 def _check_pairs(state: PureState, pairs: Sequence[tuple[int, int]]) -> None:
@@ -312,4 +346,4 @@ def measure_branches(
 ) -> Iterator[tuple[MeasurementRecord, PureState]]:
     """``measure_sequence`` forced onto every possible branch, yielded in
     ``product(BELL_LABELS, repeat=len(pairs))`` order (last pair fastest)."""
-    return _leaves(state, pairs, lambda i, probs: np.flatnonzero(probs > ZERO_PROB_ATOL))
+    return _leaves(state, pairs, _possible)

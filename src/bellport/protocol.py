@@ -9,7 +9,8 @@ order parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,11 +29,13 @@ from .bell import (
 from .measure import (
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
+    MeasurementOutcome,
     MeasurementRecord,
     _check_pairs,
+    _possible,
     _record,
     _sampled,
-    measure_branches,
+    _walk,
     measure_sequence,
 )
 from .states import (
@@ -92,17 +95,6 @@ def _teleport_setup(
     return total, pairing
 
 
-def _corrected(
-    client: PureState, gate: np.ndarray, record: MeasurementRecord, residual: PureState
-) -> TeleportResult:
-    """Bob's ``gate`` on the one-site ``residual``, scored against ``client``."""
-    recipient = apply_local(residual, gate, 0)
-    fid = overlap_fidelity(client, recipient)
-    return TeleportResult(
-        record=record, correction=gate, recipient_state=recipient, fidelity=fid
-    )
-
-
 def teleport(
     client: PureState,
     channel: PureState,
@@ -123,7 +115,73 @@ def teleport(
     total, pairing = _teleport_setup(client, channel, pairing)
     record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
     gate = correction_gate(assumed_class, record.aggregate_class)
-    return _corrected(client, gate, record, residual)
+    recipient = apply_local(residual, gate, 0)
+    return TeleportResult(record, gate, recipient, overlap_fidelity(client, recipient))
+
+
+class _Branches(NamedTuple):
+    """Branches of a teleport as the arrays of one pass, one entry per branch."""
+
+    rows: np.ndarray  # the outcome rows
+    probs: np.ndarray  # their conditional probabilities
+    gates: np.ndarray  # Bob's gate
+    recipients: np.ndarray  # the recipient's amplitudes after it
+    fidelities: list[float]  # with the client
+
+
+def _corrected_branches(
+    client: np.ndarray, gates: np.ndarray, rows, probs, residuals: np.ndarray
+) -> _Branches:
+    """Bob's ``gates`` on the one-site ``residuals`` of the branches ``rows``,
+    and the fidelity of each result with the ``client`` amplitudes (one row,
+    or one per branch), rounded as ``overlap_fidelity`` rounds it."""
+    recipients = gates @ residuals[:, :, None]
+    overlaps = np.broadcast_to(client, residuals.shape).conj()[:, None, :] @ recipients
+    fidelities = [abs(z) ** 2 for z in overlaps.ravel().tolist()]
+    return _Branches(rows, probs, gates, recipients[:, :, 0], fidelities)
+
+
+def _one_outcome(pair, label, aggregate_class, prob: float) -> MeasurementRecord:
+    """The record of a single measurement (of a trio or a qudit pair)."""
+    outcome = MeasurementOutcome(pair=pair, label=label, probability=prob)
+    return MeasurementRecord((outcome,), aggregate_class, joint_probability=prob)
+
+
+def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
+    """One ``TeleportResult`` per branch, with the record ``record(rows, probs)``."""
+    dim = branches.recipients.shape[1]
+    return [
+        TeleportResult(record(rows, probs), gate, _wrap(amps, dim), fid)
+        for rows, probs, gate, amps, fid in zip(
+            branches.rows.tolist(), branches.probs.tolist(), *branches[2:]
+        )
+    ]
+
+
+def _teleports(
+    client: PureState,
+    channel: PureState,
+    assumed_class: BellClass | tuple[int, int],
+    pairing: Sequence[tuple[int, int]] | None,
+    trials: int | None = None,
+    rng: int | np.random.Generator | None = None,
+) -> tuple[Sequence[tuple[int, int]], np.ndarray | None, _Branches]:
+    """The pairing, each run's leaf and the arrays of the branches of one
+    walk: every possible branch, or with ``trials`` the leaves of that many
+    runs sampled from ``rng`` (``teleport_samples``).  Bob's gate is a row
+    of a 4-gate table, indexed by the aggregate class (the XOR of the rows).
+    """
+    total, pairing = _teleport_setup(client, channel, pairing)
+    _check_pairs(total, pairing)
+    stack = total.as_tensor()[None]
+    if trials is None:
+        leaf = None
+        _, *leaves = _walk(stack, pairing, _possible)
+    else:
+        u = _as_rng(rng).random((trials, len(pairing)))
+        leaf, *leaves = _sampled(stack, pairing, np.zeros(trials, dtype=int), u)
+    gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(leaves[0], axis=1)]
+    return pairing, leaf, _corrected_branches(client.amplitudes, gates, *leaves)
 
 
 def teleport_branches(
@@ -132,12 +190,10 @@ def teleport_branches(
     assumed_class: BellClass | tuple[int, int],
     pairing: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[TeleportResult]:
-    """``teleport`` forced onto every possible branch of ``measure_branches``."""
-    total, pairing = _teleport_setup(client, channel, pairing)
-    return (
-        _corrected(client, correction_gate(assumed_class, rec.aggregate_class), rec, res)
-        for rec, res in measure_branches(total, pairing)
-    )
+    """``teleport`` forced onto every possible branch, in the order of
+    ``measure_branches``, from one walk of the outcome tree."""
+    pairing, _, branches = _teleports(client, channel, assumed_class, pairing)
+    return iter(_results(branches, partial(_record, pairing)))
 
 
 def teleport_samples(
@@ -159,25 +215,10 @@ def teleport_samples(
     where they leave it (a seed starts one generator for every run);
     runs that end on the same branch share one result.
     """
-    total, pairing = _teleport_setup(client, channel, pairing)
-    _check_pairs(total, pairing)
-    u = _as_rng(rng).random((trials, len(pairing)))
-    root = np.zeros(trials, dtype=int)
-    leaf, rows, probs, residuals = _sampled(total.as_tensor()[None], pairing, root, u)
-    gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(rows, axis=1)]
-    clients = np.broadcast_to(client.amplitudes, (len(rows), 2))
-    recipients, fidelities = _corrected_stack(clients, gates, residuals)
-    results = [
-        TeleportResult(
-            record=_record(pairing, leaf_rows, leaf_probs),
-            correction=gate,
-            recipient_state=_wrap(amps, 2),
-            fidelity=fid,
-        )
-        for leaf_rows, leaf_probs, gate, amps, fid in zip(
-            rows.tolist(), probs.tolist(), gates, recipients, fidelities
-        )
-    ]
+    pairing, leaf, branches = _teleports(
+        client, channel, assumed_class, pairing, trials, rng
+    )
+    results = _results(branches, partial(_record, pairing))
     return map(results.__getitem__, leaf.tolist())
 
 
@@ -185,16 +226,6 @@ def _gate_table(assumed_class: BellClass | tuple[int, int]) -> np.ndarray:
     """Bob's gates for ``assumed_class``, one per aggregate class in
     BELL_CLASSES order, which is the XOR of a branch's outcome rows."""
     return np.array([correction_gate(assumed_class, m) for m in BELL_CLASSES])
-
-
-def _corrected_stack(
-    clients: np.ndarray, gates: np.ndarray, residuals: np.ndarray
-) -> tuple[np.ndarray, list[float]]:
-    """Bob's ``gates`` on the one-qubit ``residuals``, and the fidelity of
-    each result with its client, rounded as ``overlap_fidelity`` rounds it."""
-    recipients = gates @ residuals[:, :, None]
-    overlaps = clients.conj()[:, None, :] @ recipients
-    return recipients[:, :, 0], [abs(z) ** 2 for z in overlaps.ravel().tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +439,42 @@ _SCATTER_PAIRING = default_pairing(5)
 _SCATTER_GATES = np.array([_gate_table(c) for c in BELL_CLASSES])
 
 
-def _sampled_teleports(
-    clients: np.ndarray, channels: np.ndarray, draws: np.ndarray
-) -> Iterator[tuple[BellClass, float]]:
-    """One sampled ``teleport`` per (trial, assumed class), as one walk.
+def _scatter_teleports(
+    clients: np.ndarray, channels: np.ndarray, draws: np.ndarray | None
+) -> Iterator[tuple[int, BellClass, BellClass, float]]:
+    """The teleports of every trial and assumed class, as one walk.
 
-    ``clients`` and ``channels`` stack the amplitudes of the trials and
-    ``draws`` their uniforms, class-major and pair-minor per trial: the
-    draws ``teleport`` would take in turn, so every outcome is the same.
-    Yields the measured class and the fidelity, trial-major.
+    ``clients`` and ``channels`` stack the amplitudes of the trials.  With
+    ``draws``, their uniforms, class-major and pair-minor per trial (the
+    draws ``teleport`` would take in turn, so every outcome is the same),
+    one sampled run per (trial, class); without, every possible branch of
+    each trial once per class, as ``teleport_branches`` gives them: the
+    walk does not depend on the class, only Bob's gate table does.  Yields
+    (trial, assumed class, measured class, fidelity), trial-major, then
+    class, then branch.
     """
     pairing = _SCATTER_PAIRING
     totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
-    runs = np.repeat(np.arange(len(totals)), len(BELL_CLASSES))  # each root once per class
-    shape = (len(totals),) + (2,) * (2 * len(pairing) + 1)
-    u = draws.reshape(len(runs), len(pairing))
-    leaf, rows, _, residuals = _sampled(totals.reshape(shape), pairing, runs, u)
+    totals = totals.reshape((len(totals),) + (2,) * (2 * len(pairing) + 1))
+    classes = len(BELL_CLASSES)
+    if draws is None:
+        roots, rows, _, residuals = _walk(totals, pairing, _possible)
+        leaf = np.tile(np.arange(len(rows)), classes)
+        cls = np.repeat(np.arange(classes), len(rows))
+        order = np.lexsort((leaf, cls, roots[leaf]))  # trial, then class, then branch
+        leaf, cls = leaf[order], cls[order]
+        trial = roots[leaf]
+    else:
+        trial = np.repeat(np.arange(len(totals)), classes)  # each root once per class
+        u = draws.reshape(len(trial), len(pairing))
+        leaf, rows, _, residuals = _sampled(totals, pairing, trial, u)
+        cls = np.arange(len(trial)) % classes
     measured = np.bitwise_xor.reduce(rows, axis=1)[leaf]
-    gates = _SCATTER_GATES[np.arange(len(runs)) % len(BELL_CLASSES), measured]
-    _, fidelities = _corrected_stack(clients[runs], gates, residuals[leaf])
-    return zip([BELL_CLASSES[m] for m in measured.tolist()], fidelities)
+    gates = _SCATTER_GATES[cls, measured]
+    branches = _corrected_branches(clients[trial], gates, None, None, residuals[leaf])
+    classes = [BELL_CLASSES[c] for c in cls.tolist()]
+    measured = [BELL_CLASSES[m] for m in measured.tolist()]
+    return zip(trial.tolist(), classes, measured, branches.fidelities)
 
 
 def fig2_run(
@@ -440,10 +487,11 @@ def fig2_run(
     independently spawned RNG streams so runs are reproducible and could
     be distributed.  Each trial draws its client, its channel (with its
     Omega_c, computed once) and its teleport uniforms as raw arrays; the
-    sampled runs of all trials then go through one batched walk of the
-    outcome tree.  With ``enumerate_branches`` every reachable outcome
-    branch is forced instead of sampling one (a verification mode: the
-    bound must survive even the improbable branches).
+    runs of all trials then go through one batched walk of the outcome
+    tree.  With ``enumerate_branches`` every reachable outcome branch is
+    forced instead of sampling one (a verification mode: the bound must
+    survive even the improbable branches); each trial is walked once for
+    all four assumed classes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -454,21 +502,12 @@ def fig2_run(
         sampled.append((_haar(2, rng), *_scatter_channel(rng)))
         if not enumerate_branches:
             draws.append(rng.random(len(BELL_CLASSES) * len(_SCATTER_PAIRING)))
-    if enumerate_branches:
-        return [
-            Fig2Row(
-                t, cls, float(omega[cls]), res.record.aggregate_class, res.fidelity, kind
-            )
-            for t, (client, channel, kind, omega) in enumerate(sampled)
-            for cls in BELL_CLASSES
-            for res in teleport_branches(PureState(client), PureState(channel), cls)
-        ]
     clients, channels, kinds, omegas = zip(*sampled)
-    runs = _sampled_teleports(np.array(clients), np.array(channels), np.array(draws))
+    draws = None if enumerate_branches else np.array(draws)
+    runs = _scatter_teleports(np.array(clients), np.array(channels), draws)
     return [
-        Fig2Row(t, cls, float(omega[cls]), *next(runs), kind)
-        for t, (kind, omega) in enumerate(zip(kinds, omegas))
-        for cls in BELL_CLASSES
+        Fig2Row(t, cls, float(omegas[t][cls]), measured, fid, kinds[t])
+        for t, cls, measured, fid in runs
     ]
 
 

@@ -15,17 +15,24 @@ split into d^2 perfect-channel classes of dimension d^{L-2}, the joint
 eigenspaces of P^(xL) and the alternating product Q (x) Q^dag (x) Q ...
 (the conjugation pattern makes the two commute; for d = 2 it collapses
 to the qubit Upsilon operators).
+
+Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}.
+Every outcome comes from one contraction with that bra (``_teleports``);
+Bob's gates (Xtilde^{jk}_{pq})^dagger are a d^2-row table built once per
+(d, assumed label) and indexed by the outcome row p d + q, so a single
+``qudit_teleport`` is a row picked from the same arrays, forced or drawn.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .measure import MeasurementOutcome, MeasurementRecord, collapse
-from .protocol import TeleportResult, _corrected
-from .states import PureState, apply_local, tensor
+from .measure import MeasurementOutcome, _outcomes, _pick, collapse
+from .protocol import TeleportResult, _Branches, _corrected_branches, _one_outcome, _results
+from .states import PureState, apply_local
 
 
 def omega_root(d: int) -> complex:
@@ -71,6 +78,17 @@ def qudit_x_tilde(d: int, j: int, k: int, p: int, q: int) -> np.ndarray:
     return generalized_pauli(d, k, j) @ generalized_pauli(d, q, -p)
 
 
+def _gate_table(d: int, j: int, k: int) -> np.ndarray:
+    """Bob's gates (Xtilde^{jk}_{pq})^dagger for every outcome, row p d + q,
+    each the product ``qudit_x_tilde`` forms, so the entries are the same."""
+    shift, phase = permutation_matrix(d), phase_matrix(d)
+    powers_p = [np.linalg.matrix_power(shift, q) for q in range(d)]
+    powers_q = [np.linalg.matrix_power(phase, -p % d) for p in range(d)]
+    tail = np.array(powers_p)[None] @ np.array(powers_q)[:, None]  # R^{q,-p}
+    gates = generalized_pauli(d, k, j) @ tail
+    return gates.conj().swapaxes(-1, -2).reshape(d * d, d, d)
+
+
 @lru_cache(maxsize=None)
 def _bell_bra(d: int) -> np.ndarray:
     """Conjugated |j:k} rows in (j, k) order, one bra per outcome (read-only)."""
@@ -111,6 +129,22 @@ def qudit_bell_measure(
     return outcome, PureState(residual.reshape(-1), local_dim=d)
 
 
+def _teleports(
+    client: PureState,
+    channel: PureState,
+    assumed: tuple[int, int],
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> _Branches:
+    """The teleports of ``client`` across the two-qudit ``channel`` onto the
+    outcome rows p d + q that ``follow`` picks from their probabilities,
+    as the arrays of one contraction with the Bell bra."""
+    d = client.local_dim
+    total = (client.amplitudes[:, None] * channel.amplitudes).reshape(d, d, d)  # np.kron
+    rows, probs, residuals = _outcomes(total, (0, 1), _bell_bra(d), follow)
+    gates = _gate_table(d, *assumed)[rows]
+    return _corrected_branches(client.amplitudes, gates, rows, probs, residuals[:, 0])
+
+
 def qudit_teleport(
     client: PureState,
     channel: PureState | tuple[int, int],
@@ -141,16 +175,18 @@ def qudit_teleport(
         raise ValueError("channel must be a two-qudit state of the client dimension")
     if assumed is None:
         raise ValueError("assumed channel label is required for a state channel")
-    total = tensor(client, chan_state)
-    outcome, residual = qudit_bell_measure(total, 0, 1, forced=forced, rng=rng)
-    p, q = outcome.label
-    gate = qudit_x_tilde(dim, assumed[0], assumed[1], p, q).conj().T
-    record = MeasurementRecord(
-        outcomes=(outcome,),
-        aggregate_class=outcome.label,
-        joint_probability=outcome.probability,
+    row = label = None
+    if forced is not None:
+        label = (forced[0] % dim, forced[1] % dim)
+        row = label[0] * dim + label[1]
+    branches = _teleports(
+        client, chan_state, assumed, lambda i, probs: [_pick(probs, row, label, rng)]
     )
-    return _corrected(client, gate, record, residual)
+    (result,) = _results(
+        branches,
+        lambda row, prob: _one_outcome((0, 1), divmod(row, dim), divmod(row, dim), prob),
+    )
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,31 @@ one class the k-label is free, so the reduced measurement that still
 teleports superpositions alpha_+ |j:+:l} + alpha_- |j:-:l} perfectly is
 the rank-2 projection fixing (Lambda^1, Lambda^2) = (p, q), leaving the
 redundant Lambda^3 unmeasured.
+
+Every outcome of the trio comes from one contraction with the 8-row bra
+(``_teleports``), taken one row per outcome in full mode and two in
+reduced mode; Bob's gate is a row of the 4-gate table of the qubit
+protocol, indexed by the class (p, q) of the outcome row, so a single
+``teleport3`` is a row picked from the same arrays, forced or drawn.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import u_matrix, x_operator
-from .measure import MeasurementOutcome, MeasurementRecord, collapse
-from .protocol import TeleportResult, _corrected, correction_gate
-from .states import PureState, tensor
+from .measure import _normalized, _outcomes, _pick
+from .protocol import (
+    TeleportResult,
+    _Branches,
+    _corrected_branches,
+    _gate_table,
+    _one_outcome,
+    _results,
+)
+from .states import PureState
 
 
 class Bell3Label(NamedTuple):
@@ -86,6 +99,36 @@ def y_operator(j: int, k: int, l: int, p: int, q: int, r: int) -> np.ndarray:
     return np.kron(z, x_operator(j, l, p, r))
 
 
+def _teleports(
+    client: PureState,
+    channel: PureState,
+    assumed: tuple[int, int],
+    mode: str,
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> _Branches:
+    """The ``mode`` teleports of ``client`` across the trio ``channel`` onto
+    the outcome rows ``follow`` picks from their probabilities, as the
+    arrays of one contraction with the trio bra.  A reduced-mode row that
+    leaves the recipient entangled raises ValueError."""
+    _, bra = _OUTCOMES[mode]
+    total = (client.amplitudes[:, None] * channel.amplitudes).reshape(2, 2, 2, 2)  # np.kron
+    rows, probs, blocks = _outcomes(total, (0, 1, 2), bra, follow)
+    if mode == "reduced":
+        # The projected trio must factor from the recipient qubit.
+        _, s_, vh = np.linalg.svd(blocks)  # each (2, 2): l-label x last site
+        if (s_[:, 1] > 1e-8).any():
+            raise ValueError(
+                "reduced measurement left the recipient entangled; "
+                "the channel is not confined to one (Lambda1, Lambda3) class"
+            )
+        blocks = vh
+    classes = rows // 2 if mode == "full" else rows  # the (p, q) of each row
+    gates = _gate_table(assumed)[classes]
+    return _corrected_branches(
+        client.amplitudes, gates, rows, probs, _normalized(blocks[:, 0])
+    )
+
+
 def teleport3(
     client: PureState,
     channel: PureState,
@@ -111,7 +154,7 @@ def teleport3(
         raise ValueError("channel must be a 3-qubit state")
     if mode not in _OUTCOMES:
         raise ValueError(f"mode must be 'full' or 'reduced', got {mode!r}")
-    labels, bra = _OUTCOMES[mode]
+    labels, _ = _OUTCOMES[mode]
     row = None
     if forced is not None:
         if len(forced) != len(labels[0]):
@@ -119,31 +162,15 @@ def teleport3(
                 f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
             )
         row = labels.index(tuple(forced))
-    total = tensor(client, channel).as_tensor()
-    row, prob, block = collapse(total, (0, 1, 2), bra, row=row, rng=rng, label=forced)
-    label = labels[row]
-    residual_amps = block[0]
-    if mode == "reduced":
-        # The projected trio must factor from the recipient qubit.
-        _, s_, vh = np.linalg.svd(block)  # (2, 2): l-label x last site
-        if s_[1] > 1e-8:
-            raise ValueError(
-                "reduced measurement left the recipient entangled; "
-                "the channel is not confined to one (Lambda1, Lambda3) class"
-            )
-        residual_amps = vh[0]
-    p, q = label[:2]
-
-    residual = PureState(residual_amps / np.linalg.norm(residual_amps))
-    gate = correction_gate(assumed, (p, q))
-    # sites 0..2 are measured jointly; the pair field records the span
-    outcome = MeasurementOutcome(pair=(0, 2), label=label, probability=prob)
-    record = MeasurementRecord(
-        outcomes=(outcome,),
-        aggregate_class=(p, q),
-        joint_probability=prob,
+    branches = _teleports(
+        client, channel, assumed, mode, lambda i, probs: [_pick(probs, row, forced, rng)]
     )
-    return _corrected(client, gate, record, residual)
+    # sites 0..2 are measured jointly; the pair field records the span
+    (result,) = _results(
+        branches,
+        lambda row, prob: _one_outcome((0, 2), labels[row], labels[row][:2], prob),
+    )
+    return result
 
 
 def theta_operator(kappa: int) -> np.ndarray:

@@ -1,0 +1,389 @@
+"""Every outcome branch of a teleport from one batched pass, against the
+per-branch code it replaced.
+
+The oracles below are ``qudit_teleport`` and ``teleport3`` as they were
+before they became row picks from one contraction: one measurement per
+call, Bob's gate built per branch (``qudit_x_tilde`` with its
+``matrix_power`` products, ``correction_gate``), ``apply_local`` and
+``overlap_fidelity`` on checked states.  Forcing each outcome row one at a
+time through them must give the batched rows exactly: ``==`` on
+probabilities and fidelities, ``np.array_equal`` on recipients and gates.
+Sampled single calls must draw the same outcome and leave the generator
+in the same state.  The same holds for the enumerated fig2 scatter, which
+walks each trial once for all four assumed classes, and for the CLI rows
+formatted straight from the arrays.
+"""
+
+import io
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellport import cli
+from bellport.bell import BELL_CLASSES, BELL_LABELS, format_sign_pair
+from bellport.measure import (
+    ImpossibleOutcomeError,
+    MeasurementOutcome,
+    MeasurementRecord,
+    _possible,
+    collapse,
+)
+from bellport.protocol import (
+    Fig2Row,
+    TeleportResult,
+    correction_gate,
+    fig2_run,
+    order_parameter,
+    sample_scatter_channel,
+    teleport,
+)
+from bellport.qudit import (
+    _teleports as qudit_teleports,
+    qudit_bell,
+    qudit_bell_measure,
+    qudit_teleport,
+    qudit_x_tilde,
+)
+from bellport.states import PureState, apply_local, overlap_fidelity, random_state, tensor
+from bellport.threequbit import (
+    _OUTCOMES,
+    BELL3_LABELS,
+    _teleports as trio_teleports,
+    bell3_state,
+    teleport3,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+# ---------------------------------------------------------------------------
+# oracles: one branch per call
+
+
+def old_qudit_teleport(client, channel, assumed=None, *, forced=None, rng=None):
+    if client.num_sites != 1:
+        raise ValueError("client must be a single qudit")
+    dim = client.local_dim
+    if isinstance(channel, tuple):
+        chan_state = qudit_bell(dim, *channel)
+        if assumed is None:
+            assumed = (channel[0] % dim, channel[1] % dim)
+    else:
+        chan_state = channel
+    if chan_state.local_dim != dim or chan_state.num_sites != 2:
+        raise ValueError("channel must be a two-qudit state of the client dimension")
+    if assumed is None:
+        raise ValueError("assumed channel label is required for a state channel")
+    total = tensor(client, chan_state)
+    outcome, residual = qudit_bell_measure(total, 0, 1, forced=forced, rng=rng)
+    p, q = outcome.label
+    gate = qudit_x_tilde(dim, assumed[0], assumed[1], p, q).conj().T
+    record = MeasurementRecord(
+        outcomes=(outcome,),
+        aggregate_class=outcome.label,
+        joint_probability=outcome.probability,
+    )
+    recipient = apply_local(residual, gate, 0)
+    return TeleportResult(record, gate, recipient, overlap_fidelity(client, recipient))
+
+
+def old_teleport3(client, channel, assumed, mode="full", *, forced=None, rng=None):
+    labels, bra = _OUTCOMES[mode]
+    row = None
+    if forced is not None:
+        if len(forced) != len(labels[0]):
+            raise ValueError(
+                f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
+            )
+        row = labels.index(tuple(forced))
+    total = tensor(client, channel).as_tensor()
+    row, prob, block = collapse(total, (0, 1, 2), bra, row=row, rng=rng, label=forced)
+    label = labels[row]
+    residual_amps = block[0]
+    if mode == "reduced":
+        _, s_, vh = np.linalg.svd(block)
+        if s_[1] > 1e-8:
+            raise ValueError(
+                "reduced measurement left the recipient entangled; "
+                "the channel is not confined to one (Lambda1, Lambda3) class"
+            )
+        residual_amps = vh[0]
+    p, q = label[:2]
+    residual = PureState(residual_amps / np.linalg.norm(residual_amps))
+    gate = correction_gate(assumed, (p, q))
+    outcome = MeasurementOutcome(pair=(0, 2), label=label, probability=prob)
+    record = MeasurementRecord(
+        outcomes=(outcome,), aggregate_class=(p, q), joint_probability=prob
+    )
+    recipient = apply_local(residual, gate, 0)
+    return TeleportResult(record, gate, recipient, overlap_fidelity(client, recipient))
+
+
+def attempt(call):
+    """``call()``: its result, None when its outcome is impossible, or the
+    ValueError it raised."""
+    try:
+        return call()
+    except ImpossibleOutcomeError:
+        return None
+    except ValueError as exc:
+        return exc
+
+
+def forced_one_by_one(call, labels):
+    return [attempt(lambda: call(label)) for label in labels]
+
+
+def assert_same_result(new, old):
+    assert new.record == old.record  # exact probabilities, labels and classes
+    assert np.array_equal(new.correction, old.correction)
+    assert np.array_equal(new.recipient_state.amplitudes, old.recipient_state.amplitudes)
+    assert new.recipient_state.normalized == old.recipient_state.normalized
+    assert new.fidelity == old.fidelity
+
+
+def assert_rows_match(branches, old):
+    """The batched ``branches`` are exactly the possible rows of ``old``."""
+    possible = [row for row, res in enumerate(old) if res is not None]
+    assert branches.rows.tolist() == possible
+    for i, row in enumerate(possible):
+        res = old[row]
+        assert branches.probs[i] == res.record.joint_probability
+        assert branches.fidelities[i] == res.fidelity
+        assert np.array_equal(branches.gates[i], res.correction)
+        assert np.array_equal(branches.recipients[i], res.recipient_state.amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# qudit pairs
+
+
+@st.composite
+def qudit_case(draw):
+    """(client, channel, assumed) for d = 2..6: a random channel, or a
+    product channel |m> (x) b that leaves rows impossible for a basis client."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        client = random_state(1, d, rng)
+        channel = random_state(2, d, rng)
+    else:
+        client = PureState(np.eye(d)[draw(st.integers(0, d - 1))], local_dim=d)
+        first = np.eye(d)[draw(st.integers(0, d - 1))]
+        channel = PureState(np.kron(first, random_state(1, d, rng).amplitudes), local_dim=d)
+    assumed = (draw(st.integers(-d, 2 * d)), draw(st.integers(-d, 2 * d)))
+    return client, channel, assumed
+
+
+@PROPERTY
+@given(qudit_case())
+def test_qudit_rows_match_forcing_each_row(case):
+    client, channel, assumed = case
+    d = client.local_dim
+    labels = list(product(range(d), repeat=2))
+    old = forced_one_by_one(
+        lambda lab: old_qudit_teleport(client, channel, assumed, forced=lab), labels
+    )
+    assert_rows_match(qudit_teleports(client, channel, assumed, _possible), old)
+    new = forced_one_by_one(
+        lambda lab: qudit_teleport(client, channel, assumed, forced=lab), labels
+    )
+    for res, old_res in zip(new, old):
+        assert (res is None) == (old_res is None)
+        if res is not None:
+            assert_same_result(res, old_res)
+
+
+def test_qudit_product_channel_has_impossible_rows():
+    client = PureState(np.eye(3)[1], local_dim=3)
+    channel = PureState(np.kron(np.eye(3)[2], random_state(1, 3, 1).amplitudes), local_dim=3)
+    branches = qudit_teleports(client, channel, (0, 0), _possible)
+    assert branches.rows.tolist() == [1, 4, 7]  # q = 2 - 1 only
+    with pytest.raises(ImpossibleOutcomeError):
+        qudit_teleport(client, channel, (0, 0), forced=(0, 0))
+
+
+@PROPERTY
+@given(qudit_case(), seeds)
+def test_sampled_qudit_teleport_matches_oracle(case, seed):
+    client, channel, assumed = case
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    for _ in range(3):
+        new = qudit_teleport(client, channel, assumed, rng=gens[0])
+        assert_same_result(new, old_qudit_teleport(client, channel, assumed, rng=gens[1]))
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# three-qubit channels
+
+
+@st.composite
+def trio_case(draw):
+    """(client, channel, assumed): a random trio (entangling the recipient in
+    reduced mode), a basis channel (impossible full-mode rows) or a
+    superposition within one (Lambda1, Lambda3) class."""
+    rng = np.random.default_rng(draw(seeds))
+    client = random_state(1, 2, rng)
+    kind = draw(st.sampled_from(["random", "basis", "class"]))
+    if kind == "random":
+        channel = random_state(3, 2, rng)
+    elif kind == "basis":
+        channel = bell3_state(draw(st.sampled_from(BELL3_LABELS)))
+    else:
+        j, l = draw(st.sampled_from(BELL_CLASSES))
+        alpha = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        alpha /= np.linalg.norm(alpha)
+        amps = alpha[0] * bell3_state((j, 1, l)).amplitudes
+        channel = PureState(amps + alpha[1] * bell3_state((j, -1, l)).amplitudes)
+    return client, channel, draw(st.sampled_from(BELL_CLASSES))
+
+
+@PROPERTY
+@given(trio_case(), st.sampled_from(["full", "reduced"]))
+def test_trio_rows_match_forcing_each_row(case, mode):
+    client, channel, assumed = case
+    labels = _OUTCOMES[mode][0]
+    old = forced_one_by_one(
+        lambda lab: old_teleport3(client, channel, assumed, mode, forced=lab), labels
+    )
+    new = forced_one_by_one(
+        lambda lab: teleport3(client, channel, assumed, mode, forced=lab), labels
+    )
+    for res, old_res in zip(new, old):
+        if isinstance(old_res, ValueError):  # the recipient was left entangled
+            assert isinstance(res, ValueError) and str(res) == str(old_res)
+        elif old_res is None:
+            assert res is None
+        else:
+            assert_same_result(res, old_res)
+    if any(isinstance(res, ValueError) for res in old):
+        with pytest.raises(ValueError, match="entangled"):
+            trio_teleports(client, channel, assumed, mode, _possible)
+    else:
+        assert_rows_match(trio_teleports(client, channel, assumed, mode, _possible), old)
+
+
+def test_reduced_mode_raises_only_for_the_rows_it_takes():
+    # |+:+:+} + |+:-:-} entangles the recipient on every reduced row, but a
+    # walk that picks no row has nothing to refuse
+    amps = bell3_state((1, 1, 1)).amplitudes + bell3_state((1, -1, -1)).amplitudes
+    channel = PureState(amps / np.linalg.norm(amps))
+    client = random_state(1, 2, 4)
+    branches = trio_teleports(client, channel, (1, 1), "reduced", lambda i, probs: [])
+    assert branches.rows.tolist() == []
+    with pytest.raises(ValueError, match="entangled"):
+        trio_teleports(client, channel, (1, 1), "reduced", lambda i, probs: [0])
+
+
+@PROPERTY
+@given(trio_case(), st.sampled_from(["full", "reduced"]), seeds)
+def test_sampled_teleport3_matches_oracle(case, mode, seed):
+    client, channel, assumed = case
+    gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    new = attempt(lambda: teleport3(client, channel, assumed, mode, rng=gens[0]))
+    old = attempt(lambda: old_teleport3(client, channel, assumed, mode, rng=gens[1]))
+    if isinstance(old, ValueError):
+        assert isinstance(new, ValueError) and str(new) == str(old)
+    else:
+        assert_same_result(new, old)
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the enumerated fig2 scatter: one walk per trial for all four classes
+
+
+def old_fig2_enumerated(trials, seed):
+    """fig2_run(enumerate_branches=True) as one forced teleport per branch."""
+    rows = []
+    for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(ss)
+        client = random_state(1, 2, rng)
+        channel, kind = sample_scatter_channel(rng)
+        omega = order_parameter(channel).omega
+        for cls in BELL_CLASSES:
+            for branch in product(BELL_LABELS, repeat=2):
+                try:
+                    res = teleport(client, channel, cls, forced=branch)
+                except ImpossibleOutcomeError:
+                    continue
+                rows.append(
+                    Fig2Row(
+                        t, cls, float(omega[cls]), res.record.aggregate_class,
+                        res.fidelity, kind,
+                    )
+                )
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), seeds)
+def test_enumerated_fig2_matches_forced_teleports(trials, seed):
+    # Fig2Row equality compares every float with ==
+    assert fig2_run(trials, seed, enumerate_branches=True) == old_fig2_enumerated(trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# CLI rows formatted from the arrays
+
+
+def cli_rows(argv):
+    out = io.StringIO()
+    meta, columns, rows, violations = cli._HANDLERS[argv[0]](
+        cli.build_parser().parse_args(argv)
+    )
+    cli.write_table(out, meta, columns, rows, True)
+    return out.getvalue()
+
+
+def old_qudit_demo_rows(d, seed):
+    client = random_state(1, d, np.random.default_rng(seed))
+    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]
+    return [
+        [d, j, k, p, q, res.record.joint_probability, res.fidelity]
+        for j, k in dict.fromkeys(labels)
+        for p, q in product(range(d), repeat=2)
+        for res in [old_qudit_teleport(client, (j, k), forced=(p, q))]
+    ]
+
+
+def old_three_qubit_rows(seed):
+    client = random_state(1, 2, np.random.default_rng(seed))
+    rows = []
+    for lab in BELL3_LABELS:
+        for mode in ("full", "reduced"):
+            signs = product((1, -1), repeat=2)
+            branches = [(p, q, lab.k * q) if mode == "full" else (p, q) for p, q in signs]
+            for branch in branches:
+                res = old_teleport3(
+                    client, bell3_state(lab), (lab.j, lab.l), mode, forced=branch
+                )
+                rows.append(
+                    [*lab, mode, format_sign_pair(branch), res.record.joint_probability,
+                     res.fidelity]
+                )
+    return rows
+
+
+def table(rows):
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 7), seeds)
+def test_qudit_demo_rows_match_forced_calls(d, seed):
+    text = cli_rows(["qudit-demo", "-d", str(d), "--seed", str(seed)])
+    assert text.endswith(table(old_qudit_demo_rows(d, seed)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds)
+def test_three_qubit_rows_match_forced_calls(seed):
+    text = cli_rows(["three-qubit", "--seed", str(seed)])
+    assert text.split("j,k,l,mode,outcome,probability,fidelity\n")[1] == table(
+        old_three_qubit_rows(seed)
+    )

@@ -57,6 +57,24 @@ def test_teleport_enumerate_branches(tmp_path):
     assert abs(total - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["random:4", "singlet-random:4"])
+def test_unseeded_channel_spec_is_deterministic(kind, tmp_path):
+    # a spec without its own seed takes --seed, not OS entropy
+    argv = ["teleport", "--channel", kind, "--trials", "2", "--seed", "5"]
+    _, first = run_cli(argv, tmp_path, "first.csv")
+    _, second = run_cli(argv, tmp_path, "second.csv")
+    assert first == second
+    _, seeded = run_cli(
+        ["teleport", "--channel", f"{kind}:5", "--trials", "2", "--seed", "5"], tmp_path
+    )
+    assert first.replace(f"channel={kind}\n", f"channel={kind}:5\n") == seeded
+    orders = [
+        run_cli(["order-param", "--channel", kind, "--seed", "5"], tmp_path, f"o{i}.csv")[1]
+        for i in range(2)
+    ]
+    assert orders[0] == orders[1]
+
+
 def test_fig2_subcommand_and_plotdata(tmp_path):
     plot = tmp_path / "plot.dat"
     out = tmp_path / "fig2.csv"

@@ -13,7 +13,10 @@ random:10:3 sampled cases before the walker went level by level over a
 stack of site tensors and fig2 sampled every trial in one batch, and the
 heisenberg-check -L 10 and the seeded sampled teleport cases (ghz:6,
 singlet-random:12:5, random:6:3 with a pairing) before the sampled runs
-of one command shared a single walk of the outcome tree.  They are
+of one command shared a single walk of the outcome tree, and the
+qudit-demo -d 5, three-qubit seed-7, mg-dimers:10, five-pair bell and
+fig2 seed-3 branch cases before every forced branch of a command came
+from one batched pass with a gate table.  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -70,6 +73,16 @@ CASES = {
         "teleport", "--channel", "random:6:3", "--pairing", "0-5,1-3,2-4",
         "--trials", "77", "--seed", "4",
     ],
+    "qudit_demo_d5_s2": ["qudit-demo", "-d", "5", "--seed", "2"],
+    "three_qubit_s7": ["three-qubit", "--seed", "7"],
+    "teleport_mg_dimers_10_pm_enum_s4": [
+        "teleport", "--channel", "mg-dimers:10", "--assumed-class", "pm",
+        "--enumerate-branches", "--seed", "4",
+    ],
+    "teleport_bell_5_enum": [
+        "teleport", "--channel", "bell:+-,-+,--,++,-+", "--enumerate-branches",
+    ],
+    "fig2_t20_enum_s3": ["fig2", "--trials", "20", "--enumerate-branches", "--seed", "3"],
 }
 
 
