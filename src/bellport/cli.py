@@ -67,6 +67,9 @@ from .threequbit import _teleports as _trio_teleports
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
+# 65x fig2's default; a fig2 trial keeps about 3.9 KiB until its row is written
+MAX_TRIALS = 2**17
+_CLAIM_TOL = 1e-10  # the tolerance of every exact claim a subcommand checks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,9 +108,11 @@ def _parse_class(text: str) -> tuple[int, ...]:
     return pair
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _trials(text: str) -> int:
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer up to {MAX_TRIALS}, got {text!r}"
+        )
     return int(text)
 
 
@@ -328,24 +333,16 @@ def _cmd_cluster_check(args):
     columns = ["check", "value", "deviation", "ok"]
     rows = []
     violations = 0
-    for j in range(1, L + 1):
-        rep = stabilizer_report(state, cluster_stabilizer(j, L), f"K{j}")
-        ok = abs(rep.eigenvalue - 1.0) <= 1e-10 and rep.deviation <= 1e-10
+    checks = [(f"K{j}", cluster_stabilizer(j, L)) for j in range(1, L + 1)]
+    checks += [
+        (f"{name}[{'-' if g.sign < 0 else '+'}{''.join(str(f) for f in g.factors)}]", g)
+        for name, g in zip(("G1", "G2"), cluster_g_operators(L))
+    ]
+    for name, op in checks:
+        rep = stabilizer_report(state, op, name)
+        ok = abs(rep.eigenvalue - 1.0) <= _CLAIM_TOL and rep.deviation <= _CLAIM_TOL
         violations += not ok
-        rows.append([rep.name, rep.eigenvalue, rep.deviation, int(ok)])
-    g1, g2 = cluster_g_operators(L)
-    for name, g in (("G1", g1), ("G2", g2)):
-        rep = stabilizer_report(state, g, name)
-        ok = abs(rep.eigenvalue - 1.0) <= 1e-10 and rep.deviation <= 1e-10
-        violations += not ok
-        rows.append(
-            [
-                f"{name}[{'-' if g.sign < 0 else '+'}{''.join(str(f) for f in g.factors)}]",
-                rep.eigenvalue,
-                rep.deviation,
-                int(ok),
-            ]
-        )
+        rows.append([name, rep.eigenvalue, rep.deviation, int(ok)])
     top = max(decompose_classes(state).coefficients.values()) ** 2
     ok = top < 1.0 - 1e-6  # cluster states must straddle classes
     violations += not ok
@@ -365,8 +362,8 @@ def _cmd_aklt_check(args):
     columns = ["check", "value", "expected", "ok"]
     rows = []
     checks = [
-        ("string_order", s_order, -1.0, abs(s_order + 1.0) <= 1e-10),
-        ("upsilon2_vs_string", e2, relation, abs(e2 - relation) <= 1e-10),
+        ("string_order", s_order, -1.0, abs(s_order + 1.0) <= _CLAIM_TOL),
+        ("upsilon2_vs_string", e2, relation, abs(e2 - relation) <= _CLAIM_TOL),
         (
             "pure_class",
             format_sign_pair(pure) if pure else "none",
@@ -431,7 +428,7 @@ def _cmd_three_qubit(args):
                     branches.rows.tolist(), branches.probs.tolist(), branches.fidelities
                 )
             ]
-    violations = sum(not row[-1] >= 1.0 - 1e-10 for row in rows)
+    violations = sum(not row[-1] >= 1.0 - _CLAIM_TOL for row in rows)
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
     meta = {
@@ -467,7 +464,7 @@ def _cmd_qudit_demo(args):
                 branches.rows.tolist(), branches.probs.tolist(), branches.fidelities
             )
         ]
-    violations = sum(not row[-1] >= 1.0 - 1e-10 for row in rows)
+    violations = sum(not row[-1] >= 1.0 - _CLAIM_TOL for row in rows)
     meta = {
         "subcommand": "qudit-demo",
         "seed": args.seed,
@@ -534,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=_seed, default=0, help="non-negative RNG seed")
         if trials_default is not None:
-            p.add_argument("--trials", type=_positive_int, default=trials_default)
+            p.add_argument("--trials", type=_trials, default=trials_default)
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument(
             "--deterministic",

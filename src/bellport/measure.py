@@ -1,37 +1,36 @@
-"""Projective measurements through one collapse kernel and one outcome tree.
+"""Projective measurements through one outcome-tree walker.
 
 A Bell measurement on sites (a, b) is the simultaneous measurement of
 (U1)_a (U1)_b and (U2)_a (U2)_b; the outcome (j:k) collapses the pair
-exactly onto the Bell state |j:k}.  A single measurement -- a Bell pair
-in ``bell_measure``, the three-qubit trio in ``threequbit`` and a qudit
-pair in ``qudit`` -- is one contraction (``_outcomes``): the measured
-axes of the site tensor are contracted with a bra of shape (outcomes,
-group, d^k) (4x4 Bell rows, 8 trio rows taken one or two per outcome,
-d^2 qudit rows), and the renormalised residuals on the other sites are
-returned for the rows it is told to take.  ``collapse`` takes one row,
-forced or sampled; the trio and qudit teleports take every possible row
-at once and look Bob's gates up in a table, so all their branches cost
-one contraction.  The cost is O(d^n) per measurement; no projector
-matrix is ever built.
+exactly onto the Bell state |j:k}.  Every measurement -- a Bell pair,
+the three-qubit trio in ``threequbit`` and a qudit pair in ``qudit`` --
+is one contraction: the measured axes of the site tensor are contracted
+with a bra of shape (outcomes, group, d^k) (4x4 Bell rows, 8 trio rows
+taken one or two per outcome, d^2 qudit rows), and the residuals on the
+other sites are kept for the rows the caller follows.  The cost is
+O(d^n) per measurement; no projector matrix is ever built.
 
-A sequence of Bell measurements walks the outcome tree of its pairs
-level by level over a stack of site tensors: at each pair one batched
-contraction covers every live node, and the walk descends into the rows
-it is told to follow -- one seeded draw per pair when sampling, the
-given rows when forcing (raising ImpossibleOutcomeError at or below
-ZERO_PROB_ATOL), every possible row when enumerating
-(``measure_branches``, ``protocol.teleport_branches``, and ``fig2``
-with every branch, one walk per trial for all four assumed classes).
-Bob's gate depends on a branch only through its aggregate class, the
-XOR of its outcome rows, so it is a row of a 4-gate table.  A sampled
-outcome is the search that ``Generator.choice`` makes in the cumulative
-distribution, on one uniform draw, so many sampled runs walk together
-exactly as each would alone: every run picks its row on its own draw,
+``_walk`` makes every measurement: a list of such levels walked down
+the outcome tree over a stack of site tensors.  At each level one
+batched contraction covers every live node, and the walk descends into
+the rows it is told to follow -- one seeded draw per level when
+sampling, the given rows when forcing (raising ImpossibleOutcomeError
+at or below ZERO_PROB_ATOL), every possible row when enumerating
+(``measure_branches``, ``protocol.teleport_branches``, ``fig2`` with
+every branch, one walk per trial for all four assumed classes, and all
+the branches of a trio or qudit teleport).  ``collapse`` is its
+one-level case onto one row; ``teleport3`` and ``qudit_teleport`` are
+one-level walks too.  Bob's gate depends on a branch only through a
+function of its rows (the XOR of the Bell rows, the trio class, the
+qudit row), so it is a row of a gate table.  A sampled outcome is the
+search that ``Generator.choice`` makes in the cumulative distribution,
+on one uniform draw, so many sampled runs walk together exactly as each
+would alone (``_Sampled``): every run picks its row on its own draw,
 and the walk descends once into each distinct (node, row), so runs that
 share a prefix share its nodes and no level holds more amplitudes than
-its roots.
-``protocol.teleport_samples`` walks all the runs of one channel from one
-root this way, and ``protocol.fig2_run`` all its trials, one root each.
+its roots.  ``protocol.teleport_samples`` walks all the runs of one
+channel from one root this way, and ``protocol.fig2_run`` all its
+trials, one root each.
 """
 
 from __future__ import annotations
@@ -116,29 +115,6 @@ def _pick(probs: np.ndarray, row: int | None, label: object, rng) -> int:
     return row
 
 
-def _outcomes(
-    t: np.ndarray,
-    axes: Sequence[int],
-    bra: np.ndarray,
-    follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One projective measurement of the ``axes`` of the site tensor ``t``,
-    onto the outcome rows ``follow(0, probs)`` picks from their
-    probabilities, as a one-level ``_walk`` would.
-
-    ``bra`` has shape (outcomes, group, d^k): outcome i projects onto the
-    span of the ``group`` states whose conjugates are ``bra[i]``.  Returns
-    the rows, their probabilities and their renormalised residuals, shape
-    (rows, group, *rest), the unmeasured axes keeping their order.
-    """
-    (comps,), (probs,) = _components(t[None], axes, bra)
-    rows = np.asarray(follow(0, probs), dtype=int)
-    prob = probs[rows]
-    rest = [n for i, n in enumerate(t.shape) if i not in axes]
-    residuals = comps[rows] / np.sqrt(prob)[:, None]
-    return rows, prob, residuals.reshape(len(rows), bra.shape[1], *rest)
-
-
 def _possible(i: int, probs: np.ndarray) -> np.ndarray:
     """The follow that takes every row (flat index) of ``probs`` above
     ZERO_PROB_ATOL, in order, at any level ``i``."""
@@ -154,14 +130,15 @@ def collapse(
     rng: int | np.random.Generator | None = None,
     label: object = None,
 ) -> tuple[int, float, np.ndarray]:
-    """``_outcomes`` onto one row: ``row`` when given (``label`` names it in
-    the error) and drawn from ``rng`` otherwise.  Returns the outcome row,
-    its probability and its renormalised residual of shape (group, *rest).
-    """
-    (row,), (prob,), (residual,) = _outcomes(
-        t, axes, bra, lambda i, probs: [_pick(probs, row, label, rng)]
+    """``bra`` on the ``axes`` of ``t`` as a one-level ``_walk`` onto one row:
+    ``row`` when given (``label`` names it in the error) and drawn from
+    ``rng`` otherwise.  Returns the outcome row, its probability and its
+    renormalised residual, shape (group, *rest), the rest in their order."""
+    _, (rows,), (probs,), (residual,) = _walk(
+        t[None], [(axes, bra)], lambda i, probs: [_pick(probs[0], row, label, rng)]
     )
-    return int(row), float(prob), residual
+    rest = [n for i, n in enumerate(t.shape) if i not in axes]
+    return int(rows[0]), float(probs[0]), residual.reshape(bra.shape[1], *rest)
 
 
 def _check_pair(state: PureState, a: int, b: int) -> None:
@@ -177,8 +154,14 @@ def _check_pair(state: PureState, a: int, b: int) -> None:
 def outcome_distribution(state: PureState, a: int, b: int) -> dict[BellLabel, float]:
     """Probability of each Bell outcome for a measurement on (a, b)."""
     _check_pair(state, a, b)
-    _, (probs,) = _components(state.as_tensor()[None], (a, b), _BELL_BRA)
-    return {lab: float(p) for lab, p in zip(BELL_LABELS, probs)}
+    dist = {}
+
+    def note(i, probs):  # keep the level's probabilities and follow no row
+        dist.update(zip(BELL_LABELS, probs[0].tolist()))
+        return []
+
+    _walk(state.as_tensor()[None], [((a, b), _BELL_BRA)], note)
+    return dist
 
 
 def _forced_row(forced, pair: Sequence[int]) -> tuple[int | None, str | None]:
@@ -191,35 +174,40 @@ def _forced_row(forced, pair: Sequence[int]) -> tuple[int | None, str | None]:
 
 def _walk(
     stack: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
+    levels: Sequence[tuple[Sequence[int], np.ndarray]],
     follow: Callable[[int, np.ndarray], Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the outcome trees of Bell measurements over ``pairs`` from each
-    root site tensor in ``stack`` (axis 0 lists the roots), level by level.
+    """Walk the outcome trees of ``levels`` from each root site tensor in
+    ``stack`` (axis 0 lists the roots, the others are its sites, all of one
+    dimension), level by level.
 
-    At pair i one contraction covers every live node, and ``follow(i,
-    probs)`` maps the (nodes, 4) probabilities to the (node, row) pairs
-    to descend into, as flat indices node * 4 + row in ascending node
-    order, so leaves come out in depth-first order.  Returns, per leaf:
-    the root index, the outcome rows and probabilities, shape (leaves,
-    len(pairs)), and the renormalised residual amplitudes.
+    Level i is (sites, bra): a measurement of those original sites with a
+    bra of shape (outcomes, group, d^k); a group > 1 ends the walk.  One
+    contraction covers every live node, and ``follow(i, probs)`` maps the
+    (nodes, outcomes) probabilities to the (node, row) pairs to descend
+    into, as flat indices node * outcomes + row in ascending node order,
+    so leaves come out in depth-first order.  Returns, per leaf: the root
+    index, the outcome rows and probabilities, shape (leaves, len(levels)),
+    and the flat residual amplitudes over the root of the last probability.
     """
+    d = stack.shape[-1]
     sites = list(range(stack.ndim - 1))  # sites[i] is the original site of axis i + 1
     roots = np.arange(len(stack))
     rows = np.zeros((len(stack), 0), dtype=int)
     probs = np.zeros((len(stack), 0))
-    for i, (a, b) in enumerate(pairs):
-        comps, level = _components(stack, (sites.index(a), sites.index(b)), _BELL_BRA)
-        pick = np.asarray(follow(i, level))  # flat indices node * 4 + row
-        node, row = np.divmod(pick, 4)
+    amps = stack.reshape(len(stack), d ** len(sites))
+    for i, (measured, bra) in enumerate(levels):
+        stack = amps.reshape(len(amps), *(d,) * len(sites))
+        comps, level = _components(stack, [sites.index(s) for s in measured], bra)
+        pick = np.asarray(follow(i, level), dtype=int)  # flat node * outcomes + row
+        node, row = np.divmod(pick, len(bra))
         prob = level.reshape(-1)[pick]
-        sites = [s for s in sites if s not in (a, b)]
-        residual = comps.reshape(-1, comps.shape[2])[pick] / np.sqrt(prob)[:, None]
-        stack = residual.reshape(len(pick), *(2,) * len(sites))
+        sites = [s for s in sites if s not in measured]
+        amps = comps.reshape(-1, comps.shape[2])[pick] / np.sqrt(prob)[:, None]
         roots = roots[node]
         rows = np.concatenate([rows[node], row[:, None]], axis=1)
         probs = np.concatenate([probs[node], prob[:, None]], axis=1)
-    return roots, rows, probs, _normalized(stack.reshape(len(stack), 2 ** len(sites)))
+    return roots, rows, probs, amps
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -261,35 +249,36 @@ def _leaves(
     follow: Callable[[int, np.ndarray], Sequence[int]],
 ) -> Iterator[tuple[MeasurementRecord, PureState]]:
     """Check ``pairs`` on ``state``, walk its outcome tree alone and give
-    each leaf as (record, residual), in walk order."""
+    each leaf as (record, renormalised residual), in walk order."""
     _check_pairs(state, pairs)
-    _, rows, probs, residuals = _walk(state.as_tensor()[None], pairs, follow)
+    levels = [(pair, _BELL_BRA) for pair in pairs]
+    _, rows, probs, residuals = _walk(state.as_tensor()[None], levels, follow)
+    residuals = _normalized(residuals)
     return (
         (_record(pairs, leaf_rows, leaf_probs), PureState(amps, local_dim=2))
         for leaf_rows, leaf_probs, amps in zip(rows.tolist(), probs.tolist(), residuals)
     )
 
 
-def _sampled(
-    stack: np.ndarray, pairs: Sequence[tuple[int, int]], at: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample one run per entry of ``at`` (its root in ``stack``) down the
-    outcome tree, on the uniforms ``u`` (runs, len(pairs)), as one ``_walk``.
+@dataclass
+class _Sampled:
+    """The follow that samples one run per entry of ``at`` (its root) down
+    the outcome tree, on the uniforms ``u`` (runs, levels).
 
     At each level every run picks its row with ``_choose``, and the walk
     descends once into each distinct (node, row): runs that share a prefix
     share its nodes, so no level holds more amplitudes than its roots do,
-    whatever the number of runs.  Returns each run's leaf index, then
-    ``_walk``'s rows, probabilities and residuals per leaf.
+    whatever the number of runs.  After the walk ``at`` holds each run's
+    leaf.
     """
 
-    def follow(i, probs):
-        nonlocal at
-        pick, at = np.unique(at * 4 + _choose(probs[at], u[:, i]), return_inverse=True)
-        return pick  # sorted, so nodes stay in ascending order
+    at: np.ndarray
+    u: np.ndarray
 
-    _, rows, probs, residuals = _walk(stack, pairs, follow)
-    return at, rows, probs, residuals
+    def __call__(self, i: int, probs: np.ndarray) -> np.ndarray:
+        row = _choose(probs[self.at], self.u[:, i])
+        pick, self.at = np.unique(self.at * probs.shape[1] + row, return_inverse=True)
+        return pick  # sorted, so nodes stay in ascending order
 
 
 def bell_measure(

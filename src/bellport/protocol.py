@@ -27,14 +27,17 @@ from .bell import (
     upsilon_expectations,
 )
 from .measure import (
+    _BELL_BRA,
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
     MeasurementOutcome,
     MeasurementRecord,
+    _Sampled,
     _check_pairs,
+    _normalized,
+    _pick,
     _possible,
     _record,
-    _sampled,
     _walk,
     measure_sequence,
 )
@@ -141,12 +144,6 @@ def _corrected_branches(
     return _Branches(rows, probs, gates, recipients[:, :, 0], fidelities)
 
 
-def _one_outcome(pair, label, aggregate_class, prob: float) -> MeasurementRecord:
-    """The record of a single measurement (of a trio or a qudit pair)."""
-    outcome = MeasurementOutcome(pair=pair, label=label, probability=prob)
-    return MeasurementRecord((outcome,), aggregate_class, joint_probability=prob)
-
-
 def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
     """One ``TeleportResult`` per branch, with the record ``record(rows, probs)``."""
     dim = branches.recipients.shape[1]
@@ -156,6 +153,24 @@ def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
             branches.rows.tolist(), branches.probs.tolist(), *branches[2:]
         )
     ]
+
+
+def _teleport_one(
+    teleports: Callable, labels: Sequence, pair: tuple[int, int], forced, rng
+) -> TeleportResult:
+    """The teleport ``teleports(follow)`` makes over one measurement (a trio
+    or a qudit pair) with outcome rows ``labels``: onto the row of ``forced``
+    (refused when impossible) or one drawn from ``rng``.  Its record names
+    ``pair``, with the label's first two entries as the aggregate class."""
+    row = None if forced is None else labels.index(tuple(forced))
+    branches = teleports(lambda i, probs: [_pick(probs[0], row, forced, rng)])
+
+    def record(row: int, prob: float) -> MeasurementRecord:
+        outcome = MeasurementOutcome(pair=pair, label=labels[row], probability=prob)
+        return MeasurementRecord((outcome,), labels[row][:2], joint_probability=prob)
+
+    (result,) = _results(branches, record)
+    return result
 
 
 def _teleports(
@@ -173,15 +188,17 @@ def _teleports(
     """
     total, pairing = _teleport_setup(client, channel, pairing)
     _check_pairs(total, pairing)
-    stack = total.as_tensor()[None]
-    if trials is None:
-        leaf = None
-        _, *leaves = _walk(stack, pairing, _possible)
-    else:
+    follow = _possible
+    if trials is not None:
         u = _as_rng(rng).random((trials, len(pairing)))
-        leaf, *leaves = _sampled(stack, pairing, np.zeros(trials, dtype=int), u)
-    gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(leaves[0], axis=1)]
-    return pairing, leaf, _corrected_branches(client.amplitudes, gates, *leaves)
+        follow = _Sampled(np.zeros(trials, dtype=int), u)
+    levels = [(pair, _BELL_BRA) for pair in pairing]
+    _, rows, probs, residuals = _walk(total.as_tensor()[None], levels, follow)
+    gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(rows, axis=1)]
+    leaf = None if trials is None else follow.at
+    return pairing, leaf, _corrected_branches(
+        client.amplitudes, gates, rows, probs, _normalized(residuals)
+    )
 
 
 def teleport_branches(
@@ -434,8 +451,8 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     return PureState(amps), kind
 
 
-# The client and a 4-qubit channel; Bob's gates [assumed class, measured class].
-_SCATTER_PAIRING = default_pairing(5)
+# The Bell levels of a client and a 4-qubit channel; Bob's gates [assumed, measured].
+_SCATTER_LEVELS = [(pair, _BELL_BRA) for pair in default_pairing(5)]
 _SCATTER_GATES = np.array([_gate_table(c) for c in BELL_CLASSES])
 
 
@@ -453,12 +470,11 @@ def _scatter_teleports(
     (trial, assumed class, measured class, fidelity), trial-major, then
     class, then branch.
     """
-    pairing = _SCATTER_PAIRING
     totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
-    totals = totals.reshape((len(totals),) + (2,) * (2 * len(pairing) + 1))
+    totals = totals.reshape((len(totals),) + (2,) * (2 * len(_SCATTER_LEVELS) + 1))
     classes = len(BELL_CLASSES)
     if draws is None:
-        roots, rows, _, residuals = _walk(totals, pairing, _possible)
+        roots, rows, _, residuals = _walk(totals, _SCATTER_LEVELS, _possible)
         leaf = np.tile(np.arange(len(rows)), classes)
         cls = np.repeat(np.arange(classes), len(rows))
         order = np.lexsort((leaf, cls, roots[leaf]))  # trial, then class, then branch
@@ -466,12 +482,13 @@ def _scatter_teleports(
         trial = roots[leaf]
     else:
         trial = np.repeat(np.arange(len(totals)), classes)  # each root once per class
-        u = draws.reshape(len(trial), len(pairing))
-        leaf, rows, _, residuals = _sampled(totals, pairing, trial, u)
-        cls = np.arange(len(trial)) % classes
+        follow = _Sampled(trial, draws.reshape(len(trial), len(_SCATTER_LEVELS)))
+        _, rows, _, residuals = _walk(totals, _SCATTER_LEVELS, follow)
+        leaf, cls = follow.at, np.arange(len(trial)) % classes
     measured = np.bitwise_xor.reduce(rows, axis=1)[leaf]
     gates = _SCATTER_GATES[cls, measured]
-    branches = _corrected_branches(clients[trial], gates, None, None, residuals[leaf])
+    residuals = _normalized(residuals)[leaf]
+    branches = _corrected_branches(clients[trial], gates, None, None, residuals)
     classes = [BELL_CLASSES[c] for c in cls.tolist()]
     measured = [BELL_CLASSES[m] for m in measured.tolist()]
     return zip(trial.tolist(), classes, measured, branches.fidelities)
@@ -501,7 +518,7 @@ def fig2_run(
         rng = np.random.default_rng(ss)
         sampled.append((_haar(2, rng), *_scatter_channel(rng)))
         if not enumerate_branches:
-            draws.append(rng.random(len(BELL_CLASSES) * len(_SCATTER_PAIRING)))
+            draws.append(rng.random(len(BELL_CLASSES) * len(_SCATTER_LEVELS)))
     clients, channels, kinds, omegas = zip(*sampled)
     draws = None if enumerate_branches else np.array(draws)
     runs = _scatter_teleports(np.array(clients), np.array(channels), draws)

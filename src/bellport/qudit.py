@@ -17,21 +17,21 @@ eigenspaces of P^(xL) and the alternating product Q (x) Q^dag (x) Q ...
 to the qubit Upsilon operators).
 
 Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}.
-Every outcome comes from one contraction with that bra (``_teleports``);
-Bob's gates (Xtilde^{jk}_{pq})^dagger are a d^2-row table built once per
-(d, assumed label) and indexed by the outcome row p d + q, so a single
-``qudit_teleport`` is a row picked from the same arrays, forced or drawn.
+Every outcome is one level of ``measure._walk`` with that bra
+(``_teleports``); Bob's gates (Xtilde^{jk}_{pq})^dagger are a d^2-row
+table built once per (d, assumed label) and indexed by the outcome row
+p d + q, so a single ``qudit_teleport`` walks one row, forced or drawn.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .measure import MeasurementOutcome, _outcomes, _pick, collapse
-from .protocol import TeleportResult, _Branches, _corrected_branches, _one_outcome, _results
+from .measure import MeasurementOutcome, _walk, collapse
+from .protocol import TeleportResult, _Branches, _corrected_branches, _teleport_one
 from .states import PureState, apply_local
 
 
@@ -140,9 +140,11 @@ def _teleports(
     as the arrays of one contraction with the Bell bra."""
     d = client.local_dim
     total = (client.amplitudes[:, None] * channel.amplitudes).reshape(d, d, d)  # np.kron
-    rows, probs, residuals = _outcomes(total, (0, 1), _bell_bra(d), follow)
+    _, rows, probs, residuals = _walk(total[None], [((0, 1), _bell_bra(d))], follow)
+    rows, probs = rows[:, 0], probs[:, 0]
     gates = _gate_table(d, *assumed)[rows]
-    return _corrected_branches(client.amplitudes, gates, rows, probs, residuals[:, 0])
+    # the residuals stay as the walk divides them, as qudit_bell_measure's do
+    return _corrected_branches(client.amplitudes, gates, rows, probs, residuals)
 
 
 def qudit_teleport(
@@ -175,18 +177,11 @@ def qudit_teleport(
         raise ValueError("channel must be a two-qudit state of the client dimension")
     if assumed is None:
         raise ValueError("assumed channel label is required for a state channel")
-    row = label = None
     if forced is not None:
-        label = (forced[0] % dim, forced[1] % dim)
-        row = label[0] * dim + label[1]
-    branches = _teleports(
-        client, chan_state, assumed, lambda i, probs: [_pick(probs, row, label, rng)]
-    )
-    (result,) = _results(
-        branches,
-        lambda row, prob: _one_outcome((0, 1), divmod(row, dim), divmod(row, dim), prob),
-    )
-    return result
+        forced = (forced[0] % dim, forced[1] % dim)
+    labels = [divmod(row, dim) for row in range(dim * dim)]  # row p d + q is (p, q)
+    teleports = partial(_teleports, client, chan_state, assumed)
+    return _teleport_one(teleports, labels, (0, 1), forced, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -14,28 +14,28 @@ teleports superpositions alpha_+ |j:+:l} + alpha_- |j:-:l} perfectly is
 the rank-2 projection fixing (Lambda^1, Lambda^2) = (p, q), leaving the
 redundant Lambda^3 unmeasured.
 
-Every outcome of the trio comes from one contraction with the 8-row bra
-(``_teleports``), taken one row per outcome in full mode and two in
-reduced mode; Bob's gate is a row of the 4-gate table of the qubit
-protocol, indexed by the class (p, q) of the outcome row, so a single
-``teleport3`` is a row picked from the same arrays, forced or drawn.
+Every outcome of the trio comes from one level of ``measure._walk`` with
+the 8-row bra (``_teleports``), taken one row per outcome in full mode
+and two in reduced mode; Bob's gate is a row of the 4-gate table of the
+qubit protocol, indexed by the class (p, q) of the outcome row, so a
+single ``teleport3`` is the same walk following one row, forced or drawn.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import u_matrix, x_operator
-from .measure import _normalized, _outcomes, _pick
+from .measure import _normalized, _walk
 from .protocol import (
     TeleportResult,
     _Branches,
     _corrected_branches,
     _gate_table,
-    _one_outcome,
-    _results,
+    _teleport_one,
 )
 from .states import PureState
 
@@ -112,7 +112,9 @@ def _teleports(
     leaves the recipient entangled raises ValueError."""
     _, bra = _OUTCOMES[mode]
     total = (client.amplitudes[:, None] * channel.amplitudes).reshape(2, 2, 2, 2)  # np.kron
-    rows, probs, blocks = _outcomes(total, (0, 1, 2), bra, follow)
+    _, rows, probs, amps = _walk(total[None], [((0, 1, 2), bra)], follow)
+    rows, probs = rows[:, 0], probs[:, 0]
+    blocks = amps.reshape(len(rows), bra.shape[1], 2)  # not -1: no row may be taken
     if mode == "reduced":
         # The projected trio must factor from the recipient qubit.
         _, s_, vh = np.linalg.svd(blocks)  # each (2, 2): l-label x last site
@@ -155,22 +157,13 @@ def teleport3(
     if mode not in _OUTCOMES:
         raise ValueError(f"mode must be 'full' or 'reduced', got {mode!r}")
     labels, _ = _OUTCOMES[mode]
-    row = None
-    if forced is not None:
-        if len(forced) != len(labels[0]):
-            raise ValueError(
-                f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
-            )
-        row = labels.index(tuple(forced))
-    branches = _teleports(
-        client, channel, assumed, mode, lambda i, probs: [_pick(probs, row, forced, rng)]
-    )
+    if forced is not None and len(forced) != len(labels[0]):
+        raise ValueError(
+            f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
+        )
+    teleports = partial(_teleports, client, channel, assumed, mode)
     # sites 0..2 are measured jointly; the pair field records the span
-    (result,) = _results(
-        branches,
-        lambda row, prob: _one_outcome((0, 2), labels[row], labels[row][:2], prob),
-    )
-    return result
+    return _teleport_one(teleports, labels, (0, 2), forced, rng)
 
 
 def theta_operator(kappa: int) -> np.ndarray:

@@ -204,6 +204,24 @@ def test_trials_below_one_exits_64(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 10**12])
+@pytest.mark.parametrize(
+    "argv",
+    [["fig2"], ["teleport", "--channel", "bell:+-"], ["heisenberg-check", "-L", "4"]],
+)
+def test_trials_over_cap_exits_64_before_running(argv, trials, tmp_path, capsys):
+    # 10**12 sampled teleports would ask numpy for terabytes
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--trials", str(trials), "--out", str(out)])
+    assert err.value.code == 64
+    stderr = capsys.readouterr().err
+    assert f"--trials: must be a positive integer up to {cli.MAX_TRIALS}" in stderr
+    assert not out.exists()
+    args = cli.build_parser().parse_args(argv + ["--trials", str(cli.MAX_TRIALS)])
+    assert args.trials == cli.MAX_TRIALS
+
+
 @pytest.mark.parametrize(
     "argv",
     [

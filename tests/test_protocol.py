@@ -32,6 +32,7 @@ from bellport.protocol import (
     rotation_gate,
     sample_scatter_channel,
     teleport,
+    teleport_branches,
 )
 from bellport.states import (
     PureState,
@@ -377,3 +378,33 @@ def test_raw_scatter_sampler_matches_state_sampler(seed):
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
     assert public_rng.bit_generator.state == old_rng.bit_generator.state
     assert omega == order_parameter(channel).omega  # dict of floats, compared with ==
+
+
+# ---------------------------------------------------------------------------
+# mean fidelity: f = (d F + 1) / (d + 1) with F the class weight (1 + Omega_c) / 4
+
+# +-x, +-y, +-z: a qubit 3-design, so their mean of a degree-2 quantity is the Haar mean
+OCTAHEDRAL_CLIENTS = [
+    PureState(np.array(v, dtype=complex) / np.linalg.norm(v))
+    for v in ([1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0], [0, 1])
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_mean_branch_fidelity_is_the_order_parameter_law(L, seed):
+    # probability-weighted fidelity over every branch, averaged over the
+    # clients, is (3 + Omega_c) / 6 for any channel and assumed class c
+    channel = random_state(L, 2, 100 * L + seed)
+    omega = order_parameter(channel).omega
+    for cls in BELL_CLASSES:
+        mean = np.mean(
+            [
+                sum(
+                    res.record.joint_probability * res.fidelity
+                    for res in teleport_branches(client, channel, cls)
+                )
+                for client in OCTAHEDRAL_CLIENTS
+            ]
+        )
+        assert abs(mean - (3.0 + omega[cls]) / 6.0) <= 1e-12

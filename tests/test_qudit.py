@@ -7,9 +7,11 @@ import pytest
 
 from bellport.algebra import u_matrix
 from bellport.bell import bell_state
+from bellport.measure import _possible
 from bellport.protocol import teleport
 from bellport.qudit import (
     _bell_bra,
+    _teleports,
     apply_qudit_upsilon,
     generalized_pauli,
     omega_root,
@@ -247,3 +249,34 @@ def test_qudit_class_projectors_rank_and_completeness():
 def test_qudit_measure_requires_extra_site():
     with pytest.raises(ValueError):
         qudit_bell_measure(qudit_bell(3, 0, 0), 0, 1)
+
+
+def mub_states(d):
+    """The d (d + 1) states of the d + 1 mutually unbiased bases of a prime d
+    (a 2-design): the computational basis and omega^(a l^2 + b l) / sqrt(d),
+    with a l^2 / 2 for d = 2, where l^2 = l would repeat the Fourier basis."""
+    l = np.arange(d)
+    c = 0.5 if d == 2 else 1.0
+    vectors = list(np.eye(d, dtype=complex))
+    for a, b in product(range(d), repeat=2):
+        vectors.append(np.exp(2j * np.pi * (c * a * l * l + b * l) / d) / np.sqrt(d))
+    return [PureState(v, local_dim=d) for v in vectors]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mean_branch_fidelity_is_the_class_weight_law(d, seed):
+    # probability-weighted fidelity over every branch, averaged over the
+    # MUB clients, is (d w + 1) / (d + 1) with w the weight of the assumed class
+    channel = random_state(2, d, 10 * d + seed)
+    weights = qudit_decompose(channel)
+    clients = mub_states(d)
+    for label in product(range(d), repeat=2):
+        mean = np.mean(
+            [
+                np.dot(branches.probs, branches.fidelities)
+                for branches in (_teleports(v, channel, label, _possible) for v in clients)
+            ]
+        )
+        w = weights[label] ** 2
+        assert abs(mean - (d * w + 1) / (d + 1)) <= 1e-12
