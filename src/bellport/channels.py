@@ -9,8 +9,10 @@ stabilizers and the derived G1/G2 string operators; the AKLT ground
 state is built in the virtual-qubit picture together with its string
 order parameter.  These builders are index maps: a dimer product moves
 the bits of the Majumdar-Ghosh product, the Heisenberg ring uses
-S_i . S_j = SWAP_ij / 2 - 1/4 in its S^z = 0 sector, and an AKLT
-junction is (1 + SWAP) / 2.  No builder exceeds MAX_QUBITS qubits.
+S_i . S_j = SWAP_ij / 2 - 1/4 in its S^z = 0 sector, one translation
+momentum at a time (conjugate momenta share a spectrum, and the gap is
+taken over the union of all of them), and an AKLT junction is
+(1 + SWAP) / 2.  No builder exceeds MAX_QUBITS qubits.
 """
 
 from __future__ import annotations
@@ -158,22 +160,41 @@ def majumdar_ghosh_dimers(n_pairs: int) -> PureState:
 def noncrossing_matchings(L: int) -> list[tuple[tuple[int, int], ...]]:
     """All non-crossing perfect matchings of sites 0..L-1 (Catalan many)."""
     _require_even(L)
+    return [tuple(zip(row[0::2], row[1::2])) for row in _matching_sites(L).tolist()]
 
-    def match(sites: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-        if not sites:
-            return [()]
-        first = sites[0]
-        out = []
-        for i in range(1, len(sites), 2):  # partner must leave even gaps
-            partner = sites[i]
-            inner = match(sites[1:i])
-            outer = match(sites[i + 1 :])
-            for a in inner:
-                for b in outer:
-                    out.append(((first, partner),) + a + b)
-        return out
 
-    return match(tuple(range(L)))
+def _matching_sites(L: int) -> np.ndarray:
+    """The non-crossing matchings of L sites as one (count, L) array.
+
+    Row r lists the pairs of matching r one after the other, so it is the
+    site each slot of the Majumdar-Ghosh product moves to.  Site 0 pairs
+    with an odd site q, which leaves the matchings of the q - 1 sites
+    inside and of the L - q - 1 sites outside; the table for each even
+    length is built once, from the shorter ones.
+    """
+    tables = [np.zeros((1, 0), dtype=np.intp)]  # tables[n]: matchings of 2n sites
+    for n in range(2, L + 1, 2):
+        parts = [
+            (tables[(q - 1) // 2], tables[(n - q - 1) // 2], q) for q in range(1, n, 2)
+        ]
+        table = np.empty((sum(len(a) * len(b) for a, b, _ in parts), n), dtype=np.intp)
+        start = 0
+        for inner, outer, q in parts:  # inner-major, as the rows are listed
+            stop = start + len(inner) * len(outer)
+            block = table[start:stop].reshape(len(inner), len(outer), n)
+            block[..., 0] = 0  # site 0 pairs with site q
+            block[..., 1] = q
+            block[..., 2 : q + 1] = inner[:, None] + 1
+            block[..., q + 1 :] = outer + q + 1
+            start = stop
+        tables.append(table)
+    return tables[-1]
+
+
+# Entries per block of scatter-adds.  A block holds its indices, its
+# products and numpy's two buffers for the broadcast complex product,
+# about 56 B per entry, so at L = 12 a block stays below the state's size.
+_SCATTER_BLOCK = 2**10
 
 
 def singlet_random(
@@ -182,19 +203,29 @@ def singlet_random(
     """Random state of the singlet space of L = 2 * n_pairs qubits.
 
     Draws complex-normal coefficients over the non-crossing dimer
-    products (which span the singlet space) and normalizes.
+    products (which span the singlet space) and normalizes.  A dimer
+    product is the Majumdar-Ghosh product with the bit of slot s moved
+    to the site that the matching lists in slot s; blocks of products
+    are scatter-added in matching order, so each amplitude sums its
+    terms in the same order as one product at a time would.
     """
     L = 2 * n_pairs
     _check_size(L)
+    _require_even(L)
     rng = _as_rng(seed)
-    basis = noncrossing_matchings(L)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    sites = _matching_sites(L)
+    coeffs = rng.standard_normal(len(sites)) + 1j * rng.standard_normal(len(sites))
     mg = majumdar_ghosh_dimers(n_pairs).amplitudes
     nz = np.flatnonzero(mg)
-    bits = (nz[:, None] >> np.arange(L - 1, -1, -1)) & 1  # bits[:, s] is slot s
+    values = mg[nz]
+    del mg  # 4^n_pairs entries; only its 2^n_pairs nonzero ones are needed
+    bits = (nz >> np.arange(L - 1, -1, -1)[:, None]) & 1  # bits[s] is slot s
+    weights = 1 << (L - 1 - sites)  # the bit of slot s lands on site sites[r, s]
     amps = np.zeros(2**L, dtype=complex)
-    for c, m in zip(coeffs, basis):  # the bit of slot s moves to site m[s]
-        amps[(bits << (L - 1 - np.ravel(m))).sum(1)] += c * mg[nz]
+    block = max(1, _SCATTER_BLOCK // len(nz))
+    for lo in range(0, len(sites), block):
+        rows = slice(lo, lo + block)
+        np.add.at(amps, weights[rows] @ bits, coeffs[rows, None] * values)
     return normalize(PureState(amps, normalized=False))
 
 
@@ -202,10 +233,18 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     """Ground state of the spin-1/2 antiferromagnetic Heisenberg ring.
 
     H = sum_i S_i . S_{i+1} with periodic boundary and S_i . S_j =
-    SWAP_ij / 2 - 1/4, diagonalized in the S^z = 0 sector for L <= 12
-    (its gap is the full gap: every SU(2) multiplet of an even ring has
-    an S^z = 0 member).  Raises DegenerateGroundStateError when the
-    spectral gap falls below ``degeneracy_tol``.
+    SWAP_ij / 2 - 1/4, diagonalized in the S^z = 0 sector for L <= 12,
+    one translation momentum k = 2 pi m / L at a time.  The sector's
+    states fall into orbits under the cyclic shift T; the momentum
+    state of representative r with period p exists when m p = 0 mod L,
+    and bond swaps give H_k[b, a] = sum e^{ikt} sqrt(p_a / p_b) / 2 over
+    the bonds taking a to T^t b.  H_k and H_{-k} share a spectrum, so
+    only m <= L/2 is diagonalized and 0 < m < L/2 counts twice; H_k is
+    real at k = 0 and k = pi.  The gap is taken over the union of the
+    sector spectra, so it is the S^z = 0 gap, which is the full gap:
+    every SU(2) multiplet of an even ring has an S^z = 0 member.
+    Raises DegenerateGroundStateError unless the gap is at least
+    ``degeneracy_tol`` (so a NaN tolerance always raises).
     """
     _require_even(L)
     if L > 12:
@@ -213,18 +252,49 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     weights = 2 ** np.arange(L - 1, -1, -1)  # site s is bit L-1-s
     bits = np.arange(2**L)[:, None] // weights % 2
     basis = np.flatnonzero(bits.sum(1) == L // 2)
-    bits = bits[basis]
-    H = np.diag(np.full(len(basis), -L / 4))
-    for i in range(L):
-        j = (i + 1) % L
-        swapped = basis + (bits[:, j] - bits[:, i]) * (weights[i] - weights[j])
-        H[np.arange(len(basis)), np.searchsorted(basis, swapped)] += 0.5
-    energies, vectors = np.linalg.eigh(H)
-    gap = float(energies[1] - energies[0])
-    if gap < degeneracy_tol:
+    # images[:, j - 1] is T^j x for j = 1..L, where T moves site s to s + 1
+    j = np.arange(1, L + 1)
+    images = (basis[:, None] >> j | basis[:, None] << L - j) & (2**L - 1)
+    first = images.argmin(1)
+    reps, orbit = np.unique(images[np.arange(len(basis)), first], return_inverse=True)
+    shift = L - 1 - first  # x = T^shift r for the representative r of its orbit
+    period = (images[np.searchsorted(basis, reps)] == reps[:, None]).argmax(1) + 1
+    # bond b of representative a swaps it into T^t r for the representative r
+    nxt = np.roll(np.arange(L), -1)
+    swapped = reps[:, None] + (bits[reps][:, nxt] - bits[reps]) * (weights - weights[nxt])
+    col = np.searchsorted(basis, swapped).ravel()
+    source, target, t = np.repeat(np.arange(len(reps)), L), orbit[col], shift[col]
+    weight = 0.5 * np.sqrt(period[source] / period[target])
+    root = np.exp(2j * np.pi * np.arange(L) / L)  # e^{ik} at k = 2 pi m / L
+    root[L // 2] = -1  # exactly, so that H_k is real at k = 0 and k = pi
+
+    spectra, sectors = [], []
+    for m in range(L // 2 + 1):
+        live = m * period % L == 0  # orbits with a momentum-m state
+        row = np.cumsum(live) - 1
+        use = live[source] & live[target]
+        H = np.diag(np.full(row[-1] + 1, -L / 4 + 0j))
+        phase = root[m * t[use] % L]
+        np.add.at(H, (row[target[use]], row[source[use]]), phase * weight[use])
+        if 2 * m % L == 0:
+            H = H.real
+            spectra.append(np.linalg.eigvalsh(H))
+        else:  # the conjugate momentum -k has the same spectrum
+            spectra.append(np.repeat(np.linalg.eigvalsh(H), 2))
+        sectors.append((m, H, live, row))
+    union = np.sort(np.concatenate(spectra))
+    gap = float(union[1] - union[0])
+    if not gap >= degeneracy_tol:
         raise DegenerateGroundStateError(gap, degeneracy_tol)
+    m, H, live, row = sectors[int(np.argmin([e[0] for e in spectra]))]
+    vector = np.linalg.eigh(H)[1][:, 0]
+    keep = live[orbit]  # x = T^shift r holds e^{-ik shift} / sqrt(period) of r's state
     ground = np.zeros(2**L, dtype=complex)
-    ground[basis] = vectors[:, 0]
+    ground[basis[keep]] = (
+        vector[row[orbit[keep]]]
+        * root[-m * shift[keep] % L]
+        / np.sqrt(period[orbit[keep]])
+    )
     return normalize(PureState(ground, normalized=False))
 
 

@@ -1,9 +1,10 @@
 """Channel families: singlets, Heisenberg, cluster states, AKLT.
 
 The many-body builders are index maps; the dense constructions they
-replaced are kept here as oracles: the dimer product as a permuted
-Majumdar-Ghosh state, the Heisenberg Hamiltonian as a sum of Kronecker
-strings, and the AKLT junctions as a 4x4 triplet projector.
+replaced are kept here as oracles: the non-crossing matchings as a
+recursive list, the dimer product as a permuted Majumdar-Ghosh state, the Heisenberg Hamiltonian as a sum of Kronecker
+strings and as one dense matrix on its S^z = 0 sector, and the AKLT
+junctions as a 4x4 triplet projector.
 """
 
 import tracemalloc
@@ -73,6 +74,26 @@ G_FACTORIZATIONS = {
 # oracles: the dense builders before the index maps
 
 
+def recursive_matchings(L):
+    """Site 0 pairs with each odd partner in turn; inner, then outer."""
+
+    def match(sites):
+        if not sites:
+            return [()]
+        first = sites[0]
+        out = []
+        for i in range(1, len(sites), 2):  # partner must leave even gaps
+            partner = sites[i]
+            inner = match(sites[1:i])
+            outer = match(sites[i + 1 :])
+            for a in inner:
+                for b in outer:
+                    out.append(((first, partner),) + a + b)
+        return out
+
+    return match(tuple(range(L)))
+
+
 def dimer_product(matching, L):
     """Singlet placed on every pair of the matching (pairs may be nested)."""
     state = bell_basis_state([(-1, -1)] * (L // 2))
@@ -100,6 +121,23 @@ def dense_heisenberg_ring(L):
                 term = np.kron(term, op if site in (i, j) else eye)
             H += term
     return H
+
+
+def sector_heisenberg_ring(L):
+    """Ground state and gap from one dense eigh of the whole S^z = 0 sector."""
+    weights = 2 ** np.arange(L - 1, -1, -1)
+    bits = np.arange(2**L)[:, None] // weights % 2
+    basis = np.flatnonzero(bits.sum(1) == L // 2)
+    bits = bits[basis]
+    H = np.diag(np.full(len(basis), -L / 4))
+    for i in range(L):
+        j = (i + 1) % L
+        swapped = basis + (bits[:, j] - bits[:, i]) * (weights[i] - weights[j])
+        H[np.arange(len(basis)), np.searchsorted(basis, swapped)] += 0.5
+    energies, vectors = np.linalg.eigh(H)
+    ground = np.zeros(2**L, dtype=complex)
+    ground[basis] = vectors[:, 0]
+    return ground, energies[1] - energies[0]
 
 
 def dense_aklt(L):
@@ -215,6 +253,43 @@ def test_singlet_random_keeps_one_dimer_product_at_a_time():
     assert peak < 2**20
 
 
+def test_singlet_random_equals_dimer_sum_oracle_over_many_blocks():
+    """1,430 products of 256 nonzero amplitudes span many scatter-add blocks."""
+    rng = np.random.default_rng(8)
+    basis = noncrossing_matchings(16)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    product = bell_basis_state([(-1, -1)] * 8).as_tensor()
+    amps = np.zeros(2**16, dtype=complex)
+    for c, m in zip(coeffs, basis):  # dimer_product(m, 16), one transpose each
+        amps += c * product.transpose(np.argsort(np.ravel(m))).reshape(-1)
+    expected = amps / np.linalg.norm(amps)
+    assert np.array_equal(singlet_random(8, 8).amplitudes, expected)
+
+
+def test_singlet_random_peak_memory_at_16_qubits():
+    """A loop over one product at a time peaked at 5.4 MiB; the state is 1 MiB."""
+    tracemalloc.start()
+    try:
+        singlet_random(8, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.4 * 2**20
+
+
+@pytest.mark.parametrize("L", range(2, 18, 2))
+def test_noncrossing_matchings_equal_recursive_oracle(L):
+    """Same matchings in the same order, which fixes the scatter-add order."""
+    assert noncrossing_matchings(L) == recursive_matchings(L)
+    assert noncrossing_matchings(L) is not noncrossing_matchings(L)
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_singlet_random_refuses_no_pairs(n_pairs):
+    with pytest.raises(ValueError, match="positive even"):
+        singlet_random(n_pairs, 1)
+
+
 def test_singlet_random_reproducible():
     a = singlet_random(2, seed=3)
     b = singlet_random(2, seed=3)
@@ -241,6 +316,31 @@ def test_heisenberg_matches_dense_hamiltonian(L):
     with pytest.raises(DegenerateGroundStateError) as err:
         heisenberg_ring_ground(L, degeneracy_tol=gap + 1e-6)
     assert abs(err.value.gap - gap) < TOL
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
+def test_heisenberg_momentum_sectors_match_sector_oracle(L):
+    """Same ground state up to one global phase, and the same gap."""
+    expected, gap = sector_heisenberg_ring(L)
+    ground = heisenberg_ring_ground(L).amplitudes
+    phase = np.vdot(ground, expected)
+    phase /= abs(phase)
+    assert np.max(np.abs(phase * ground - expected)) < TOL
+    with pytest.raises(DegenerateGroundStateError) as err:
+        heisenberg_ring_ground(L, degeneracy_tol=gap + 1e-6)
+    assert abs(err.value.gap - gap) < TOL
+
+
+def test_heisenberg_nan_tolerance_raises():
+    """gap < nan is False; the guard must still refuse to vouch for the gap."""
+    _, gap = sector_heisenberg_ring(6)
+    with pytest.raises(DegenerateGroundStateError) as err:
+        heisenberg_ring_ground(6, degeneracy_tol=float("nan"))
+    assert abs(err.value.gap - gap) < TOL
+
+
+def test_heisenberg_accepts_zero_tolerance():
+    assert heisenberg_ring_ground(6, degeneracy_tol=0.0).num_sites == 6
 
 
 def test_heisenberg_degeneracy_guard():
