@@ -162,7 +162,10 @@ def _require_even_qubits(state: PureState) -> None:
 def _class_components(
     amps: np.ndarray, classes: Sequence[BellClass | tuple[int, int]]
 ) -> list[np.ndarray]:
-    """P_[j:k] a = (a + j Y1 a + k Y2 a + jk Y3 a) / 4 for each class, unnormalized."""
+    """P_[j:k] a = (a + j Y1 a + k Y2 a + jk Y3 a) / 4 for each class, unnormalized.
+
+    For a stack ``amps`` (..., 2^n), j and k may be arrays of signs that
+    broadcast against it, such as one class per state as columns."""
     y1, y2, y3 = _upsilons(amps)
     return [0.25 * (amps + j * y1 + k * y2 + j * k * y3) for j, k in classes]
 

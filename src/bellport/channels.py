@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import BellLabel, _u_string, apply_upsilon, bell_basis_state
-from .states import PureState, _as_rng, inner_product, normalize, random_state
+from .states import PureState, _as_rng, _normalize_own, inner_product, random_state
 
 # 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
 MAX_QUBITS = 20
@@ -77,7 +77,7 @@ def build(spec: ChannelSpec) -> PureState:
     if kind == "explicit":
         if spec.amplitudes is None:
             raise ValueError("explicit spec needs amplitudes")
-        return normalize(PureState(spec.amplitudes, normalized=False))
+        return _normalize_own(np.array(spec.amplitudes, dtype=complex))  # a copy
     L = spec.qubits
     if kind == "random":
         _check_size(L)
@@ -226,7 +226,7 @@ def singlet_random(
     for lo in range(0, len(sites), block):
         rows = slice(lo, lo + block)
         np.add.at(amps, weights[rows] @ bits, coeffs[rows, None] * values)
-    return normalize(PureState(amps, normalized=False))
+    return _normalize_own(amps)
 
 
 def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
@@ -295,7 +295,7 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
         * root[-m * shift[keep] % L]
         / np.sqrt(period[orbit[keep]])
     )
-    return normalize(PureState(ground, normalized=False))
+    return _normalize_own(ground)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +416,11 @@ def _aklt_build(L: int) -> tuple[PureState, float]:
         raise ValueError("AKLT construction needs L >= 4")
     t = majumdar_ghosh_dimers(L // 2).as_tensor()
     for r in range(1, L - 2, 2):  # pairs (1,2), (3,4), ..., (L-3,L-2)
-        t = 0.5 * (t + t.swapaxes(r, r + 1))  # triplet projector (1 + SWAP) / 2
-    state = PureState(t.reshape(-1), normalized=False)
-    nrm = state.norm()
-    return normalize(state), nrm
+        t = t + t.swapaxes(r, r + 1)  # triplet projector (1 + SWAP) / 2
+        t *= 0.5
+    amps = t.reshape(-1)
+    nrm = float(np.linalg.norm(amps))
+    return _normalize_own(amps), nrm
 
 
 def aklt_state(L: int) -> PureState:

@@ -67,7 +67,8 @@ from .threequbit import _teleports as _trio_teleports
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
-# 65x fig2's default; a fig2 trial keeps about 3.9 KiB until its row is written
+# 65x fig2's default; a fig2 trial keeps about 1.5 KiB until its row is
+# written (fig2 --trials 131072 peaks at 225 MiB RSS)
 MAX_TRIALS = 2**17
 _CLAIM_TOL = 1e-10  # the tolerance of every exact claim a subcommand checks
 
@@ -238,12 +239,13 @@ def _cmd_teleport(args):
 def _cmd_fig2(args):
     rows = fig2_run(args.trials, args.seed, enumerate_branches=args.enumerate_branches)
     bad = fig2_violations(rows)
+    signs = {c: format_sign_pair(c) for c in BELL_CLASSES}
     table = [
         [
             r.trial,
-            format_sign_pair(r.assumed_class),
+            signs[r.assumed_class],
             r.omega,
-            format_sign_pair(r.measured_class),
+            signs[r.measured_class],
             r.fidelity,
             r.channel_kind,
         ]

@@ -210,11 +210,16 @@ def _walk(
     return roots, rows, probs, amps
 
 
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``amps`` (rows, 1), rounded as ``np.linalg.norm``
+    rounds it."""
+    re, im = amps.real, amps.imag  # each dot as np.linalg.norm takes it
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+
+
 def _normalized(amps: np.ndarray) -> np.ndarray:
     """Each row of ``amps`` over its norm, rounded as ``np.linalg.norm`` rounds it."""
-    re, im = amps.real, amps.imag  # each dot as np.linalg.norm takes it
-    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
-    return amps / norms[:, 0]
+    return amps / _norms(amps)
 
 
 def _check_pairs(state: PureState, pairs: Sequence[tuple[int, int]]) -> None:

@@ -35,6 +35,7 @@ from .measure import (
     _Sampled,
     _check_pairs,
     _normalized,
+    _norms,
     _pick,
     _possible,
     _record,
@@ -44,7 +45,6 @@ from .measure import (
 from .states import (
     PureState,
     _as_rng,
-    _haar,
     _wrap,
     apply_local,
     inner_product,
@@ -416,24 +416,56 @@ class Fig2Row:
     channel_kind: str
 
 
+# fig2 samples and walks this many trials at a time, as stacked arrays; a
+# block bounds the generators, draws and walk arrays held at once.
+_FIG2_BLOCK = 1024
+_CLASS_SIGNS = np.array(BELL_CLASSES)  # the (j, k) of each class
+_PURE_KINDS = [f"pure-class {format_sign_pair(c)}" for c in BELL_CLASSES]
+
+
+def _scatter_channels(
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, list[str], list[dict[BellClass, float]]]:
+    """``sample_scatter_channel`` once on each generator of ``rngs``, on
+    stacked raw amplitudes: the channels (trials, 16), their kinds and
+    their Omega_c.
+
+    Each generator makes the calls ``sample_scatter_channel`` documents,
+    in that order; the 16 + 16 normals of a draw are taken as 32 at once,
+    which gives the same values.  Each round then runs its arithmetic
+    once over the stacked draws of every trial still sampling, each step
+    rounded as it is for one vector, and the trials it refuses draw again
+    in the next round.
+    """
+    # each trial's class index, or -1 for a Haar trial
+    cls = np.array([rng.integers(4) if rng.random() < 0.5 else -1 for rng in rngs])
+    channels = np.empty((len(rngs), 16), dtype=complex)
+    omegas = np.empty((len(rngs), len(BELL_CLASSES)))
+    todo = np.arange(len(rngs))
+    while todo.size:
+        z = np.array([rngs[i].standard_normal(32) for i in todo.tolist()])
+        amps = _normalized(z[:, :16] + 1j * z[:, 16:])  # as _haar rounds it
+        pure = cls[todo] >= 0
+        j, k = _CLASS_SIGNS[cls[todo][pure]].T[:, :, None]  # columns, one row per trial
+        (projected,) = _class_components(amps[pure], [(j, k)])
+        norms = _norms(projected)
+        amps[pure] = projected / norms
+        omega = np.stack(list(_omega(*_expectations(amps).T).values()), axis=1)
+        accepted = omega.max(axis=1) <= 0.98
+        accepted[pure] = norms[:, 0] > 1e-6  # guard against a lucky orthogonal draw
+        channels[todo[accepted]] = amps[accepted]
+        omegas[todo[accepted]] = omega[accepted]
+        todo = todo[~accepted]
+    kinds = ["haar" if c < 0 else _PURE_KINDS[c] for c in cls.tolist()]
+    return channels, kinds, [dict(zip(BELL_CLASSES, row)) for row in omegas.tolist()]
+
+
 def _scatter_channel(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, str, dict[BellClass, float]]:
     """``sample_scatter_channel`` on raw amplitudes, with the channel's Omega_c."""
-    if rng.random() < 0.5:
-        cls = BELL_CLASSES[rng.integers(4)]
-        while True:
-            (projected,) = _class_components(_haar(16, rng), [cls])
-            norm = float(np.linalg.norm(projected))
-            if norm > 1e-6:  # guard against a lucky orthogonal draw
-                amps = projected / norm
-                omega = _omega(*_expectations(amps).tolist())
-                return amps, f"pure-class {format_sign_pair(cls)}", omega
-    while True:
-        amps = _haar(16, rng)
-        omega = _omega(*_expectations(amps).tolist())
-        if max(omega.values()) <= 0.98:
-            return amps, "haar", omega
+    channels, kinds, omegas = _scatter_channels([rng])
+    return channels[0], kinds[0], omegas[0]
 
 
 def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
@@ -444,8 +476,12 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     teleports at fidelity 1 on every branch; otherwise a Haar draw
     resampled until max_c Omega_c <= 0.98, where the fidelity bound is
     vacuous.  Either way no sampled row can dip below the bound, while
-    the scatter still reaches Omega = 3 and Omega < 0.  The draws run on
-    raw amplitude vectors; only the accepted channel becomes a state.
+    the scatter still reaches Omega = 3 and Omega < 0.  The draws from
+    ``rng``, in order: one ``random()`` picks the component, one
+    ``integers(4)`` the class of a pure-class channel, then each Haar
+    draw takes 16 normals for the real parts and 16 for the imaginary
+    parts, again after every refused draw.  The draws run on raw
+    amplitude vectors; only the accepted channel becomes a state.
     """
     amps, kind, _ = _scatter_channel(rng)
     return PureState(amps), kind
@@ -502,30 +538,37 @@ def fig2_run(
 
     Every row satisfies fidelity >= (omega - 1) / 2 - 1e-9; trials use
     independently spawned RNG streams so runs are reproducible and could
-    be distributed.  Each trial draws its client, its channel (with its
-    Omega_c, computed once) and its teleport uniforms as raw arrays; the
-    runs of all trials then go through one batched walk of the outcome
-    tree.  With ``enumerate_branches`` every reachable outcome branch is
-    forced instead of sampling one (a verification mode: the bound must
-    survive even the improbable branches); each trial is walked once for
-    all four assumed classes.
+    be distributed.  Each trial's generator draws, in order: its client
+    (2 + 2 normals), its channel (``sample_scatter_channel``) and, unless
+    ``enumerate_branches``, 8 teleport uniforms, one per assumed class and
+    Bell pair, class-major.  The trials are sampled a block at a time as
+    stacked arrays (the channel's Omega_c is computed once), and the runs
+    of a block go through one batched walk of the outcome tree.  With
+    ``enumerate_branches`` every reachable outcome branch is forced
+    instead of sampling one (a verification mode: the bound must survive
+    even the improbable branches); each trial is walked once for all
+    four assumed classes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sampled = []  # per trial: client and channel amplitudes, kind, Omega_c
-    draws = []
-    for ss in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(ss)
-        sampled.append((_haar(2, rng), *_scatter_channel(rng)))
+    root = np.random.SeedSequence(seed)
+    uniforms = len(BELL_CLASSES) * len(_SCATTER_LEVELS)
+    rows = []
+    for start in range(0, trials, _FIG2_BLOCK):
+        # the block's streams: the next children of root, as spawn(trials) lists them
+        streams = root.spawn(min(_FIG2_BLOCK, trials - start))
+        rngs = [np.random.default_rng(ss) for ss in streams]
+        z = np.array([rng.standard_normal(4) for rng in rngs])  # 2 + 2 at once
+        clients = _normalized(z[:, :2] + 1j * z[:, 2:])  # as _haar rounds it
+        channels, kinds, omegas = _scatter_channels(rngs)
+        draws = None
         if not enumerate_branches:
-            draws.append(rng.random(len(BELL_CLASSES) * len(_SCATTER_LEVELS)))
-    clients, channels, kinds, omegas = zip(*sampled)
-    draws = None if enumerate_branches else np.array(draws)
-    runs = _scatter_teleports(np.array(clients), np.array(channels), draws)
-    return [
-        Fig2Row(t, cls, float(omegas[t][cls]), measured, fid, kinds[t])
-        for t, cls, measured, fid in runs
-    ]
+            draws = np.array([rng.random(uniforms) for rng in rngs])
+        rows += [
+            Fig2Row(start + t, cls, omegas[t][cls], measured, fid, kinds[t])
+            for t, cls, measured, fid in _scatter_teleports(clients, channels, draws)
+        ]
+    return rows
 
 
 def fig2_violations(rows: Sequence[Fig2Row]) -> list[Fig2Row]:

@@ -175,6 +175,17 @@ def normalize(state: PureState) -> PureState:
     return PureState(state.amplitudes / nrm, local_dim=state.local_dim)
 
 
+def _normalize_own(amps: np.ndarray) -> PureState:
+    """``normalize(PureState(amps, normalized=False))`` for a complex qubit
+    array the caller owns: ``amps`` is divided in place, so the state is
+    copied once (by ``PureState``) instead of three times."""
+    nrm = float(np.linalg.norm(amps))
+    if nrm < 1e-12:
+        raise ValueError("cannot normalize a (numerically) zero state")
+    amps /= nrm
+    return PureState(amps)
+
+
 def _haar(size: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vector of ``size`` i.i.d. complex normal amplitudes."""
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)

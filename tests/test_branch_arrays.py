@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellport import cli
+from bellport import cli, protocol
 from bellport.bell import BELL_CLASSES, BELL_LABELS, format_sign_pair
 from bellport.measure import (
     ImpossibleOutcomeError,
@@ -325,6 +325,14 @@ def old_fig2_enumerated(trials, seed):
 def test_enumerated_fig2_matches_forced_teleports(trials, seed):
     # Fig2Row equality compares every float with ==
     assert fig2_run(trials, seed, enumerate_branches=True) == old_fig2_enumerated(trials, seed)
+
+
+# ten trials of these seeds hold both channel kinds and twice-refused Haar
+# draws (asserted in test_collapse.py)
+@pytest.mark.parametrize("seed", [5, 76])
+def test_enumerated_fig2_in_blocks_matches_forced_teleports(monkeypatch, seed):
+    monkeypatch.setattr(protocol, "_FIG2_BLOCK", 3)  # blocks of 3, 3, 3 and 1 trials
+    assert fig2_run(10, seed, enumerate_branches=True) == old_fig2_enumerated(10, seed)
 
 
 # ---------------------------------------------------------------------------

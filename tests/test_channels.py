@@ -4,16 +4,21 @@ The many-body builders are index maps; the dense constructions they
 replaced are kept here as oracles: the non-crossing matchings as a
 recursive list, the dimer product as a permuted Majumdar-Ghosh state, the Heisenberg Hamiltonian as a sum of Kronecker
 strings and as one dense matrix on its S^z = 0 sector, and the AKLT
-junctions as a 4x4 triplet projector.
+junctions as a 4x4 triplet projector.  The builders normalise their own
+array in place; the wrap-normalise-wrap step they used before, and the
+AKLT build that summed its junctions into fresh arrays, are kept as
+oracles for the bits of the result.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellport import channels
 from bellport.bell import (
     bell_basis_state,
     bell_state,
@@ -41,6 +46,7 @@ from bellport.channels import (
 )
 from bellport.algebra import u_matrix
 from bellport.states import (
+    PureState,
     apply_local,
     apply_two_site,
     inner_product,
@@ -275,6 +281,73 @@ def test_singlet_random_peak_memory_at_16_qubits():
     finally:
         tracemalloc.stop()
     assert peak < 5.4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the builders normalise their own array in place: one copy of the state
+
+
+def old_normalize_own(amps):
+    """How the builders normalised before: wrap, normalise, wrap again."""
+    return normalize(PureState(amps, normalized=False))
+
+
+def old_aklt_build(L):
+    """_aklt_build before it halved its junction sums in place."""
+    t = majumdar_ghosh_dimers(L // 2).as_tensor()
+    for r in range(1, L - 2, 2):
+        t = 0.5 * (t + t.swapaxes(r, r + 1))
+    state = PureState(t.reshape(-1), normalized=False)
+    return normalize(state), state.norm()
+
+
+def same_bits(a, b):
+    return np.array_equal(a.amplitudes.view(np.uint64), b.amplitudes.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(singlet_random, n, 40 + n) for n in (1, 4, 8)]
+    + [partial(heisenberg_ring_ground, L) for L in (2, 6, 10, 12)],
+    ids=[f"singlet-{2 * n}" for n in (1, 4, 8)] + [f"heisenberg-{L}" for L in (2, 6, 10, 12)],
+)
+def test_builders_normalize_as_before(monkeypatch, make):
+    new = make()
+    monkeypatch.setattr(channels, "_normalize_own", old_normalize_own)
+    assert same_bits(new, make())
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 12, 16])
+def test_aklt_matches_its_build_before(L):
+    state, nrm = old_aklt_build(L)
+    assert same_bits(aklt_state(L), state)
+    assert aklt_projection_norm(L) == nrm
+
+
+def test_explicit_channel_normalizes_a_copy():
+    amps = np.random.default_rng(3).standard_normal(16) + 0j
+    given_amps = amps.copy()
+    state = build(ChannelSpec(kind="explicit", amplitudes=amps))
+    assert same_bits(state, old_normalize_own(amps))
+    assert np.array_equal(amps.view(np.uint64), given_amps.view(np.uint64))
+    with pytest.raises(ValueError, match="zero state"):
+        build(ChannelSpec(kind="explicit", amplitudes=np.zeros(4)))
+
+
+@pytest.mark.parametrize(
+    "make", [partial(aklt_state, 16), partial(singlet_random, 8, 5)], ids=["aklt", "singlet"]
+)
+def test_builders_hold_one_copy_fewer_at_16_qubits(make):
+    """Wrapping, normalising and wrapping again peaked at 4.0 MiB (AKLT) and
+    4.41 MiB (singlets) for a 1 MiB state."""
+    make()
+    tracemalloc.start()
+    try:
+        make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20
 
 
 @pytest.mark.parametrize("L", range(2, 18, 2))

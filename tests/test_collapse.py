@@ -6,11 +6,13 @@ measured on the full state and stripped off afterwards, the three-qubit
 trio with its own row grouping, the qudit pair, the branch enumerator
 that forced every outcome tuple from scratch, ``Generator.choice`` for
 sampled rows, the fig2 scatter that ran one ``teleport`` per trial and
-class, and the sampled runs of one channel as successive ``teleport``
-calls.  Random states, pairings and forced or seeded outcomes must give
-the same outcomes, probabilities and residuals (to 1e-12), and consume
-the same random draws; enumerated branches, the batched fig2 rows and
-the batched sampled runs must equal theirs exactly.
+class, the scatter's channel sampler drawing one trial after another,
+and the sampled runs of one channel as successive ``teleport`` calls.
+Random states, pairings and forced or seeded outcomes must give the
+same outcomes, probabilities and residuals (to 1e-12), and consume the
+same random draws; enumerated branches, the batched fig2 rows, the
+block-sampled channels and the batched sampled runs must equal theirs
+exactly.
 """
 
 import tracemalloc
@@ -21,14 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellport import measure
+from bellport import measure, protocol
 from bellport.bell import (
     BELL_CLASSES,
     BELL_LABELS,
     BellClass,
     BellLabel,
+    _class_components,
+    _expectations,
     bell_basis_state,
     bell_state,
+    format_sign_pair,
 )
 from bellport.channels import build, parse_channel_spec
 from bellport.measure import (
@@ -41,6 +46,7 @@ from bellport.measure import (
 )
 from bellport.protocol import (
     Fig2Row,
+    _omega,
     default_pairing,
     fig2_run,
     order_parameter,
@@ -50,7 +56,7 @@ from bellport.protocol import (
     teleport_samples,
 )
 from bellport.qudit import qudit_bell, qudit_bell_measure
-from bellport.states import PureState, _as_rng, random_state, tensor
+from bellport.states import PureState, _as_rng, _haar, random_state, tensor
 from bellport.threequbit import BELL3_LABELS, Bell3Label, bell3_state, teleport3
 
 TOL = 1e-12
@@ -458,6 +464,112 @@ def old_fig2_run(trials, seed):
 def test_fig2_run_matches_per_trial_teleports(trials, seed):
     # Fig2Row equality compares every float with ==
     assert fig2_run(trials, seed) == old_fig2_run(trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# the fig2 scatter, its clients and channels sampled a block of trials at a time
+
+
+def old_scatter_channel(rng):
+    """The channel sampler before it ran a block of trials at a time, one
+    trial's draws after another: (amplitudes, kind, Omega_c, Haar draws)."""
+    draws = 0
+    if rng.random() < 0.5:
+        cls = BELL_CLASSES[rng.integers(4)]
+        while True:
+            draws += 1
+            (projected,) = _class_components(_haar(16, rng), [cls])
+            norm = float(np.linalg.norm(projected))
+            if norm > 1e-6:
+                amps = projected / norm
+                omega = _omega(*_expectations(amps).tolist())
+                return amps, f"pure-class {format_sign_pair(cls)}", omega, draws
+    while True:
+        draws += 1
+        amps = _haar(16, rng)
+        omega = _omega(*_expectations(amps).tolist())
+        if max(omega.values()) <= 0.98:
+            return amps, "haar", omega, draws
+
+
+def old_fig2_generators(trials, seed, enumerate_branches=False):
+    """Each trial's generator after fig2_run's draws, one trial at a time,
+    with the kind of its channel and the Haar draws the channel took."""
+    out = []
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(ss)
+        _haar(2, rng)  # the client
+        _, kind, _, draws = old_scatter_channel(rng)
+        if not enumerate_branches:
+            rng.random(8)  # the uniforms of four teleports over two Bell pairs
+        out.append((rng, kind, draws))
+    return out
+
+
+# Ten trials of each seed, in blocks of three, hold both channel kinds and
+# Haar draws refused once and twice, so that blocks run rounds of every size.
+BLOCK_SEEDS = (5, 76)
+
+
+def test_block_seeds_hold_both_kinds_and_twice_refused_haar_draws():
+    trials = [t for seed in BLOCK_SEEDS for t in old_fig2_generators(10, seed)]
+    assert {kind.split()[0] for _, kind, _ in trials} == {"haar", "pure-class"}
+    assert any(kind == "haar" and draws >= 3 for _, kind, draws in trials)
+    assert any(kind == "haar" and draws == 2 for _, kind, draws in trials)
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_fig2_run_in_blocks_matches_per_trial_teleports(monkeypatch, seed):
+    monkeypatch.setattr(protocol, "_FIG2_BLOCK", 3)  # blocks of 3, 3, 3 and 1 trials
+    assert fig2_run(10, seed) == old_fig2_run(10, seed)
+
+
+@pytest.mark.parametrize("enumerate_branches", [False, True])
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_fig2_run_leaves_each_trial_generator_as_the_per_trial_draws_do(
+    monkeypatch, seed, enumerate_branches
+):
+    expected = old_fig2_generators(10, seed, enumerate_branches)
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed_sequence):
+        made.append(default_rng(seed_sequence))
+        return made[-1]
+
+    monkeypatch.setattr(protocol, "_FIG2_BLOCK", 3)
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    fig2_run(10, seed, enumerate_branches=enumerate_branches)
+    monkeypatch.undo()
+    assert len(made) == 10
+    for rng, (old, _, _) in zip(made, expected):
+        assert rng.bit_generator.state == old.bit_generator.state
+
+
+@PROPERTY
+@given(seeds)
+def test_block_sampler_matches_per_trial_sampler(seed):
+    streams = np.random.SeedSequence(seed).spawn(12)
+    rngs = [np.random.default_rng(ss) for ss in streams]
+    old_rngs = [np.random.default_rng(ss) for ss in streams]
+    channels, kinds, omegas = protocol._scatter_channels(rngs)
+    for new, amps, kind, omega, old in zip(rngs, channels, kinds, omegas, old_rngs):
+        old_amps, old_kind, old_omega, _ = old_scatter_channel(old)
+        assert np.array_equal(amps.view(np.uint64), old_amps.view(np.uint64))
+        assert (kind, omega) == (old_kind, old_omega)  # floats compared with ==
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+@PROPERTY
+@given(seeds)
+def test_normals_drawn_at_once_are_the_normals_drawn_in_turn(seed):
+    # the block sampler takes a client's 2 + 2 and a Haar draw's 16 + 16 at once
+    at_once, in_turn = np.random.default_rng(seed), np.random.default_rng(seed)
+    for half in (2, 16):
+        joined = np.concatenate([in_turn.standard_normal(half) for _ in range(2)])
+        drawn = at_once.standard_normal(2 * half)
+        assert np.array_equal(drawn.view(np.uint64), joined.view(np.uint64))
+    assert at_once.bit_generator.state == in_turn.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
