@@ -6,7 +6,8 @@ channel cos(phi) |+:-}|-:+} + sin(phi) |-:+}|+:-} each of the sixteen
 branches has probability (1 +- sin 2phi)/16, yet the aggregate class
 stays uniform at 1/4.  Second: against a coherent channel error
 R(theta, n), the worst-case branch fidelity over all clients and all
-complex axes n equals cos(theta) exactly.
+complex axes n equals cos(theta) exactly for theta <= pi/2, and 0
+above, where a = -cot(theta/2) cancels the numerator.
 """
 
 from itertools import product

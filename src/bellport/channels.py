@@ -18,28 +18,15 @@ taken over the union of all of them), and an AKLT junction is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bell import BellLabel, _u_string, apply_upsilon, bell_basis_state
+from .bell import BellLabel, _parity, _u_string, apply_upsilon, bell_basis_state
 from .states import PureState, _as_rng, _normalize_own, inner_product, random_state
 
 # 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
 MAX_QUBITS = 20
-
-CHANNEL_KINDS = (
-    "bell-product",
-    "singlet-random",
-    "mg-dimers",
-    "heisenberg-ring",
-    "cluster1d",
-    "ghz",
-    "aklt",
-    "random",
-    "explicit",
-)
-
 
 class DegenerateGroundStateError(RuntimeError):
     """Ground state not unique within tolerance; carries the gap found."""
@@ -66,44 +53,48 @@ class ChannelSpec:
     amplitudes: np.ndarray | None = None
 
 
+# kind -> the state of its ChannelSpec.  Each entry looks its builder up
+# by module-level name when it runs, so a wrapped builder is the one called.
+_BUILDERS: dict[str, Callable[[ChannelSpec], PureState]] = {
+    "bell-product": lambda spec: _bell_product(spec.labels),
+    "singlet-random": lambda spec: singlet_random(_require_even(spec.qubits), spec.seed),
+    "mg-dimers": lambda spec: majumdar_ghosh_dimers(_require_even(spec.qubits)),
+    "heisenberg-ring": lambda spec: heisenberg_ring_ground(spec.qubits),
+    "cluster1d": lambda spec: cluster_state(spec.qubits),
+    "ghz": lambda spec: ghz_state(spec.qubits),
+    "aklt": lambda spec: aklt_state(spec.qubits),
+    "random": lambda spec: random_state(_check_size(spec.qubits), 2, spec.seed),
+    "explicit": lambda spec: _explicit(spec.amplitudes),
+}
+CHANNEL_KINDS = tuple(_BUILDERS)
+
+
 def build(spec: ChannelSpec) -> PureState:
     """Construct the state a ChannelSpec describes."""
-    kind = spec.kind
-    if kind == "bell-product":
-        if not spec.labels:
-            raise ValueError("bell-product spec needs labels")
-        _check_size(2 * len(spec.labels))
-        return bell_basis_state(spec.labels)
-    if kind == "explicit":
-        if spec.amplitudes is None:
-            raise ValueError("explicit spec needs amplitudes")
-        return _normalize_own(np.array(spec.amplitudes, dtype=complex))  # a copy
-    L = spec.qubits
-    if kind == "random":
-        _check_size(L)
-        return random_state(L, 2, spec.seed)
-    if kind == "singlet-random":
-        _require_even(L)
-        return singlet_random(L // 2, spec.seed)
-    if kind == "mg-dimers":
-        _require_even(L)
-        return majumdar_ghosh_dimers(L // 2)
-    if kind == "heisenberg-ring":
-        return heisenberg_ring_ground(L)
-    if kind == "cluster1d":
-        return cluster_state(L)
-    if kind == "ghz":
-        return ghz_state(L)
-    if kind == "aklt":
-        return aklt_state(L)
-    raise ValueError(f"unknown channel kind {kind!r}")
+    if spec.kind not in _BUILDERS:
+        raise ValueError(f"unknown channel kind {spec.kind!r}")
+    return _BUILDERS[spec.kind](spec)
+
+
+def _bell_product(labels: Sequence[BellLabel] | None) -> PureState:
+    if not labels:
+        raise ValueError("bell-product spec needs labels")
+    _check_size(2 * len(labels))
+    return bell_basis_state(labels)
+
+
+def _explicit(amplitudes: np.ndarray | None) -> PureState:
+    if amplitudes is None:
+        raise ValueError("explicit spec needs amplitudes")
+    return _normalize_own(np.array(amplitudes, dtype=complex))  # a copy
 
 
 def parse_channel_spec(text: str) -> ChannelSpec:
-    """Parse 'kind:arg[:seed]' strings, e.g. 'cluster1d:6' or 'bell:+-,-+'.
+    """Parse 'kind:qubits[:seed]' strings, e.g. 'cluster1d:6' or 'random:4:7'.
 
-    'bell:<labels>' takes comma-separated sign pairs; every other kind
-    takes the qubit count, optionally followed by ':<seed>'.
+    'bell:<labels>' takes comma-separated sign pairs, e.g. 'bell:+-,-+';
+    every other kind takes the qubit count, optionally followed by
+    ':<seed>', and nothing more.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
@@ -120,19 +111,25 @@ def parse_channel_spec(text: str) -> ChannelSpec:
     parts = rest.split(":") if rest else []
     if not parts or not parts[0]:
         raise ValueError(f"channel spec {text!r} needs a qubit count")
+    if len(parts) > 2:
+        raise ValueError(f"channel spec {text!r} is not kind:qubits[:seed]")
     qubits = int(parts[0])
     seed = int(parts[1]) if len(parts) > 1 else None
     return ChannelSpec(kind=kind, qubits=qubits, seed=seed)
 
 
-def _require_even(L: int) -> None:
+def _require_even(L: int) -> int:
+    """The pair count L // 2 of a positive even qubit count L."""
     if L < 2 or L % 2 != 0:
         raise ValueError(f"channel size must be a positive even qubit count, got {L}")
+    return L // 2
 
 
-def _check_size(L: int) -> None:
+def _check_size(L: int) -> int:
+    """L, unless it exceeds MAX_QUBITS."""
     if L > MAX_QUBITS:
         raise ValueError(f"{L} qubits exceed the limit of {MAX_QUBITS}")
+    return L
 
 
 def ghz_state(L: int) -> PureState:
@@ -306,18 +303,14 @@ def cluster_state(L: int) -> PureState:
     """Linear cluster state on L qubits.
 
     Built by the two-site factors (|+>_j + |->_j U2_{j+1}): the sign of
-    each computational amplitude is (-1)^(number of adjacent |-,-> pairs).
+    each computational amplitude is (-1)^(number of adjacent |-,-> pairs),
+    the parity of x & (x >> 1) for the index x.
     """
     _check_size(L)
     if L < 2:
         raise ValueError("cluster state needs at least 2 qubits")
-    amps = np.ones(2**L, dtype=complex)
-    idx = np.arange(2**L)
-    for j in range(L - 1):
-        bit_j = (idx >> (L - 1 - j)) & 1
-        bit_j1 = (idx >> (L - 2 - j)) & 1
-        amps[(bit_j & bit_j1) == 1] *= -1.0
-    return PureState(amps / np.sqrt(2.0**L))
+    x = np.arange(2**L)
+    return PureState(_parity(2**L)[x & (x >> 1)] / np.sqrt(2.0**L))
 
 
 @dataclass(frozen=True)
@@ -384,14 +377,10 @@ def cluster_g_operators(L: int) -> tuple[UProduct, UProduct]:
     _require_even(L)
     if L < 4:
         raise ValueError("G operators need L >= 4")
-    pairs = L // 2
-    if pairs % 2 == 0:
-        idx1 = [x for j in range(1, pairs // 2 + 1) for x in (4 * j - 3, 4 * j)]
-        idx2 = [x for j in range(1, pairs // 2 + 1) for x in (4 * j - 2, 4 * j - 1)]
-    else:
-        m = (pairs - 1) // 2
-        idx1 = [L - 1] + [x for j in range(1, m + 1) for x in (4 * j - 3, 4 * j)]
-        idx2 = [L] + [x for j in range(1, m + 1) for x in (4 * j - 2, 4 * j - 1)]
+    odd = L // 2 % 2
+    ks = range(1, 4 * (L // 4) + 1)
+    idx1 = [L - 1] * odd + [j for j in ks if j % 4 < 2]  # K_{4j-3} K_{4j}
+    idx2 = [L] * odd + [j for j in ks if j % 4 > 1]  # K_{4j-2} K_{4j-1}
     g1 = _u_product_multiply([cluster_stabilizer(j, L) for j in idx1], L)
     g2 = _u_product_multiply([cluster_stabilizer(j, L) for j in idx2], L)
     return g1, g2

@@ -30,7 +30,7 @@ from . import __version__
 from .bell import (
     BELL_CLASSES,
     BELL_LABELS,
-    bell_state,
+    bell_basis_state,
     decompose_classes,
     format_sign_pair,
     labels_class,
@@ -175,6 +175,12 @@ def write_table(
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _one_row(cells: Sequence[tuple[str, object]]) -> tuple[tuple[str, ...], list[tuple]]:
+    """The columns and the one row of a table given as (column, value) pairs."""
+    columns, row = zip(*cells)
+    return columns, [row]
+
+
 class EmptyDataError(ValueError):
     """No rows to emit; no file is written."""
 
@@ -198,7 +204,8 @@ def emit_plotdata(rows: Sequence[Fig2Row], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (meta, columns, rows, violations)
+# subcommand handlers: each returns (meta, columns, rows, violations), and
+# main puts the subcommand's name first in meta
 
 
 def _cmd_teleport(args):
@@ -225,7 +232,6 @@ def _cmd_teleport(args):
         for run, i in zip(runs, leaves)
     ]
     meta = {
-        "subcommand": "teleport",
         "seed": args.seed,
         "channel": args.channel,
         "assumed_class": args.assumed_class,
@@ -252,7 +258,6 @@ def _cmd_fig2(args):
         for r in rows
     ]
     meta = {
-        "subcommand": "fig2",
         "seed": args.seed,
         "trials": args.trials,
         "bound_slack": FIG2_BOUND_SLACK,
@@ -271,12 +276,10 @@ def _cmd_appendix_a(args):
     phi = args.phi
     if not math.isfinite(2 * phi):
         raise UsageError(f"phi must be a number with 2 * phi finite, got {phi}")
-    channel_amps = np.cos(phi) * np.kron(
-        bell_state((1, -1)).amplitudes, bell_state((-1, 1)).amplitudes
-    ) + np.sin(phi) * np.kron(
-        bell_state((-1, 1)).amplitudes, bell_state((1, -1)).amplitudes
+    channel = PureState(
+        np.cos(phi) * bell_basis_state([(1, -1), (-1, 1)]).amplitudes
+        + np.sin(phi) * bell_basis_state([(-1, 1), (1, -1)]).amplitudes
     )
-    channel = PureState(channel_amps)
     client = random_state(1, 2, np.random.default_rng(args.seed))
     total = tensor(client, channel)
     columns = ["p1", "q1", "p2", "q2", "probability", "expected", "agg_class"]
@@ -302,7 +305,6 @@ def _cmd_appendix_a(args):
         if not abs(p - 0.25) <= 1e-12:
             violations += 1
     meta = {
-        "subcommand": "appendix-a",
         "seed": args.seed,
         "phi": phi,
         "class_probabilities": ";".join(
@@ -316,17 +318,12 @@ def _cmd_appendix_a(args):
 def _cmd_order_param(args):
     state = _channel(args.channel, args.seed)
     op = order_parameter(state)
-    dec = decompose_classes(state)
-    columns = (
-        ["t1", "t2", "t3", "efficiency"]
-        + [f"omega_{format_sign_pair(c)}" for c in BELL_CLASSES]
-        + [f"weight_{format_sign_pair(c)}" for c in BELL_CLASSES]
-    )
-    row = list(op.t_vector) + [op.efficiency]
-    row += [op.omega[c] for c in BELL_CLASSES]
-    row += [dec.coefficients[c] ** 2 for c in BELL_CLASSES]
-    meta = {"subcommand": "order-param", "channel": args.channel, "seed": args.seed}
-    return meta, columns, [row], 0
+    weights = decompose_classes(state).coefficients
+    cells = [*zip(("t1", "t2", "t3"), op.t_vector), ("efficiency", op.efficiency)]
+    cells += [(f"omega_{format_sign_pair(c)}", op.omega[c]) for c in BELL_CLASSES]
+    cells += [(f"weight_{format_sign_pair(c)}", weights[c] ** 2) for c in BELL_CLASSES]
+    meta = {"channel": args.channel, "seed": args.seed}
+    return meta, *_one_row(cells), 0
 
 
 def _cmd_cluster_check(args):
@@ -349,7 +346,7 @@ def _cmd_cluster_check(args):
     ok = top < 1.0 - 1e-6  # cluster states must straddle classes
     violations += not ok
     rows.append(["max_class_weight", top, 0.0, int(ok)])
-    meta = {"subcommand": "cluster-check", "qubits": L, "violations": violations}
+    meta = {"qubits": L, "violations": violations}
     return meta, columns, rows, violations
 
 
@@ -377,43 +374,34 @@ def _cmd_aklt_check(args):
     for name, value, expected, ok in checks:
         violations += not ok
         rows.append([name, value, expected, int(ok)])
-    meta = {"subcommand": "aklt-check", "qubits": L, "violations": violations}
+    meta = {"qubits": L, "violations": violations}
     return meta, columns, rows, violations
 
 
 def _cmd_bound_scan(args):
-    if not 0 <= args.theta < np.pi:
-        raise UsageError(f"theta must lie in [0, pi), got {args.theta}")
-    res = min_fidelity_scan(args.theta)
-    expected = float(np.cos(args.theta))
+    theta = args.theta
+    if not 0 <= theta < np.pi:
+        raise UsageError(f"theta must lie in [0, pi), got {theta}")
+    res = min_fidelity_scan(theta)
+    cos, sin = float(np.cos(theta)), np.sin(theta)
+    expected = max(cos, 0.0)
     ok = abs(res.minimum - expected) <= 1e-3
-    predicted_a = (
-        (np.cos(args.theta) - 1.0) / np.sin(args.theta) if args.theta > 0 else 0.0
-    )
-    columns = [
-        "theta",
-        "minimum",
-        "cos_theta",
-        "abs_error",
-        "argmin_re_a",
-        "argmin_im_a",
-        "argmin_abs_b",
-        "argmin_abs_c",
-        "predicted_a",
+    predicted_a = 0.0
+    if theta > 0:  # the minimizing real a: -tan(theta/2), or -cot(theta/2) at Delta = 0
+        predicted_a = (cos - 1.0 if theta <= np.pi / 2 else -(1.0 + cos)) / sin
+    cells = [
+        ("theta", theta),
+        ("minimum", res.minimum),
+        ("cos_theta", cos),
+        ("abs_error", abs(res.minimum - expected)),
+        ("argmin_re_a", res.a.real),
+        ("argmin_im_a", res.a.imag),
+        ("argmin_abs_b", res.b_mag),
+        ("argmin_abs_c", res.c_mag),
+        ("predicted_a", predicted_a),
     ]
-    row = [
-        args.theta,
-        res.minimum,
-        expected,
-        abs(res.minimum - expected),
-        res.a.real,
-        res.a.imag,
-        res.b_mag,
-        res.c_mag,
-        predicted_a,
-    ]
-    meta = {"subcommand": "bound-scan", "theta": args.theta, "violations": int(not ok)}
-    return meta, columns, [row], int(not ok)
+    meta = {"theta": theta, "violations": int(not ok)}
+    return meta, *_one_row(cells), int(not ok)
 
 
 def _cmd_three_qubit(args):
@@ -434,7 +422,6 @@ def _cmd_three_qubit(args):
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
     meta = {
-        "subcommand": "three-qubit",
         "seed": args.seed,
         "theta_rank_kappa_plus": rank_p,
         "theta_det_kappa_plus": f"{abs(det_p):.3e}",
@@ -468,7 +455,6 @@ def _cmd_qudit_demo(args):
         ]
     violations = sum(not row[-1] >= 1.0 - _CLAIM_TOL for row in rows)
     meta = {
-        "subcommand": "qudit-demo",
         "seed": args.seed,
         "dim": d,
         "violations": violations,
@@ -487,22 +473,15 @@ def _cmd_heisenberg_check(args):
     assumed = dec.dominant_class()
     min_f = min(_teleports(client, ground, assumed, None, args.trials, rng)[2].fidelities)
     violations = int(abs(op.efficiency - 1.0) > 1e-8) + int(min_f < 1.0 - 1e-8)
-    columns = ["L", "efficiency", "pure_class", "sampled_runs", "min_fidelity"]
-    row = [
-        L,
-        op.efficiency,
-        format_sign_pair(pure) if pure else "none",
-        args.trials,
-        min_f,
+    cells = [
+        ("L", L),
+        ("efficiency", op.efficiency),
+        ("pure_class", format_sign_pair(pure) if pure else "none"),
+        ("sampled_runs", args.trials),
+        ("min_fidelity", min_f),
     ]
-    meta = {
-        "subcommand": "heisenberg-check",
-        "qubits": L,
-        "seed": args.seed,
-        "trials": args.trials,
-        "violations": violations,
-    }
-    return meta, columns, [row], violations
+    meta = {"qubits": L, "seed": args.seed, "trials": args.trials, "violations": violations}
+    return meta, *_one_row(cells), violations
 
 
 _HANDLERS: dict[str, Callable] = {
@@ -613,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bound-scan",
-        help="grid-scan of the worst-case fidelity, min Delta = cos(theta)",
+        help="grid-scan of the worst-case fidelity, min Delta = cos(theta) "
+        "for theta <= pi/2; 0 above",
         epilog="CSV: theta,minimum,cos_theta,abs_error,argmin_*,predicted_a",
     )
     common(p, seed=False)
@@ -653,7 +633,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         meta, columns, rows, violations = handler(args)
     except UsageError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
-    meta = {"subcommand": meta.pop("subcommand", args.subcommand), **meta}
+    meta = {"subcommand": args.subcommand, **meta}
     if args.out:
         with open(args.out, "w") as fh:
             write_table(fh, meta, columns, rows, args.deterministic)

@@ -362,8 +362,10 @@ def min_fidelity_scan(
     over complex (a, b, c) with |a|^2 + (|b|^2 + |c|^2)/2 = 1.  The scan
     walks Re(a), Im(a) and the fraction of the leftover weight assigned
     to |b|^2 (the rest goes to |c|^2), then refines around the argmin.
-    The analytic minimum is cos(theta), reached at c = 0 and real
-    a = (cos(theta) - 1) / sin(theta).
+    The analytic minimum is cos(theta) for theta <= pi/2, reached at
+    c = 0 and real a = (cos(theta) - 1) / sin(theta); 0 above, reached
+    at a = -(1 + cos(theta)) / sin(theta) = -cot(theta/2), where the
+    numerator vanishes with |a| < 1.
     """
     if not 0 <= theta < np.pi:
         raise ValueError("theta must lie in [0, pi)")

@@ -169,21 +169,17 @@ def permute_sites(state: PureState, perm: Sequence[int]) -> PureState:
 
 
 def normalize(state: PureState) -> PureState:
-    nrm = state.norm()
-    if nrm < 1e-12:
-        raise ValueError("cannot normalize a (numerically) zero state")
-    return PureState(state.amplitudes / nrm, local_dim=state.local_dim)
+    return _normalize_own(state.amplitudes.copy(), state.local_dim)
 
 
-def _normalize_own(amps: np.ndarray) -> PureState:
-    """``normalize(PureState(amps, normalized=False))`` for a complex qubit
-    array the caller owns: ``amps`` is divided in place, so the state is
-    copied once (by ``PureState``) instead of three times."""
+def _normalize_own(amps: np.ndarray, local_dim: int = 2) -> PureState:
+    """``normalize`` for a complex array the caller owns: ``amps`` is divided
+    in place, so the state is copied once (by ``PureState``)."""
     nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
         raise ValueError("cannot normalize a (numerically) zero state")
     amps /= nrm
-    return PureState(amps)
+    return PureState(amps, local_dim=local_dim)
 
 
 def _haar(size: int, rng: np.random.Generator) -> np.ndarray:

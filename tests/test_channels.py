@@ -195,6 +195,8 @@ def test_parse_channel_spec():
         parse_channel_spec("nonsense:4")
     with pytest.raises(ValueError):
         parse_channel_spec("bell:+x")
+    with pytest.raises(ValueError, match="not kind:qubits"):
+        parse_channel_spec("random:4:1:2")
 
 
 def test_noncrossing_matchings_are_catalan():
@@ -287,9 +289,14 @@ def test_singlet_random_peak_memory_at_16_qubits():
 # the builders normalise their own array in place: one copy of the state
 
 
+def old_normalize(state):
+    """normalize before it divided a copy in place."""
+    return PureState(state.amplitudes / state.norm(), local_dim=state.local_dim)
+
+
 def old_normalize_own(amps):
     """How the builders normalised before: wrap, normalise, wrap again."""
-    return normalize(PureState(amps, normalized=False))
+    return old_normalize(PureState(amps, normalized=False))
 
 
 def old_aklt_build(L):
@@ -298,7 +305,7 @@ def old_aklt_build(L):
     for r in range(1, L - 2, 2):
         t = 0.5 * (t + t.swapaxes(r, r + 1))
     state = PureState(t.reshape(-1), normalized=False)
-    return normalize(state), state.norm()
+    return old_normalize(state), state.norm()
 
 
 def same_bits(a, b):
@@ -457,6 +464,48 @@ def test_cluster_g_factorizations_explicit(L):
     g1, g2 = cluster_g_operators(L)
     assert (g1.sign, g1.factors) == G_FACTORIZATIONS[L]["G1"]
     assert (g2.sign, g2.factors) == G_FACTORIZATIONS[L]["G2"]
+
+
+def old_cluster_state(L):
+    """cluster_state before it read its signs off one parity map: a flip per bond."""
+    amps = np.ones(2**L, dtype=complex)
+    idx = np.arange(2**L)
+    for j in range(L - 1):
+        bit_j = (idx >> (L - 1 - j)) & 1
+        bit_j1 = (idx >> (L - 2 - j)) & 1
+        amps[(bit_j & bit_j1) == 1] *= -1.0
+    return PureState(amps / np.sqrt(2.0**L))
+
+
+def old_g_indices(L):
+    """The K indices of G1 and G2 before one formula served both pair-count parities."""
+    pairs = L // 2
+    if pairs % 2 == 0:
+        idx1 = [x for j in range(1, pairs // 2 + 1) for x in (4 * j - 3, 4 * j)]
+        idx2 = [x for j in range(1, pairs // 2 + 1) for x in (4 * j - 2, 4 * j - 1)]
+    else:
+        m = (pairs - 1) // 2
+        idx1 = [L - 1] + [x for j in range(1, m + 1) for x in (4 * j - 3, 4 * j)]
+        idx2 = [L] + [x for j in range(1, m + 1) for x in (4 * j - 2, 4 * j - 1)]
+    return idx1, idx2
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 8, 13])
+def test_cluster_state_matches_its_bond_loop(L):
+    new, old = cluster_state(L).amplitudes, old_cluster_state(L).amplitudes
+    # equal values and real bits; the loop left -0.0 imaginary parts where it
+    # flipped a sign twice
+    assert np.array_equal(new, old)
+    assert np.array_equal(new.real.view(np.uint64), old.real.view(np.uint64))
+
+
+def test_cluster_g_operators_match_their_index_lists_before():
+    for L in range(4, 41, 2):
+        old = [
+            channels._u_product_multiply([cluster_stabilizer(j, L) for j in idx], L)
+            for idx in old_g_indices(L)
+        ]
+        assert list(cluster_g_operators(L)) == old, L
 
 
 def test_cluster_state_not_pure_class():

@@ -1,6 +1,8 @@
 """CLI subcommands: CSV output, determinism, exit codes."""
 
 import dataclasses
+import fnmatch
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +147,50 @@ def test_bound_scan_subcommand(tmp_path):
     assert abs(float(rows[0]["minimum"]) - 0.5) < 1e-3
 
 
+@pytest.mark.parametrize("theta", ["1.58", "2.0", "3.0"])
+def test_bound_scan_above_half_pi_meets_zero(theta, tmp_path):
+    # min Delta is 0 above pi/2, reached at a = -(1 + cos theta) / sin theta
+    code, text = run_cli(["bound-scan", "--theta", theta], tmp_path)
+    assert code == 0
+    meta, _, rows = parse_csv(text)
+    assert meta["violations"] == "0"
+    assert float(rows[0]["minimum"]) < 1e-3
+    t = float(theta)
+    assert float(rows[0]["predicted_a"]) == pytest.approx(-1.0 / np.tan(t / 2), abs=1e-12)
+    assert abs(float(rows[0]["argmin_re_a"]) - float(rows[0]["predicted_a"])) < 1e-2
+
+
+# the smallest run of each subcommand, to read the CSV header it writes
+HEADER_ARGS = {
+    "teleport": ["--channel", "bell:++", "--trials", "1"],
+    "fig2": ["--trials", "1"],
+    "appendix-a": [],
+    "order-param": ["--channel", "bell:++"],
+    "cluster-check": ["-L", "4"],
+    "aklt-check": ["-L", "4"],
+    "bound-scan": ["--theta", "0.5"],
+    "three-qubit": [],
+    "qudit-demo": ["-d", "2"],
+    "heisenberg-check": ["-L", "4", "--trials", "1"],
+}
+
+
+def test_help_epilog_names_the_csv_header(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # so argparse does not wrap the epilog
+    assert sorted(HEADER_ARGS) == sorted(cli._HANDLERS)
+    for name, args in HEADER_ARGS.items():
+        with pytest.raises(SystemExit) as err:
+            cli.main([name, "--help"])
+        assert err.value.code == 0
+        (epilog,) = re.findall(r"^CSV: (\S+)$", capsys.readouterr().out, re.M)
+        code, text = run_cli([name, *args], tmp_path, name=f"{name}.csv")
+        assert code == 0
+        _, header, _ = parse_csv(text)
+        assert fnmatch.fnmatchcase(",".join(header), epilog), name
+        for field in epilog.split(","):
+            assert fnmatch.filter(header, field), (name, field)
+
+
 def test_three_qubit_subcommand(tmp_path):
     code, text = run_cli(["three-qubit", "--seed", "2"], tmp_path)
     assert code == 0
@@ -275,6 +321,7 @@ def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
         (["appendix-a", "--phi", "nan"], "2 * phi finite"),
         (["appendix-a", "--phi", "inf"], "2 * phi finite"),
         (["appendix-a", "--phi", "1e308"], "2 * phi finite"),  # sin(2 * phi) overflows
+        (["teleport", "--channel", "random:4:1:2"], "is not kind:qubits[:seed]"),
     ],
 )
 def test_bad_input_exits_64(argv, message, tmp_path, capsys):

@@ -16,7 +16,8 @@ singlet-random:12:5, random:6:3 with a pairing) before the sampled runs
 of one command shared a single walk of the outcome tree, and the
 qudit-demo -d 5, three-qubit seed-7, mg-dimers:10, five-pair bell and
 fig2 seed-3 branch cases before every forced branch of a command came
-from one batched pass with a gate table.  They are
+from one batched pass with a gate table, and the two bound-scan cases
+before its claim check was corrected above theta = pi/2.  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -83,6 +84,8 @@ CASES = {
         "teleport", "--channel", "bell:+-,-+,--,++,-+", "--enumerate-branches",
     ],
     "fig2_t20_enum_s3": ["fig2", "--trials", "20", "--enumerate-branches", "--seed", "3"],
+    "bound_scan_pi3": ["bound-scan", "--theta", "1.0471975511965976"],
+    "bound_scan_1_5": ["bound-scan", "--theta", "1.5"],
 }
 
 

@@ -390,21 +390,30 @@ OCTAHEDRAL_CLIENTS = [
 ]
 
 
+# the default pairing of each channel size, then others that leave another
+# site (the client's own, too) as the recipient
+PAIRINGS = {
+    2: [None, ((1, 2),), ((0, 2),)],
+    4: [None, ((0, 2), (1, 3)), ((1, 2), (0, 3)), ((3, 4), (0, 1)), ((0, 1), (2, 4))],
+    6: [None],
+}
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_mean_branch_fidelity_is_the_order_parameter_law(L, seed):
     # probability-weighted fidelity over every branch, averaged over the
-    # clients, is (3 + Omega_c) / 6 for any channel and assumed class c
+    # clients, is (3 + Omega_c) / 6 for any channel, pairing and assumed class c
     channel = random_state(L, 2, 100 * L + seed)
     omega = order_parameter(channel).omega
-    for cls in BELL_CLASSES:
+    for pairing, cls in product(PAIRINGS[L], BELL_CLASSES):
         mean = np.mean(
             [
                 sum(
                     res.record.joint_probability * res.fidelity
-                    for res in teleport_branches(client, channel, cls)
+                    for res in teleport_branches(client, channel, cls, pairing)
                 )
                 for client in OCTAHEDRAL_CLIENTS
             ]
         )
-        assert abs(mean - (3.0 + omega[cls]) / 6.0) <= 1e-12
+        assert abs(mean - (3.0 + omega[cls]) / 6.0) <= 1e-12, pairing

@@ -11,6 +11,7 @@ from bellport.states import (
     apply_two_site,
     basis_state,
     inner_product,
+    normalize,
     permute_sites,
     qubit_ket,
     random_product_state,
@@ -218,6 +219,18 @@ def test_random_states_partially_ordered_upsilon():
     vals = [abs(upsilon_expectations(random_state(4, 2, rng))[0]) for _ in range(1000)]
     mean = float(np.mean(vals))
     assert 0.0 < mean < 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_normalize_divides_a_copy_by_the_norm(d):
+    state = PureState(np.arange(1, d**2 + 1) * (1 - 1j), local_dim=d, normalized=False)
+    before = state.amplitudes.copy()
+    out = normalize(state)
+    assert out.local_dim == d and out.normalized
+    assert np.array_equal(out.amplitudes.view(np.uint64), (before / state.norm()).view(np.uint64))
+    assert np.array_equal(state.amplitudes, before)
+    with pytest.raises(ValueError, match="zero state"):
+        normalize(PureState(np.zeros(d), local_dim=d, normalized=False))
 
 
 def test_normalized_flag_enforced():

@@ -184,3 +184,33 @@ def test_teleport3_validates_inputs():
         teleport3(v, random_state(4, 2, 98), (1, 1))
     with pytest.raises(ValueError):
         teleport3(v, bell3_state((1, 1, 1)), (1, 1), mode="partial")
+
+
+# +-x, +-y, +-z: a qubit 3-design, so their mean of a degree-2 quantity is the Haar mean
+OCTAHEDRAL_CLIENTS = [
+    PureState(np.array(v, dtype=complex) / np.linalg.norm(v))
+    for v in ([1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0], [0, 1])
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_full_mode_mean_fidelity_is_the_class_weight_law(seed):
+    # probability-weighted fidelity over the eight full-mode branches,
+    # averaged over the clients, is (1 + 2 w) / 3 for the assumed class
+    # (j, l), with w = sum_k |<j:k:l|psi>|^2 the channel's weight in it
+    channel = random_state(3, 2, 300 + seed)
+    for j, l in product(SIGNS, SIGNS):
+        w = sum(abs(inner_product(bell3_state((j, k, l)), channel)) ** 2 for k in SIGNS)
+        mean = np.mean(
+            [
+                sum(
+                    res.record.joint_probability * res.fidelity
+                    for res in (
+                        teleport3(v, channel, (j, l), mode="full", forced=lab)
+                        for lab in BELL3_LABELS
+                    )
+                )
+                for v in OCTAHEDRAL_CLIENTS
+            ]
+        )
+        assert abs(mean - (1.0 + 2.0 * w) / 3.0) <= 1e-12
