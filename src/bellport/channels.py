@@ -94,7 +94,9 @@ def parse_channel_spec(text: str) -> ChannelSpec:
 
     'bell:<labels>' takes comma-separated sign pairs, e.g. 'bell:+-,-+';
     every other kind takes the qubit count, optionally followed by
-    ':<seed>', and nothing more.
+    ':<seed>', and nothing more.  Text cannot carry amplitudes, so
+    'explicit' is refused: an explicit channel is built from a
+    ``ChannelSpec`` in code.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
@@ -106,6 +108,11 @@ def parse_channel_spec(text: str) -> ChannelSpec:
                 raise ValueError(f"bad Bell label {part!r} in {text!r}")
             labels.append(BellLabel(*(1 if c == "+" else -1 for c in part)))
         return ChannelSpec(kind="bell-product", qubits=2 * len(labels), labels=tuple(labels))
+    if kind == "explicit":
+        raise ValueError(
+            f"channel spec {text!r}: explicit channels are library-only, "
+            "built from ChannelSpec(kind='explicit', amplitudes=...)"
+        )
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
     parts = rest.split(":") if rest else []

@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .bell import (
     bell_basis_state,
     decompose_classes,
     format_sign_pair,
-    labels_class,
     parse_sign_pair,
     upsilon_expectations,
 )
@@ -49,21 +49,23 @@ from .channels import (
     stabilizer_report,
     string_order,
 )
-from .measure import _possible, measure_branches
+from .measure import _BELL_BRA, _possible, _walk
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
+    _CLASS_GATES,
     _teleports,
     fig2_run,
     fig2_violations,
     min_fidelity_scan,
     order_parameter,
 )
-from .qudit import _teleports as _qudit_teleports
-from .qudit import qudit_bell
+from .qudit import _bell_bra as _qudit_bell_bra
+from .qudit import _gate_table as _qudit_gate_table
+from .qudit import _stack_teleports as _qudit_teleports
 from .states import PureState, random_state, tensor
-from .threequbit import BELL3_LABELS, _OUTCOMES, bell3_state, theta_rank
-from .threequbit import _teleports as _trio_teleports
+from .threequbit import BELL3_LABELS, _BELL3_BRA, _OUTCOMES, theta_rank
+from .threequbit import _stack_teleports as _trio_teleports
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
@@ -71,6 +73,17 @@ CLAIM_VIOLATION = 2
 # written (fig2 --trials 131072 peaks at 225 MiB RSS)
 MAX_TRIALS = 2**17
 _CLAIM_TOL = 1e-10  # the tolerance of every exact claim a subcommand checks
+_CHUNK_ROWS = 4096  # rows write_table formats and writes at a time
+# the text of each Bell label, and of each class, in BELL_LABELS order
+_SIGNS = np.array([format_sign_pair(lab) for lab in BELL_LABELS])
+# the eight trio basis channels (the trio bra's rows conjugated back), and
+# Bob's gate table for the class (j, l) of each
+_TRIO_CHANNELS = _BELL3_BRA.conj()
+_TRIO_GATES = _CLASS_GATES[[BELL_CLASSES.index((lab.j, lab.l)) for lab in BELL3_LABELS]]
+# appendix-a's channel is cos(phi) times the first of these plus sin(phi) times the second
+_APPENDIX_A_PAIRS = [
+    bell_basis_state(labels).amplitudes for labels in ([(1, -1), (-1, 1)], [(-1, 1), (1, -1)])
+]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,6 +177,19 @@ def write_table(
     rows: Sequence[Sequence],
     deterministic: bool,
 ) -> None:
+    """Write ``meta`` as '#' lines, the ``columns`` header and the ``rows``.
+
+    The rows are transposed once and each column gets one format: %.12g
+    when all its values are floats, %s when none is, and ``_fmt`` first
+    when it mixes them, so each row is one ``line % row``, written
+    ``_CHUNK_ROWS`` rows at a time.  A row whose length differs from the
+    header's raises ValueError before anything is written.
+    """
+    if set(map(len, rows)) - {len(columns)}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != len(columns))
+        raise ValueError(
+            f"row {bad} has {len(rows[bad])} cells for {len(columns)} columns"
+        )
     stream.write(f"# version={__version__}\n")
     for key, value in meta.items():
         stream.write(f"# {key}={value}\n")
@@ -171,8 +197,17 @@ def write_table(
         stamp = datetime.now(timezone.utc).isoformat()
         stream.write(f"# generated={stamp}\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    table = list(zip(*rows))
+    formats = []
+    for i, column in enumerate(table):
+        floats = {issubclass(kind, float) for kind in set(map(type, column))}
+        if floats == {True, False}:
+            table[i] = list(map(_fmt, column))
+        formats.append("%.12g" if floats == {True} else "%s")
+    line = ",".join(formats) + "\n"
+    body = zip(*table)
+    while chunk := list(islice(body, _CHUNK_ROWS)):
+        stream.write("".join(map(line.__mod__, chunk)))
 
 
 def _one_row(cells: Sequence[tuple[str, object]]) -> tuple[tuple[str, ...], list[tuple]]:
@@ -216,21 +251,23 @@ def _cmd_teleport(args):
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     if args.enumerate_branches:
         _, _, branches = _teleports(client, channel, assumed, pairing)
-        leaves = range(len(branches.rows))
+        leaves = slice(None)
         # run: the branch's outcome rows read as base-4 digits
         runs = (branches.rows @ 4 ** np.arange(branches.rows.shape[1])[::-1]).tolist()
     else:
         rng = np.random.default_rng(args.seed + 1)
         _, leaves, branches = _teleports(client, channel, assumed, pairing, args.trials, rng)
-        leaves, runs = leaves.tolist(), range(args.trials)
-    signs = [format_sign_pair(lab) for lab in BELL_LABELS]  # and of BELL_CLASSES
-    outcomes = [";".join(signs[r] for r in row) for row in branches.rows.tolist()]
-    measured = np.bitwise_xor.reduce(branches.rows, axis=1).tolist()
-    joint = branches.probs.prod(axis=1).tolist()
-    rows = [
-        [run, outcomes[i], signs[measured[i]], joint[i], branches.fidelities[i]]
-        for run, i in zip(runs, leaves)
-    ]
+        runs = range(args.trials)
+    outcomes = branches.rows[leaves]
+    rows = list(
+        zip(
+            runs,
+            map(";".join, _SIGNS[outcomes].tolist()),
+            _SIGNS[np.bitwise_xor.reduce(outcomes, axis=1)].tolist(),
+            branches.probs[leaves].prod(axis=1).tolist(),
+            np.array(branches.fidelities)[leaves].tolist(),
+        )
+    )
     meta = {
         "seed": args.seed,
         "channel": args.channel,
@@ -276,39 +313,31 @@ def _cmd_appendix_a(args):
     phi = args.phi
     if not math.isfinite(2 * phi):
         raise UsageError(f"phi must be a number with 2 * phi finite, got {phi}")
-    channel = PureState(
-        np.cos(phi) * bell_basis_state([(1, -1), (-1, 1)]).amplitudes
-        + np.sin(phi) * bell_basis_state([(-1, 1), (1, -1)]).amplitudes
-    )
+    channel = PureState(np.cos(phi) * _APPENDIX_A_PAIRS[0] + np.sin(phi) * _APPENDIX_A_PAIRS[1])
     client = random_state(1, 2, np.random.default_rng(args.seed))
     total = tensor(client, channel)
     columns = ["p1", "q1", "p2", "q2", "probability", "expected", "agg_class"]
-    rows = []
-    violations = 0
-    class_prob = {c: 0.0 for c in BELL_CLASSES}
-    branch_prob = {
-        tuple(o.label for o in record.outcomes): record.joint_probability
-        for record, _ in measure_branches(total, [(0, 1), (2, 3)])
-    }
-    for lab1 in BELL_LABELS:
-        for lab2 in BELL_LABELS:
-            prob = branch_prob.get((lab1, lab2), 0.0)
-            expected = (1.0 - lab2.j * lab2.k * np.sin(2 * phi)) / 16.0
-            agg = labels_class([lab1, lab2])
-            class_prob[agg] += prob
-            if not abs(prob - expected) <= 1e-12:  # NaN is a violation too
-                violations += 1
-            rows.append(
-                [lab1.j, lab1.k, lab2.j, lab2.k, prob, expected, format_sign_pair(agg)]
-            )
-    for c, p in class_prob.items():
-        if not abs(p - 0.25) <= 1e-12:
-            violations += 1
+    levels = [((0, 1), _BELL_BRA), ((2, 3), _BELL_BRA)]
+    _, rows, probs, _ = _walk(total.as_tensor()[None], levels, _possible)
+    first, second = np.divmod(np.arange(16), 4)  # the rows of each branch, in order
+    prob = np.zeros(16)  # an impossible branch has probability 0
+    prob[rows @ [4, 1]] = probs.prod(axis=1)
+    labels = np.array(BELL_LABELS)
+    expected = (1.0 - labels[second].prod(axis=1) * np.sin(2 * phi)) / 16.0
+    agg = first ^ second  # the class of both outcomes
+    class_prob = np.bincount(agg, weights=prob, minlength=4)  # summed in branch order
+    violations = int((~(abs(prob - expected) <= 1e-12)).sum())  # NaN is a violation too
+    violations += int((~(abs(class_prob - 0.25) <= 1e-12)).sum())
+    p1, q1 = labels[first].T.tolist()
+    p2, q2 = labels[second].T.tolist()
+    rows = list(
+        zip(p1, q1, p2, q2, prob.tolist(), expected.tolist(), _SIGNS[agg].tolist())
+    )
     meta = {
         "seed": args.seed,
         "phi": phi,
         "class_probabilities": ";".join(
-            f"{format_sign_pair(c)}={p:.12g}" for c, p in class_prob.items()
+            f"{sign}={p:.12g}" for sign, p in zip(_SIGNS.tolist(), class_prob.tolist())
         ),
         "violations": violations,
     }
@@ -406,19 +435,27 @@ def _cmd_bound_scan(args):
 
 def _cmd_three_qubit(args):
     columns = ["j", "k", "l", "mode", "outcome", "probability", "fidelity"]
-    rows = []
-    client = random_state(1, 2, np.random.default_rng(args.seed))
-    for lab in BELL3_LABELS:
-        channel = bell3_state(lab)
-        for mode, (labels, _) in _OUTCOMES.items():
-            branches = _trio_teleports(client, channel, (lab.j, lab.l), mode, _possible)
-            rows += [
-                [*lab, mode, format_sign_pair(labels[row]), prob, fidelity]
-                for row, prob, fidelity in zip(
-                    branches.rows.tolist(), branches.probs.tolist(), branches.fidelities
-                )
-            ]
-    violations = sum(not row[-1] >= 1.0 - _CLAIM_TOL for row in rows)
+    client = random_state(1, 2, np.random.default_rng(args.seed)).amplitudes
+    parts = []  # per mode: its branches' (channel, mode, outcome, probability, fidelity)
+    for mode, (labels, _) in _OUTCOMES.items():
+        roots, branches = _trio_teleports(client, _TRIO_CHANNELS, _TRIO_GATES, mode, _possible)
+        outcomes = np.array([format_sign_pair(lab) for lab in labels])[branches.rows]
+        modes = np.full(len(roots), mode)
+        parts.append((roots, modes, outcomes, branches.probs, branches.fidelities))
+    roots, modes, outcomes, probs, fidelities = map(np.concatenate, zip(*parts))
+    order = np.argsort(roots, kind="stable")  # by channel, each in mode order
+    fidelities = fidelities[order]
+    j, k, l = np.array(BELL3_LABELS)[roots[order]].T.tolist()
+    rows = list(
+        zip(
+            j, k, l,
+            modes[order].tolist(),
+            outcomes[order].tolist(),
+            probs[order].tolist(),
+            fidelities.tolist(),
+        )
+    )
+    violations = int((~(fidelities >= 1.0 - _CLAIM_TOL)).sum())
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
     meta = {
@@ -441,19 +478,24 @@ def _cmd_qudit_demo(args):
             f"qudit dimension {d} needs a {16 * d**4} B Bell bra, over the "
             f"{16 * 2**MAX_QUBITS} B limit"
         )
-    client = random_state(1, d, np.random.default_rng(args.seed))
+    client = random_state(1, d, np.random.default_rng(args.seed)).amplitudes
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
-    rows = []
-    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]
-    for j, k in dict.fromkeys(labels):
-        branches = _qudit_teleports(client, qudit_bell(d, j, k), (j, k), _possible)
-        rows += [
-            [d, j, k, *divmod(row, d), prob, fidelity]
-            for row, prob, fidelity in zip(
-                branches.rows.tolist(), branches.probs.tolist(), branches.fidelities
-            )
-        ]
-    violations = sum(not row[-1] >= 1.0 - _CLAIM_TOL for row in rows)
+    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # distinct for d >= 2
+    channels = _qudit_bell_bra(d)[[j * d + k for j, k in labels], 0].conj()  # qudit_bell's
+    # np.stack keeps each table's layout (transposed gates), and with it how
+    # each gate product rounds in a one-label pass
+    gates = np.stack([_qudit_gate_table(d, j, k) for j, k in labels])
+    roots, branches = _qudit_teleports(client, channels, gates, _possible)
+    fidelities = np.array(branches.fidelities)
+    j, k = np.array(labels)[roots].T.tolist()
+    p, q = np.divmod(branches.rows, d)
+    rows = list(
+        zip(
+            [d] * len(roots), j, k, p.tolist(), q.tolist(),
+            branches.probs.tolist(), branches.fidelities,
+        )
+    )
+    violations = int((~(fidelities >= 1.0 - _CLAIM_TOL)).sum())
     meta = {
         "seed": args.seed,
         "dim": d,

@@ -17,8 +17,9 @@ the rows it is told to follow -- one seeded draw per level when
 sampling, the given rows when forcing (raising ImpossibleOutcomeError
 at or below ZERO_PROB_ATOL), every possible row when enumerating
 (``measure_branches``, ``protocol.teleport_branches``, ``fig2`` with
-every branch, one walk per trial for all four assumed classes, and all
-the branches of a trio or qudit teleport).  ``collapse`` is its
+every branch, one walk per trial for all four assumed classes, all the
+branches of the eight ``three-qubit`` channels per mode and of the
+``qudit-demo`` channels in one walk, and ``appendix-a``).  ``collapse`` is its
 one-level case onto one row; ``teleport3`` and ``qudit_teleport`` are
 one-level walks too.  Bob's gate depends on a branch only through a
 function of its rows (the XOR of the Bell rows, the trio class, the

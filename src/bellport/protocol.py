@@ -140,7 +140,10 @@ def _corrected_branches(
     or one per branch), rounded as ``overlap_fidelity`` rounds it."""
     recipients = gates @ residuals[:, :, None]
     overlaps = np.broadcast_to(client, residuals.shape).conj()[:, None, :] @ recipients
-    fidelities = [abs(z) ** 2 for z in overlaps.ravel().tolist()]
+    # libm's hypot and pow, which abs(z) ** 2 calls on a Python complex z;
+    # numpy's complex abs and ** 2 can differ from them in the last bit
+    fidelities = np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0)
+    fidelities = fidelities.ravel().tolist()
     return _Branches(rows, probs, gates, recipients[:, :, 0], fidelities)
 
 
@@ -243,6 +246,10 @@ def _gate_table(assumed_class: BellClass | tuple[int, int]) -> np.ndarray:
     """Bob's gates for ``assumed_class``, one per aggregate class in
     BELL_CLASSES order, which is the XOR of a branch's outcome rows."""
     return np.array([correction_gate(assumed_class, m) for m in BELL_CLASSES])
+
+
+# Bob's gates [assumed, measured], both classes in BELL_CLASSES order
+_CLASS_GATES = np.array([_gate_table(c) for c in BELL_CLASSES])
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +496,8 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     return PureState(amps), kind
 
 
-# The Bell levels of a client and a 4-qubit channel; Bob's gates [assumed, measured].
+# The Bell levels of a client and a 4-qubit channel
 _SCATTER_LEVELS = [(pair, _BELL_BRA) for pair in default_pairing(5)]
-_SCATTER_GATES = np.array([_gate_table(c) for c in BELL_CLASSES])
 
 
 def _scatter_teleports(
@@ -524,7 +530,7 @@ def _scatter_teleports(
         _, rows, _, residuals = _walk(totals, _SCATTER_LEVELS, follow)
         leaf, cls = follow.at, np.arange(len(trial)) % classes
     measured = np.bitwise_xor.reduce(rows, axis=1)[leaf]
-    gates = _SCATTER_GATES[cls, measured]
+    gates = _CLASS_GATES[cls, measured]
     residuals = _normalized(residuals)[leaf]
     branches = _corrected_branches(clients[trial], gates, None, None, residuals)
     classes = [BELL_CLASSES[c] for c in cls.tolist()]

@@ -17,10 +17,12 @@ eigenspaces of P^(xL) and the alternating product Q (x) Q^dag (x) Q ...
 to the qubit Upsilon operators).
 
 Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}.
-Every outcome is one level of ``measure._walk`` with that bra
-(``_teleports``); Bob's gates (Xtilde^{jk}_{pq})^dagger are a d^2-row
-table built once per (d, assumed label) and indexed by the outcome row
-p d + q, so a single ``qudit_teleport`` walks one row, forced or drawn.
+Every outcome is one level of ``measure._walk`` with that bra over a
+stack of channels (``_stack_teleports``); Bob's gates
+(Xtilde^{jk}_{pq})^dagger are a d^2-row table built once per
+(d, assumed label), kept in a bounded cache, and indexed by the outcome
+row p d + q, so a single ``qudit_teleport`` walks one channel along one
+row, forced or drawn.
 """
 
 from __future__ import annotations
@@ -78,15 +80,19 @@ def qudit_x_tilde(d: int, j: int, k: int, p: int, q: int) -> np.ndarray:
     return generalized_pauli(d, k, j) @ generalized_pauli(d, q, -p)
 
 
+@lru_cache(maxsize=16)  # four labels of each of four dimensions; 16 d^4 B each
 def _gate_table(d: int, j: int, k: int) -> np.ndarray:
     """Bob's gates (Xtilde^{jk}_{pq})^dagger for every outcome, row p d + q,
-    each the product ``qudit_x_tilde`` forms, so the entries are the same."""
+    each the product ``qudit_x_tilde`` forms, so the entries are the same
+    (read-only)."""
     shift, phase = permutation_matrix(d), phase_matrix(d)
     powers_p = [np.linalg.matrix_power(shift, q) for q in range(d)]
     powers_q = [np.linalg.matrix_power(phase, -p % d) for p in range(d)]
     tail = np.array(powers_p)[None] @ np.array(powers_q)[:, None]  # R^{q,-p}
     gates = generalized_pauli(d, k, j) @ tail
-    return gates.conj().swapaxes(-1, -2).reshape(d * d, d, d)
+    table = gates.conj().swapaxes(-1, -2).reshape(d * d, d, d)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -129,22 +135,36 @@ def qudit_bell_measure(
     return outcome, PureState(residual.reshape(-1), local_dim=d)
 
 
+def _stack_teleports(
+    client: np.ndarray,
+    channels: np.ndarray,
+    gates: np.ndarray,
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> tuple[np.ndarray, _Branches]:
+    """The teleports of the ``client`` amplitudes across each two-qudit
+    channel of the stack ``channels`` (channels, d^2) onto the outcome rows
+    p d + q that ``follow`` picks from their probabilities, as the arrays of
+    one contraction with the Bell bra: each branch's channel and the
+    branches.  Bob's gate is the row of its channel's table in ``gates``
+    (channels, d^2, d, d) at its outcome row."""
+    d = len(client)
+    totals = (client[:, None] * channels[:, None, :]).reshape(-1, d, d, d)  # np.kron
+    roots, rows, probs, residuals = _walk(totals, [((0, 1), _bell_bra(d))], follow)
+    rows, probs = rows[:, 0], probs[:, 0]
+    # the residuals stay as the walk divides them, as qudit_bell_measure's do
+    return roots, _corrected_branches(client, gates[roots, rows], rows, probs, residuals)
+
+
 def _teleports(
     client: PureState,
     channel: PureState,
     assumed: tuple[int, int],
     follow: Callable[[int, np.ndarray], Sequence[int]],
 ) -> _Branches:
-    """The teleports of ``client`` across the two-qudit ``channel`` onto the
-    outcome rows p d + q that ``follow`` picks from their probabilities,
-    as the arrays of one contraction with the Bell bra."""
-    d = client.local_dim
-    total = (client.amplitudes[:, None] * channel.amplitudes).reshape(d, d, d)  # np.kron
-    _, rows, probs, residuals = _walk(total[None], [((0, 1), _bell_bra(d))], follow)
-    rows, probs = rows[:, 0], probs[:, 0]
-    gates = _gate_table(d, *assumed)[rows]
-    # the residuals stay as the walk divides them, as qudit_bell_measure's do
-    return _corrected_branches(client.amplitudes, gates, rows, probs, residuals)
+    """``_stack_teleports`` of ``client`` across the one ``channel``, with
+    Bob's gates for the label ``assumed``."""
+    gates = _gate_table(client.local_dim, *assumed)[None]
+    return _stack_teleports(client.amplitudes, channel.amplitudes[None], gates, follow)[1]
 
 
 def qudit_teleport(

@@ -15,15 +15,17 @@ the rank-2 projection fixing (Lambda^1, Lambda^2) = (p, q), leaving the
 redundant Lambda^3 unmeasured.
 
 Every outcome of the trio comes from one level of ``measure._walk`` with
-the 8-row bra (``_teleports``), taken one row per outcome in full mode
-and two in reduced mode; Bob's gate is a row of the 4-gate table of the
-qubit protocol, indexed by the class (p, q) of the outcome row, so a
-single ``teleport3`` is the same walk following one row, forced or drawn.
+the 8-row bra over a stack of trio channels (``_stack_teleports``),
+taken one row per outcome in full mode and two in reduced mode; Bob's
+gate is a row of each channel's 4-gate table of the qubit protocol,
+indexed by the class (p, q) of the outcome row, so a single
+``teleport3`` is the same walk over one channel following one row,
+forced or drawn.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -99,20 +101,24 @@ def y_operator(j: int, k: int, l: int, p: int, q: int, r: int) -> np.ndarray:
     return np.kron(z, x_operator(j, l, p, r))
 
 
-def _teleports(
-    client: PureState,
-    channel: PureState,
-    assumed: tuple[int, int],
+def _stack_teleports(
+    client: np.ndarray,
+    channels: np.ndarray,
+    gates: np.ndarray,
     mode: str,
     follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> _Branches:
-    """The ``mode`` teleports of ``client`` across the trio ``channel`` onto
-    the outcome rows ``follow`` picks from their probabilities, as the
-    arrays of one contraction with the trio bra.  A reduced-mode row that
-    leaves the recipient entangled raises ValueError."""
+) -> tuple[np.ndarray, _Branches]:
+    """The ``mode`` teleports of the ``client`` amplitudes across each trio
+    of the stack ``channels`` (channels, 8) onto the outcome rows ``follow``
+    picks from their probabilities, as the arrays of one contraction with
+    the trio bra: each branch's channel and the branches.  Bob's gate is
+    the row of its channel's 4-gate table in ``gates`` (channels, 4, 2, 2)
+    at the class (p, q) of its outcome row.  A reduced-mode row that leaves
+    the recipient entangled raises ValueError."""
     _, bra = _OUTCOMES[mode]
-    total = (client.amplitudes[:, None] * channel.amplitudes).reshape(2, 2, 2, 2)  # np.kron
-    _, rows, probs, amps = _walk(total[None], [((0, 1, 2), bra)], follow)
+    totals = client[:, None] * channels[:, None, :]  # np.kron of each channel
+    levels = [((0, 1, 2), bra)]
+    roots, rows, probs, amps = _walk(totals.reshape(-1, 2, 2, 2, 2), levels, follow)
     rows, probs = rows[:, 0], probs[:, 0]
     blocks = amps.reshape(len(rows), bra.shape[1], 2)  # not -1: no row may be taken
     if mode == "reduced":
@@ -125,10 +131,22 @@ def _teleports(
             )
         blocks = vh
     classes = rows // 2 if mode == "full" else rows  # the (p, q) of each row
-    gates = _gate_table(assumed)[classes]
-    return _corrected_branches(
-        client.amplitudes, gates, rows, probs, _normalized(blocks[:, 0])
+    return roots, _corrected_branches(
+        client, gates[roots, classes], rows, probs, _normalized(blocks[:, 0])
     )
+
+
+def _teleports(
+    client: PureState,
+    channel: PureState,
+    assumed: tuple[int, int],
+    mode: str,
+    follow: Callable[[int, np.ndarray], Sequence[int]],
+) -> _Branches:
+    """``_stack_teleports`` of ``client`` across the one trio ``channel``,
+    with Bob's gates for the class ``assumed``."""
+    gates = _gate_table(assumed)[None]
+    return _stack_teleports(client.amplitudes, channel.amplitudes[None], gates, mode, follow)[1]
 
 
 def teleport3(
@@ -175,6 +193,7 @@ def theta_operator(kappa: int) -> np.ndarray:
     ) / np.sqrt(2.0)
 
 
+@cache  # a constant of each sign, reported by every three-qubit run
 def theta_rank(kappa: int = 1) -> tuple[int, complex]:
     """Rank and determinant of Theta; rank 2 and det 0 for either sign,
     which rules out two-qubit teleportation through this construction."""

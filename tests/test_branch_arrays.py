@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellport import cli, protocol
+from bellport import cli, protocol, qudit
 from bellport.bell import BELL_CLASSES, BELL_LABELS, format_sign_pair
 from bellport.measure import (
     ImpossibleOutcomeError,
@@ -41,6 +41,7 @@ from bellport.protocol import (
     teleport,
 )
 from bellport.qudit import (
+    _stack_teleports as qudit_stack_teleports,
     _teleports as qudit_teleports,
     qudit_bell,
     qudit_bell_measure,
@@ -51,6 +52,7 @@ from bellport.states import PureState, apply_local, overlap_fidelity, random_sta
 from bellport.threequbit import (
     _OUTCOMES,
     BELL3_LABELS,
+    _stack_teleports as trio_stack_teleports,
     _teleports as trio_teleports,
     bell3_state,
     teleport3,
@@ -395,3 +397,101 @@ def test_three_qubit_rows_match_forced_calls(seed):
     assert text.split("j,k,l,mode,outcome,probability,fidelity\n")[1] == table(
         old_three_qubit_rows(seed)
     )
+
+
+# ---------------------------------------------------------------------------
+# three-qubit and qudit-demo: one stacked pass against one pass per channel
+
+
+def assert_same_branches(new, old):
+    for name in ("rows", "probs", "gates", "recipients"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    assert new.fidelities == old.fidelities  # float ==, item by item
+
+
+def one_pass_per_channel(passes):
+    """The roots and the concatenated branches of one pass per channel."""
+    roots = np.concatenate([np.full(len(b.rows), i) for i, b in enumerate(passes)])
+    arrays = [
+        np.concatenate([getattr(b, name) for b in passes])
+        for name in ("rows", "probs", "gates", "recipients")
+    ]
+    return roots, protocol._Branches(*arrays, [f for b in passes for f in b.fidelities])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_stacked_trio_pass_matches_one_pass_per_channel(mode, seed):
+    client = random_state(1, 2, np.random.default_rng(seed))
+    for i, lab in enumerate(BELL3_LABELS):  # the stack three-qubit walks
+        assert np.array_equal(cli._TRIO_CHANNELS[i], bell3_state(lab).amplitudes)
+        assert np.array_equal(cli._TRIO_GATES[i], protocol._gate_table((lab.j, lab.l)))
+    roots, new = trio_stack_teleports(
+        client.amplitudes, cli._TRIO_CHANNELS, cli._TRIO_GATES, mode, _possible
+    )
+    old_roots, old = one_pass_per_channel(
+        [trio_teleports(client, bell3_state(lab), (lab.j, lab.l), mode, _possible)
+         for lab in BELL3_LABELS]
+    )
+    assert np.array_equal(roots, old_roots)
+    assert_same_branches(new, old)
+
+
+def test_stacked_reduced_pass_refuses_a_straddling_channel():
+    # |+:+:+} + |+:-:-} straddles the classes [+:+] and [+:-]
+    amps = bell3_state((1, 1, 1)).amplitudes + bell3_state((1, -1, -1)).amplitudes
+    channel = amps / np.linalg.norm(amps)
+    client = random_state(1, 2, 4)
+    channels = np.vstack([cli._TRIO_CHANNELS, channel])
+    gates = np.concatenate([cli._TRIO_GATES, cli._TRIO_GATES[:1]])
+    with pytest.raises(ValueError, match="entangled"):
+        trio_stack_teleports(client.amplitudes, channels, gates, "reduced", _possible)
+    trio_stack_teleports(client.amplitudes, channels, gates, "full", _possible)
+    with pytest.raises(ValueError, match="entangled"):
+        teleport3(client, PureState(channel), (1, 1), "reduced", rng=0)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_stacked_qudit_pass_matches_one_pass_per_label(d):
+    client = random_state(1, d, np.random.default_rng(d))
+    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # qudit-demo's
+    assert len(set(labels)) == 4  # distinct for every d >= 2, d = 2 too
+    channels = np.array([qudit_bell(d, j, k).amplitudes for j, k in labels])
+    # the CLI stacks them as the bra's rows conjugated back
+    rows = [j * d + k for j, k in labels]
+    assert np.array_equal(cli._qudit_bell_bra(d)[rows, 0].conj(), channels)
+    gates = np.stack([qudit._gate_table(d, j, k) for j, k in labels])  # as the CLI does
+    roots, new = qudit_stack_teleports(client.amplitudes, channels, gates, _possible)
+    old_roots, old = one_pass_per_channel(
+        [qudit_teleports(client, qudit_bell(d, j, k), (j, k), _possible) for j, k in labels]
+    )
+    assert np.array_equal(roots, old_roots)
+    assert_same_branches(new, old)
+
+
+amplitudes = st.floats(-1.0, 1.0, allow_subnormal=True)
+
+
+@st.composite
+def corrected_case(draw):
+    """(client (2,), gates (n, 2, 2), residuals (n, 2)) with complex entries
+    of parts in [-1, 1], subnormals and zeros included."""
+    n = draw(st.integers(1, 8))
+
+    def complexes(shape):
+        size = 2 * int(np.prod(shape))
+        parts = np.array(draw(st.lists(amplitudes, min_size=size, max_size=size)))
+        return (parts[0::2] + 1j * parts[1::2]).reshape(shape)
+
+    return complexes((2,)), complexes((n, 2, 2)), complexes((n, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrected_case())
+def test_corrected_fidelities_are_abs_squared_bit_for_bit(case):
+    client, gates, residuals = case
+    branches = protocol._corrected_branches(client, gates, None, None, residuals)
+    recipients = gates @ residuals[:, :, None]
+    overlaps = np.broadcast_to(client, residuals.shape).conj()[:, None, :] @ recipients
+    assert branches.fidelities == [abs(z) ** 2 for z in overlaps.ravel().tolist()]
+    assert all(type(f) is float for f in branches.fidelities)

@@ -197,6 +197,8 @@ def test_parse_channel_spec():
         parse_channel_spec("bell:+x")
     with pytest.raises(ValueError, match="not kind:qubits"):
         parse_channel_spec("random:4:1:2")
+    with pytest.raises(ValueError, match="library-only"):
+        parse_channel_spec("explicit:4")
 
 
 def test_noncrossing_matchings_are_catalan():

@@ -1,11 +1,14 @@
 """CLI subcommands: CSV output, determinism, exit codes."""
 
-import dataclasses
 import fnmatch
+import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellport import cli, qudit
 from bellport.protocol import Fig2Row
@@ -322,6 +325,7 @@ def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
         (["appendix-a", "--phi", "inf"], "2 * phi finite"),
         (["appendix-a", "--phi", "1e308"], "2 * phi finite"),  # sin(2 * phi) overflows
         (["teleport", "--channel", "random:4:1:2"], "is not kind:qubits[:seed]"),
+        (["teleport", "--channel", "explicit:4"], "explicit channels are library-only"),
     ],
 )
 def test_bad_input_exits_64(argv, message, tmp_path, capsys):
@@ -334,13 +338,13 @@ def test_bad_input_exits_64(argv, message, tmp_path, capsys):
 
 
 def test_appendix_a_counts_nan_probabilities_as_violations(monkeypatch, tmp_path):
-    real = cli.measure_branches
+    real = cli._walk
 
-    def nan_branches(state, pairs):
-        for record, residual in real(state, pairs):
-            yield dataclasses.replace(record, joint_probability=float("nan")), residual
+    def nan_walk(stack, levels, follow):
+        roots, rows, probs, residuals = real(stack, levels, follow)
+        return roots, rows, np.full_like(probs, np.nan), residuals
 
-    monkeypatch.setattr(cli, "measure_branches", nan_branches)
+    monkeypatch.setattr(cli, "_walk", nan_walk)
     code, text = run_cli(["appendix-a"], tmp_path)
     assert code == 2
     assert parse_csv(text)[0]["violations"] == str(16 + 4)  # every branch and class
@@ -414,3 +418,83 @@ def test_timestamp_suppressed_only_when_deterministic(tmp_path):
     assert "# generated=" in out.read_text()
     cli.main(["order-param", "--channel", "ghz:4", "--out", str(out), "--deterministic"])
     assert "# generated=" not in out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# write_table against the per-cell writer it replaced
+
+
+def old_fmt(value):
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def old_write_table(stream, meta, columns, rows):
+    """write_table as it was, with --deterministic: every cell through
+    old_fmt, one row at a time."""
+    stream.write(f"# version={cli.__version__}\n")
+    for key, value in meta.items():
+        stream.write(f"# {key}={value}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(old_fmt(v) for v in row) + "\n")
+
+
+EDGE_FLOATS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.5e-320,
+    2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3, 123456789012345.0,
+]
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGE_FLOATS),
+)
+cells = {
+    "float": st.one_of(floats, floats.map(np.float64)),
+    "other": st.one_of(st.integers(), st.booleans(), st.text(max_size=6)),
+}
+cells["mixed"] = st.one_of(cells["float"], cells["other"])
+
+
+@st.composite
+def tables(draw):
+    """(columns, rows): 1 to 5 columns, each all floats, without floats or
+    mixed, and up to 12 rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
+    n = draw(st.integers(0, 12))
+    column_values = [draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
+    rows = [list(row) for row in zip(*column_values)]
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.integers(1, 5))
+def test_write_table_matches_the_per_cell_writer(table, chunk):
+    columns, rows = table
+    meta = {"subcommand": "test", "seed": 3}
+    new, old = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk):  # most tables span chunks
+        cli.write_table(new, meta, columns, rows, True)
+    old_write_table(old, meta, columns, rows)
+    assert new.getvalue() == old.getvalue()
+
+
+def test_write_table_writes_tables_longer_than_a_chunk():
+    rows = [[i, i / 7, "x" if i % 3 else 0.5, np.float64(-i) / 3] for i in range(10_000)]
+    new, old = io.StringIO(), io.StringIO()
+    cli.write_table(new, {}, ["i", "f", "mixed", "g"], rows, True)
+    old_write_table(old, {}, ["i", "f", "mixed", "g"], rows)
+    assert len(rows) > 2 * cli._CHUNK_ROWS
+    assert new.getvalue() == old.getvalue()
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1, 2], [3, 4, 5]], [[]]])
+def test_write_table_refuses_a_row_of_another_length(rows, monkeypatch, tmp_path):
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="cells for 2 columns"):
+        cli.write_table(out, {}, ["a", "b"], rows, True)
+    assert out.getvalue() == ""
+    # a fault of the program, not a usage error: it ends in a traceback
+    monkeypatch.setitem(cli._HANDLERS, "appendix-a", lambda args: ({}, ["a", "b"], rows, 0))
+    with pytest.raises(ValueError, match="cells for 2 columns"):
+        cli.main(["appendix-a", "--out", str(tmp_path / "x.csv")])
