@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from itertools import chain, islice, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,9 +54,9 @@ from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
     _CLASS_GATES,
+    _KINDS,
+    _fig2_blocks,
     _teleports,
-    fig2_run,
-    fig2_violations,
     min_fidelity_scan,
     order_parameter,
 )
@@ -69,13 +69,15 @@ from .threequbit import _stack_teleports as _trio_teleports
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
-# 65x fig2's default; a fig2 trial keeps about 1.5 KiB until its row is
-# written (fig2 --trials 131072 peaks at 225 MiB RSS)
+# 65x fig2's default; fig2 keeps its rows as column arrays, 48 B a row, until
+# they are written (fig2 --trials 131072 peaks at 70 MiB RSS, and at 502 MiB
+# with --enumerate-branches, about 64 rows a trial)
 MAX_TRIALS = 2**17
 _CLAIM_TOL = 1e-10  # the tolerance of every exact claim a subcommand checks
 _CHUNK_ROWS = 4096  # rows write_table formats and writes at a time
-# the text of each Bell label, and of each class, in BELL_LABELS order
-_SIGNS = np.array([format_sign_pair(lab) for lab in BELL_LABELS])
+# the text of each Bell label, and of each class, in BELL_LABELS order; an
+# object array, so that indexing it shares these strings instead of copying
+_SIGNS = np.array([format_sign_pair(lab) for lab in BELL_LABELS], dtype=object)
 # the eight trio basis channels (the trio bra's rows conjugated back), and
 # Bob's gate table for the class (j, l) of each
 _TRIO_CHANNELS = _BELL3_BRA.conj()
@@ -174,40 +176,52 @@ def write_table(
     stream,
     meta: dict,
     columns: Sequence[str],
-    rows: Sequence[Sequence],
+    rows: Iterable[Sequence],
     deterministic: bool,
 ) -> None:
-    """Write ``meta`` as '#' lines, the ``columns`` header and the ``rows``.
+    """Write ``meta`` as '#' lines, the ``columns`` header and the ``rows``,
+    which may be any iterable, read and written ``_CHUNK_ROWS`` rows at a
+    time; no more than one chunk of them is held.
 
-    The rows are transposed once and each column gets one format: %.12g
-    when all its values are floats, %s when none is, and ``_fmt`` first
-    when it mixes them, so each row is one ``line % row``, written
-    ``_CHUNK_ROWS`` rows at a time.  A row whose length differs from the
-    header's raises ValueError before anything is written.
+    Each chunk is transposed once and each of its columns gets one format:
+    %.12g when all its values are floats, %s when none is, and ``_fmt``
+    first when it mixes them, so each row is one ``line % row``.  A cell's
+    text depends only on its own type, so the chunks do not change the
+    bytes.  A row whose length differs from the header's raises ValueError
+    before its chunk is written; the metadata and header go out with the
+    first chunk, so a bad row there leaves the stream empty.
     """
-    if set(map(len, rows)) - {len(columns)}:
-        bad = next(i for i, row in enumerate(rows) if len(row) != len(columns))
-        raise ValueError(
-            f"row {bad} has {len(rows[bad])} cells for {len(columns)} columns"
-        )
-    stream.write(f"# version={__version__}\n")
-    for key, value in meta.items():
-        stream.write(f"# {key}={value}\n")
+    head = [f"# version={__version__}\n", *(f"# {k}={v}\n" for k, v in meta.items())]
     if not deterministic:
-        stamp = datetime.now(timezone.utc).isoformat()
-        stream.write(f"# generated={stamp}\n")
-    stream.write(",".join(columns) + "\n")
-    table = list(zip(*rows))
-    formats = []
-    for i, column in enumerate(table):
-        floats = {issubclass(kind, float) for kind in set(map(type, column))}
-        if floats == {True, False}:
-            table[i] = list(map(_fmt, column))
-        formats.append("%.12g" if floats == {True} else "%s")
-    line = ",".join(formats) + "\n"
-    body = zip(*table)
-    while chunk := list(islice(body, _CHUNK_ROWS)):
-        stream.write("".join(map(line.__mod__, chunk)))
+        head.append(f"# generated={datetime.now(timezone.utc).isoformat()}\n")
+    head.append(",".join(columns) + "\n")
+    rows = iter(rows)
+    done = 0
+    while True:
+        chunk = list(islice(rows, _CHUNK_ROWS))
+        if set(map(len, chunk)) - {len(columns)}:
+            bad = next(i for i, row in enumerate(chunk) if len(row) != len(columns))
+            raise ValueError(
+                f"row {done + bad} has {len(chunk[bad])} cells for {len(columns)} columns"
+            )
+        table = list(zip(*chunk))
+        formats = []
+        for i, column in enumerate(table):
+            floats = {issubclass(kind, float) for kind in set(map(type, column))}
+            if floats == {True, False}:
+                table[i] = list(map(_fmt, column))
+            formats.append("%.12g" if floats == {True} else "%s")
+        line = ",".join(formats) + "\n"
+        stream.write("".join(head) + "".join(map(line.__mod__, zip(*table))))
+        if len(chunk) < _CHUNK_ROWS:
+            return
+        head = []
+        done += len(chunk)
+
+
+def _chunks(n: int) -> Iterator[slice]:
+    """The slices of ``n`` rows, ``_CHUNK_ROWS`` rows each."""
+    return (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))
 
 
 def _one_row(cells: Sequence[tuple[str, object]]) -> tuple[tuple[str, ...], list[tuple]]:
@@ -229,13 +243,35 @@ def emit_plotdata(rows: Sequence[Fig2Row], path: str) -> None:
     """
     if not rows:
         raise EmptyDataError("no scatter rows to emit")
+    _write_plotdata(path, ((r.omega, r.fidelity) for r in rows))
+
+
+def _write_plotdata(path: str, points: Iterable[tuple[float, float]]) -> None:
+    """``emit_plotdata``'s file, with the (omega, fidelity) ``points``."""
     with open(path, "w") as fh:
         fh.write("# scatter: omega fidelity\n")
-        for r in rows:
-            fh.write(f"{_fmt(r.omega)} {_fmt(r.fidelity)}\n")
+        for omega, fidelity in points:
+            fh.write(f"{_fmt(omega)} {_fmt(fidelity)}\n")
         fh.write("\n\n# bound: omega (omega-1)/2\n")
         for x in np.linspace(-1.0, 3.0, 100):
             fh.write(f"{_fmt(float(x))} {_fmt((x - 1.0) / 2.0)}\n")
+
+
+@cache
+def _outcome_table(pairs: int) -> np.ndarray:
+    """The outcome text of each run of up to 5 ``pairs``, by its base-4 code."""
+    return np.array([";".join(p) for p in product(_SIGNS.tolist(), repeat=pairs)], dtype=object)
+
+
+def _outcome_texts(codes: np.ndarray, pairs: int) -> list[str]:
+    """The outcome text of each base-4 run code of ``pairs`` Bell pairs: one
+    ``_outcome_table`` lookup, or two joined with ';' above 5 pairs."""
+    if pairs <= 5:
+        return _outcome_table(pairs)[codes].tolist()
+    high, low = np.divmod(codes, 4**5)
+    return list(
+        map(";".join, zip(_outcome_table(pairs - 5)[high].tolist(), _outcome_table(5)[low].tolist()))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +287,29 @@ def _cmd_teleport(args):
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     if args.enumerate_branches:
         _, _, branches = _teleports(client, channel, assumed, pairing)
-        leaves = slice(None)
-        # run: the branch's outcome rows read as base-4 digits
-        runs = (branches.rows @ 4 ** np.arange(branches.rows.shape[1])[::-1]).tolist()
+        leaves = np.arange(len(branches.rows))
     else:
         rng = np.random.default_rng(args.seed + 1)
         _, leaves, branches = _teleports(client, channel, assumed, pairing, args.trials, rng)
-        runs = range(args.trials)
-    outcomes = branches.rows[leaves]
-    rows = list(
-        zip(
-            runs,
-            map(";".join, _SIGNS[outcomes].tolist()),
-            _SIGNS[np.bitwise_xor.reduce(outcomes, axis=1)].tolist(),
-            branches.probs[leaves].prod(axis=1).tolist(),
-            np.array(branches.fidelities)[leaves].tolist(),
-        )
-    )
+    pairs = branches.rows.shape[1]
+    codes = branches.rows @ 4 ** np.arange(pairs)[::-1]  # the rows read as base-4 digits
+    measured = np.bitwise_xor.reduce(branches.rows, axis=1)
+    probs = branches.probs.prod(axis=1)
+    fidelities = np.array(branches.fidelities)
+    # run: the branch's code, or the number of the sampled run
+    runs = codes if args.enumerate_branches else np.arange(args.trials)
+
+    def chunks():  # the rows of one chunk at a time
+        for chunk in _chunks(len(runs)):
+            branch = leaves[chunk]
+            yield zip(
+                runs[chunk].tolist(),
+                _outcome_texts(codes[branch], pairs),
+                _SIGNS[measured[branch]].tolist(),
+                probs[branch].tolist(),
+                fidelities[branch].tolist(),
+            )
+
     meta = {
         "seed": args.seed,
         "channel": args.channel,
@@ -276,24 +318,16 @@ def _cmd_teleport(args):
         "pairing": args.pairing or "default",
         "enumerate_branches": args.enumerate_branches,
     }
-    return meta, columns, rows, 0
+    return meta, columns, chain.from_iterable(chunks()), 0
 
 
 def _cmd_fig2(args):
-    rows = fig2_run(args.trials, args.seed, enumerate_branches=args.enumerate_branches)
-    bad = fig2_violations(rows)
-    signs = {c: format_sign_pair(c) for c in BELL_CLASSES}
-    table = [
-        [
-            r.trial,
-            signs[r.assumed_class],
-            r.omega,
-            signs[r.measured_class],
-            r.fidelity,
-            r.channel_kind,
-        ]
-        for r in rows
-    ]
+    blocks = list(_fig2_blocks(args.trials, args.seed, args.enumerate_branches))
+    # fig2_violations' rule, on the columns: a NaN fidelity is no violation
+    violations = sum(
+        int(np.count_nonzero(b.fidelity < (b.omega - 1.0) / 2.0 - FIG2_BOUND_SLACK))
+        for b in blocks
+    )
     meta = {
         "seed": args.seed,
         "trials": args.trials,
@@ -301,12 +335,26 @@ def _cmd_fig2(args):
         "channel_sampler": "50% pure-class projection / 50% haar with max omega <= 0.98",
         "client_sampler": "uniform on the Bloch sphere (complex-normal amplitudes)",
         "enumerate_branches": args.enumerate_branches,
-        "violations": len(bad),
+        "violations": violations,
     }
     if args.plot_out:
-        emit_plotdata(rows, args.plot_out)
+        points = (zip(b.omega.tolist(), b.fidelity.tolist()) for b in blocks)
+        _write_plotdata(args.plot_out, chain.from_iterable(points))
+
+    def chunks():  # the rows of one chunk at a time
+        for b in blocks:
+            for chunk in _chunks(len(b.trial)):
+                yield zip(
+                    b.trial[chunk].tolist(),
+                    _SIGNS[b.assumed[chunk]].tolist(),
+                    b.omega[chunk].tolist(),
+                    _SIGNS[b.measured[chunk]].tolist(),
+                    b.fidelity[chunk].tolist(),
+                    _KINDS[b.kind[chunk]].tolist(),
+                )
+
     columns = ["trial", "assumed_class", "omega", "measured_class", "fidelity", "channel_kind"]
-    return meta, columns, table, len(bad)
+    return meta, columns, chain.from_iterable(chunks()), violations
 
 
 def _cmd_appendix_a(args):

@@ -8,6 +8,7 @@ order parameter.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -132,19 +133,25 @@ class _Branches(NamedTuple):
     fidelities: list[float]  # with the client
 
 
-def _corrected_branches(
-    client: np.ndarray, gates: np.ndarray, rows, probs, residuals: np.ndarray
-) -> _Branches:
-    """Bob's ``gates`` on the one-site ``residuals`` of the branches ``rows``,
-    and the fidelity of each result with the ``client`` amplitudes (one row,
-    or one per branch), rounded as ``overlap_fidelity`` rounds it."""
+def _corrected(
+    client: np.ndarray, gates: np.ndarray, residuals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's ``gates`` on the one-site ``residuals``: the recipients (rows,
+    dim, 1) and each one's fidelity with the ``client`` amplitudes (one
+    row, or one per residual), rounded as ``overlap_fidelity`` rounds it."""
     recipients = gates @ residuals[:, :, None]
     overlaps = np.broadcast_to(client, residuals.shape).conj()[:, None, :] @ recipients
     # libm's hypot and pow, which abs(z) ** 2 calls on a Python complex z;
     # numpy's complex abs and ** 2 can differ from them in the last bit
-    fidelities = np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0)
-    fidelities = fidelities.ravel().tolist()
-    return _Branches(rows, probs, gates, recipients[:, :, 0], fidelities)
+    return recipients, np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
+
+
+def _corrected_branches(
+    client: np.ndarray, gates: np.ndarray, rows, probs, residuals: np.ndarray
+) -> _Branches:
+    """``_corrected`` as the branches ``rows``, with their ``probs``."""
+    recipients, fidelities = _corrected(client, gates, residuals)
+    return _Branches(rows, probs, gates, recipients[:, :, 0], fidelities.tolist())
 
 
 def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
@@ -429,15 +436,94 @@ class Fig2Row:
 # block bounds the generators, draws and walk arrays held at once.
 _FIG2_BLOCK = 1024
 _CLASS_SIGNS = np.array(BELL_CLASSES)  # the (j, k) of each class
-_PURE_KINDS = [f"pure-class {format_sign_pair(c)}" for c in BELL_CLASSES]
+# each channel kind by its index: a class index, or -1 for a Haar channel
+_KINDS = np.array(
+    [f"pure-class {format_sign_pair(c)}" for c in BELL_CLASSES] + ["haar"], dtype=object
+)
+
+# numpy.random.SeedSequence's hash constants, its words 32 bits wide
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words, on ints or uint64 arrays of them."""
+    r = ((_MIX_L * x & _M32) + (-_MIX_R & _M32) * y) & _M32  # never above 2**64
+    return r ^ r >> 16
+
+
+def _child_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """What ``SeedSequence(seed).spawn(stop)[i].generate_state(4, np.uint64)``
+    gives for each child ``i`` in ``range(start, stop)``, one row each.
+
+    A child's entropy is the seed's 32-bit words, zero-padded to the pool
+    size 4, and then its spawn key ``i`` (one word: ``i < 2**32``).  Every
+    word but that last one hashes the same for every child, so the pool is
+    mixed up to it once on ints.  The key's hash into each pool word and
+    ``generate_state``'s 8 words then run on uint64 arrays, one row per
+    child, masked to 32 bits.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    keys = np.arange(start, stop, dtype=np.uint64)[:, None]
+    hashes = _powers(h, _MULT_A, 4)  # the hash constants of hashmix(key) into each pool word
+    value = (keys ^ hashes[:-1]) * hashes[1:] & _M32
+    pool = _mix(np.array(pool, dtype=np.uint64), value ^ value >> 16)
+    hashes = _powers(_INIT_B, _MULT_B, 8)  # generate_state's, over the pool twice
+    value = (np.tile(pool, 2) ^ hashes[:-1]) * hashes[1:] & _M32
+    value ^= value >> 16
+    return value[:, ::2] | value[:, 1::2] << 32  # little-endian word pairs
+
+
+def _powers(h: int, mult: int, n: int) -> np.ndarray:
+    """``h`` and the ``n`` hash constants after it, each ``mult`` times the last."""
+    out = [h]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint64)
+
+
+class _ChildSeed(np.random.bit_generator.ISeedSequence):
+    """A spawned SeedSequence as the state ``_child_states`` derives for it:
+    the one thing PCG64, which ``np.random.default_rng`` builds, asks of it."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a derived child seed gives 4 uint64 words only")
+        return self.state
 
 
 def _scatter_channels(
     rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, list[str], list[dict[BellClass, float]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``sample_scatter_channel`` once on each generator of ``rngs``, on
-    stacked raw amplitudes: the channels (trials, 16), their kinds and
-    their Omega_c.
+    stacked raw amplitudes: the channels (trials, 16), the index of each
+    one's kind in ``_KINDS`` and their Omega_c (trials, 4), classes in
+    BELL_CLASSES order.
 
     Each generator makes the calls ``sample_scatter_channel`` documents,
     in that order; the 16 + 16 normals of a draw are taken as 32 at once,
@@ -465,16 +551,15 @@ def _scatter_channels(
         channels[todo[accepted]] = amps[accepted]
         omegas[todo[accepted]] = omega[accepted]
         todo = todo[~accepted]
-    kinds = ["haar" if c < 0 else _PURE_KINDS[c] for c in cls.tolist()]
-    return channels, kinds, [dict(zip(BELL_CLASSES, row)) for row in omegas.tolist()]
+    return channels, cls, omegas
 
 
 def _scatter_channel(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, str, dict[BellClass, float]]:
     """``sample_scatter_channel`` on raw amplitudes, with the channel's Omega_c."""
-    channels, kinds, omegas = _scatter_channels([rng])
-    return channels[0], kinds[0], omegas[0]
+    (channel,), (kind,), (omega,) = _scatter_channels([rng])
+    return channel, _KINDS[kind], dict(zip(BELL_CLASSES, omega.tolist()))
 
 
 def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
@@ -502,7 +587,7 @@ _SCATTER_LEVELS = [(pair, _BELL_BRA) for pair in default_pairing(5)]
 
 def _scatter_teleports(
     clients: np.ndarray, channels: np.ndarray, draws: np.ndarray | None
-) -> Iterator[tuple[int, BellClass, BellClass, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The teleports of every trial and assumed class, as one walk.
 
     ``clients`` and ``channels`` stack the amplitudes of the trials.  With
@@ -510,9 +595,10 @@ def _scatter_teleports(
     draws ``teleport`` would take in turn, so every outcome is the same),
     one sampled run per (trial, class); without, every possible branch of
     each trial once per class, as ``teleport_branches`` gives them: the
-    walk does not depend on the class, only Bob's gate table does.  Yields
-    (trial, assumed class, measured class, fidelity), trial-major, then
-    class, then branch.
+    walk does not depend on the class, only Bob's gate table does.
+    Returns the arrays (trial, assumed class, measured class, fidelity),
+    classes as indices into BELL_CLASSES, one entry per teleport,
+    trial-major, then class, then branch.
     """
     totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
     totals = totals.reshape((len(totals),) + (2,) * (2 * len(_SCATTER_LEVELS) + 1))
@@ -531,11 +617,43 @@ def _scatter_teleports(
         leaf, cls = follow.at, np.arange(len(trial)) % classes
     measured = np.bitwise_xor.reduce(rows, axis=1)[leaf]
     gates = _CLASS_GATES[cls, measured]
-    residuals = _normalized(residuals)[leaf]
-    branches = _corrected_branches(clients[trial], gates, None, None, residuals)
-    classes = [BELL_CLASSES[c] for c in cls.tolist()]
-    measured = [BELL_CLASSES[m] for m in measured.tolist()]
-    return zip(trial.tolist(), classes, measured, branches.fidelities)
+    _, fidelities = _corrected(clients[trial], gates, _normalized(residuals)[leaf])
+    return trial, cls, measured, fidelities
+
+
+class _Fig2Block(NamedTuple):
+    """The rows of a block of fig2 trials as columns, one entry per row."""
+
+    trial: np.ndarray
+    assumed: np.ndarray  # the assumed class, an index into BELL_CLASSES
+    omega: np.ndarray  # the channel's Omega of the assumed class
+    measured: np.ndarray  # the measured class, an index into BELL_CLASSES
+    fidelity: np.ndarray
+    kind: np.ndarray  # the channel's kind, an index into _KINDS
+
+
+def _fig2_blocks(
+    trials: int, seed: int, enumerate_branches: bool = False
+) -> Iterator[_Fig2Block]:
+    """The rows ``fig2_run`` returns, as the columns of one block of
+    ``_FIG2_BLOCK`` trials at a time."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    uniforms = len(BELL_CLASSES) * len(_SCATTER_LEVELS)
+    for start in range(0, trials, _FIG2_BLOCK):
+        # the block's streams: the next children of the seed, as spawn(trials) lists them
+        states = _child_states(seed, start, min(start + _FIG2_BLOCK, trials))
+        rngs = [np.random.default_rng(_ChildSeed(state)) for state in states]
+        z = np.array([rng.standard_normal(4) for rng in rngs])  # 2 + 2 at once
+        clients = _normalized(z[:, :2] + 1j * z[:, 2:])  # as _haar rounds it
+        channels, kinds, omegas = _scatter_channels(rngs)
+        draws = None
+        if not enumerate_branches:
+            draws = np.array([rng.random(uniforms) for rng in rngs])
+        trial, cls, measured, fidelity = _scatter_teleports(clients, channels, draws)
+        yield _Fig2Block(
+            start + trial, cls, omegas[trial, cls], measured, fidelity, kinds[trial]
+        )
 
 
 def fig2_run(
@@ -545,37 +663,31 @@ def fig2_run(
     sampled protocol run per assumed class.
 
     Every row satisfies fidelity >= (omega - 1) / 2 - 1e-9; trials use
-    independently spawned RNG streams so runs are reproducible and could
-    be distributed.  Each trial's generator draws, in order: its client
-    (2 + 2 normals), its channel (``sample_scatter_channel``) and, unless
-    ``enumerate_branches``, 8 teleport uniforms, one per assumed class and
-    Bell pair, class-major.  The trials are sampled a block at a time as
-    stacked arrays (the channel's Omega_c is computed once), and the runs
-    of a block go through one batched walk of the outcome tree.  With
+    independently spawned RNG streams (the children of
+    ``SeedSequence(seed).spawn(trials)``, their seeds derived as one array)
+    so runs are reproducible and could be distributed.  Each trial's
+    generator draws, in order: its client (2 + 2 normals), its channel
+    (``sample_scatter_channel``) and, unless ``enumerate_branches``, 8
+    teleport uniforms, one per assumed class and Bell pair, class-major.
+    The trials are sampled a block at a time as stacked arrays (the
+    channel's Omega_c is computed once), and the runs of a block go
+    through one batched walk of the outcome tree.  With
     ``enumerate_branches`` every reachable outcome branch is forced
     instead of sampling one (a verification mode: the bound must survive
     even the improbable branches); each trial is walked once for all
     four assumed classes.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    root = np.random.SeedSequence(seed)
-    uniforms = len(BELL_CLASSES) * len(_SCATTER_LEVELS)
     rows = []
-    for start in range(0, trials, _FIG2_BLOCK):
-        # the block's streams: the next children of root, as spawn(trials) lists them
-        streams = root.spawn(min(_FIG2_BLOCK, trials - start))
-        rngs = [np.random.default_rng(ss) for ss in streams]
-        z = np.array([rng.standard_normal(4) for rng in rngs])  # 2 + 2 at once
-        clients = _normalized(z[:, :2] + 1j * z[:, 2:])  # as _haar rounds it
-        channels, kinds, omegas = _scatter_channels(rngs)
-        draws = None
-        if not enumerate_branches:
-            draws = np.array([rng.random(uniforms) for rng in rngs])
-        rows += [
-            Fig2Row(start + t, cls, omegas[t][cls], measured, fid, kinds[t])
-            for t, cls, measured, fid in _scatter_teleports(clients, channels, draws)
-        ]
+    for block in _fig2_blocks(trials, seed, enumerate_branches):
+        rows += map(
+            Fig2Row,
+            block.trial.tolist(),
+            map(BELL_CLASSES.__getitem__, block.assumed.tolist()),
+            block.omega.tolist(),
+            map(BELL_CLASSES.__getitem__, block.measured.tolist()),
+            block.fidelity.tolist(),
+            _KINDS[block.kind].tolist(),
+        )
     return rows
 
 

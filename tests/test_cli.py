@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellport import cli, qudit
-from bellport.protocol import Fig2Row
+from bellport import cli, protocol, qudit
+from bellport.bell import format_sign_pair
+from bellport.protocol import fig2_run, fig2_violations
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -388,22 +389,70 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path):
 
 def test_violation_exit_code(monkeypatch, tmp_path):
     # a row below the bound must flip the exit status to 2
-    bad = Fig2Row(
-        trial=0,
-        assumed_class=(1, 1),
-        omega=3.0,
-        measured_class=(1, 1),
-        fidelity=0.5,
-        channel_kind="synthetic",
+    bad = protocol._Fig2Block(
+        trial=np.array([0]),
+        assumed=np.array([0]),
+        omega=np.array([3.0]),
+        measured=np.array([0]),
+        fidelity=np.array([0.5]),
+        kind=np.array([-1]),
     )
     monkeypatch.setattr(
-        cli, "fig2_run", lambda trials, seed, enumerate_branches=False: [bad]
+        cli, "_fig2_blocks", lambda trials, seed, enumerate_branches=False: iter([bad])
     )
     code = cli.main(
         ["fig2", "--trials", "1", "--seed", "0", "--out", str(tmp_path / "v.csv"),
          "--deterministic"]
     )
     assert code == 2
+
+
+def below_the_bound_in_the_last_block(monkeypatch):
+    """Patch fig2's walk so that its one-trial blocks give one row below
+    the bound and one NaN fidelity, which is no violation."""
+    real = protocol._scatter_teleports
+
+    def teleports(clients, channels, draws):
+        trial, cls, measured, fidelity = real(clients, channels, draws)
+        if len(clients) == 1:
+            fidelity[[1, 2]] = -2.0, np.nan  # the bound is never below -1
+        return trial, cls, measured, fidelity
+
+    monkeypatch.setattr(protocol, "_scatter_teleports", teleports)
+
+
+@pytest.mark.parametrize("enumerate_branches", [False, True])
+def test_fig2_counts_the_violations_of_fig2_run(monkeypatch, tmp_path, enumerate_branches):
+    monkeypatch.setattr(protocol, "_FIG2_BLOCK", 3)  # blocks of 3, 3, 3 and 1 trials
+    below_the_bound_in_the_last_block(monkeypatch)
+    expected = fig2_violations(fig2_run(10, 6, enumerate_branches))
+    assert [r.trial for r in expected] == [9]
+    flags = ["--enumerate-branches"] if enumerate_branches else []
+    code, text = run_cli(["fig2", "--trials", "10", "--seed", "6", *flags], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 2 and meta["violations"] == str(len(expected)) == "1"
+    assert [row["fidelity"] for row in rows if row["trial"] == "9"][1:3] == ["-2", "nan"]
+
+
+@pytest.mark.parametrize("enumerate_branches", [False, True])
+def test_fig2_csv_rows_are_fig2_run_rows(tmp_path, enumerate_branches):
+    # 1,025 trials: a second block of one trial, and more rows than a chunk
+    flags = ["--enumerate-branches"] if enumerate_branches else []
+    code, text = run_cli(["fig2", "--trials", "1025", "--seed", "17", *flags], tmp_path)
+    _, header, rows = parse_csv(text)
+    expected = [
+        [
+            str(r.trial),
+            format_sign_pair(r.assumed_class),
+            f"{r.omega:.12g}",
+            format_sign_pair(r.measured_class),
+            f"{r.fidelity:.12g}",
+            r.channel_kind,
+        ]
+        for r in fig2_run(1025, 17, enumerate_branches)
+    ]
+    assert code == 0 and len(rows) > cli._CHUNK_ROWS
+    assert [[row[c] for c in header] for row in rows] == expected
 
 
 def test_emit_plotdata_empty_errors(tmp_path):
@@ -472,11 +521,12 @@ def tables(draw):
 def test_write_table_matches_the_per_cell_writer(table, chunk):
     columns, rows = table
     meta = {"subcommand": "test", "seed": 3}
-    new, old = io.StringIO(), io.StringIO()
+    new, once, old = io.StringIO(), io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk):  # most tables span chunks
         cli.write_table(new, meta, columns, rows, True)
+        cli.write_table(once, meta, columns, (tuple(row) for row in rows), True)
     old_write_table(old, meta, columns, rows)
-    assert new.getvalue() == old.getvalue()
+    assert new.getvalue() == once.getvalue() == old.getvalue()
 
 
 def test_write_table_writes_tables_longer_than_a_chunk():
@@ -498,3 +548,18 @@ def test_write_table_refuses_a_row_of_another_length(rows, monkeypatch, tmp_path
     monkeypatch.setitem(cli._HANDLERS, "appendix-a", lambda args: ({}, ["a", "b"], rows, 0))
     with pytest.raises(ValueError, match="cells for 2 columns"):
         cli.main(["appendix-a", "--out", str(tmp_path / "x.csv")])
+
+
+def test_write_table_refuses_a_bad_row_before_writing_its_chunk():
+    def rows():
+        yield from ([i, i / 2] for i in range(9))
+        yield [9]
+        yield from ([i, i / 2] for i in range(10, 14))
+
+    out = io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_ROWS", 4):
+        with pytest.raises(ValueError, match="row 9 has 1 cells for 2 columns"):
+            cli.write_table(out, {"seed": 1}, ["a", "b"], rows(), True)
+    old = io.StringIO()
+    old_write_table(old, {"seed": 1}, ["a", "b"], [[i, i / 2] for i in range(8)])
+    assert out.getvalue() == old.getvalue()  # the two whole chunks before it

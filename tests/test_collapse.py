@@ -7,7 +7,8 @@ trio with its own row grouping, the qudit pair, the branch enumerator
 that forced every outcome tuple from scratch, ``Generator.choice`` for
 sampled rows, the fig2 scatter that ran one ``teleport`` per trial and
 class, the scatter's channel sampler drawing one trial after another,
-and the sampled runs of one channel as successive ``teleport`` calls.
+the sampled runs of one channel as successive ``teleport`` calls, and
+``SeedSequence.spawn`` for the child seeds fig2 derives as one array.
 Random states, pairings and forced or seeded outcomes must give the
 same outcomes, probabilities and residuals (to 1e-12), and consume the
 same random draws; enumerated branches, the batched fig2 rows, the
@@ -546,6 +547,45 @@ def test_fig2_run_leaves_each_trial_generator_as_the_per_trial_draws_do(
         assert rng.bit_generator.state == old.bit_generator.state
 
 
+# the children of SeedSequence(seed).spawn, derived as one array
+
+# seeds of 1 to 5 entropy words, at the edges of each word count
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**128 - 1, 2**128]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**256 - 1), st.sampled_from(SEED_EDGES)),
+    st.integers(0, 2100),
+    st.integers(1, 40),
+)
+def test_child_states_are_the_spawned_seed_sequences_states(seed, start, count):
+    spawned = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    states = protocol._child_states(seed, start, start + count)
+    assert states.dtype == np.uint64 and states.shape == (count, 4)
+    assert states.flags.c_contiguous  # PCG64 reads each row's memory
+    for child, state in zip(spawned, states):
+        assert np.array_equal(state, child.generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**200 + 9])
+def test_generators_of_derived_seeds_are_the_spawned_generators(seed):
+    spawned = np.random.SeedSequence(seed).spawn(1030)[1020:]
+    states = protocol._child_states(seed, 1020, 1030)  # across the block boundary 1024
+    for child, state in zip(spawned, states):
+        new = np.random.default_rng(protocol._ChildSeed(state))
+        old = np.random.default_rng(child)
+        assert new.bit_generator.state == old.bit_generator.state
+        assert np.array_equal(new.random(5), old.random(5))
+
+
+def test_derived_seeds_refuse_what_seed_sequence_refuses():
+    with pytest.raises(ValueError):
+        protocol._child_states(-1, 0, 3)
+    with pytest.raises(TypeError):
+        protocol._child_states(1.5, 0, 3)
+
+
 @PROPERTY
 @given(seeds)
 def test_block_sampler_matches_per_trial_sampler(seed):
@@ -556,6 +596,7 @@ def test_block_sampler_matches_per_trial_sampler(seed):
     for new, amps, kind, omega, old in zip(rngs, channels, kinds, omegas, old_rngs):
         old_amps, old_kind, old_omega, _ = old_scatter_channel(old)
         assert np.array_equal(amps.view(np.uint64), old_amps.view(np.uint64))
+        kind, omega = protocol._KINDS[kind], dict(zip(BELL_CLASSES, omega.tolist()))
         assert (kind, omega) == (old_kind, old_omega)  # floats compared with ==
         assert new.bit_generator.state == old.bit_generator.state
 
