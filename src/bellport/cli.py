@@ -53,24 +53,24 @@ from .measure import _BELL_BRA, _possible, _walk
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
-    _CLASS_GATES,
     _KINDS,
+    _below_bound,
+    _check_pairing,
     _fig2_blocks,
     _teleports,
     min_fidelity_scan,
     order_parameter,
 )
-from .qudit import _bell_bra as _qudit_bell_bra
-from .qudit import _gate_table as _qudit_gate_table
+from .qudit import _label_stack
 from .qudit import _stack_teleports as _qudit_teleports
 from .states import PureState, random_state, tensor
-from .threequbit import BELL3_LABELS, _BELL3_BRA, _OUTCOMES, theta_rank
+from .threequbit import BELL3_LABELS, _OUTCOMES, _TRIO_CHANNELS, _TRIO_GATES, theta_rank
 from .threequbit import _stack_teleports as _trio_teleports
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
-# 65x fig2's default; fig2 keeps its rows as column arrays, 48 B a row, until
-# they are written (fig2 --trials 131072 peaks at 70 MiB RSS, and at 502 MiB
+# 65x fig2's default; fig2 keeps its rows as column arrays, 23 B a row, until
+# they are written (fig2 --trials 131072 peaks at 54 MiB RSS, and at 252 MiB
 # with --enumerate-branches, about 64 rows a trial)
 MAX_TRIALS = 2**17
 _CLAIM_TOL = 1e-10  # the tolerance of every exact claim a subcommand checks
@@ -78,10 +78,6 @@ _CHUNK_ROWS = 4096  # rows write_table formats and writes at a time
 # the text of each Bell label, and of each class, in BELL_LABELS order; an
 # object array, so that indexing it shares these strings instead of copying
 _SIGNS = np.array([format_sign_pair(lab) for lab in BELL_LABELS], dtype=object)
-# the eight trio basis channels (the trio bra's rows conjugated back), and
-# Bob's gate table for the class (j, l) of each
-_TRIO_CHANNELS = _BELL3_BRA.conj()
-_TRIO_GATES = _CLASS_GATES[[BELL_CLASSES.index((lab.j, lab.l)) for lab in BELL3_LABELS]]
 # appendix-a's channel is cos(phi) times the first of these plus sin(phi) times the second
 _APPENDIX_A_PAIRS = [
     bell_basis_state(labels).amplitudes for labels in ([(1, -1), (-1, 1)], [(-1, 1), (1, -1)])
@@ -139,15 +135,12 @@ def _seed(text: str) -> int:
 
 
 @_usage_errors()
-def _parse_pairing(text: str, sites: int) -> tuple[tuple[int, int], ...]:
-    """Pairs like 0-1,2-3 measuring each of ``sites`` sites but one, once."""
+def _parse_pairing(text: str) -> tuple[tuple[int, int], ...]:
+    """The pairs of a --pairing like 0-1,2-3."""
     pairs = []
     for chunk in text.split(","):
         a, _, b = chunk.partition("-")
         pairs.append((int(a), int(b)))
-    measured = [s for pair in pairs for s in pair]
-    if not len(set(measured) & set(range(sites))) == len(measured) == sites - 1:
-        raise ValueError(f"pairing {text!r} must measure all but one of sites 0..{sites - 1}")
     return tuple(pairs)
 
 
@@ -276,13 +269,22 @@ def _outcome_texts(codes: np.ndarray, pairs: int) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (meta, columns, rows, violations), and
-# main puts the subcommand's name first in meta
+# main puts the subcommand's name first in meta and, unless violations is
+# None (a subcommand that checks no claim), the violations last
 
 
 def _cmd_teleport(args):
     channel = _channel(args.channel, args.seed)
     assumed = _parse_class(args.assumed_class)
-    pairing = _parse_pairing(args.pairing, channel.num_sites + 1) if args.pairing else None
+    pairing = None
+    if args.pairing:
+        pairing, sites = _parse_pairing(args.pairing), channel.num_sites + 1
+        try:  # the library's rule, on the site count: no state is built yet
+            _check_pairing(sites, pairing)
+        except ValueError as exc:
+            raise UsageError(
+                f"pairing {args.pairing!r} must measure all but one of sites 0..{sites - 1}"
+            ) from exc
     client = random_state(1, 2, np.random.default_rng(args.seed))
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     if args.enumerate_branches:
@@ -295,7 +297,6 @@ def _cmd_teleport(args):
     codes = branches.rows @ 4 ** np.arange(pairs)[::-1]  # the rows read as base-4 digits
     measured = np.bitwise_xor.reduce(branches.rows, axis=1)
     probs = branches.probs.prod(axis=1)
-    fidelities = np.array(branches.fidelities)
     # run: the branch's code, or the number of the sampled run
     runs = codes if args.enumerate_branches else np.arange(args.trials)
 
@@ -307,7 +308,7 @@ def _cmd_teleport(args):
                 _outcome_texts(codes[branch], pairs),
                 _SIGNS[measured[branch]].tolist(),
                 probs[branch].tolist(),
-                fidelities[branch].tolist(),
+                branches.fidelities[branch].tolist(),
             )
 
     meta = {
@@ -318,16 +319,12 @@ def _cmd_teleport(args):
         "pairing": args.pairing or "default",
         "enumerate_branches": args.enumerate_branches,
     }
-    return meta, columns, chain.from_iterable(chunks()), 0
+    return meta, columns, chain.from_iterable(chunks()), None
 
 
 def _cmd_fig2(args):
     blocks = list(_fig2_blocks(args.trials, args.seed, args.enumerate_branches))
-    # fig2_violations' rule, on the columns: a NaN fidelity is no violation
-    violations = sum(
-        int(np.count_nonzero(b.fidelity < (b.omega - 1.0) / 2.0 - FIG2_BOUND_SLACK))
-        for b in blocks
-    )
+    violations = sum(int(np.count_nonzero(_below_bound(b.fidelity, b.omega))) for b in blocks)
     meta = {
         "seed": args.seed,
         "trials": args.trials,
@@ -335,7 +332,6 @@ def _cmd_fig2(args):
         "channel_sampler": "50% pure-class projection / 50% haar with max omega <= 0.98",
         "client_sampler": "uniform on the Bloch sphere (complex-normal amplitudes)",
         "enumerate_branches": args.enumerate_branches,
-        "violations": violations,
     }
     if args.plot_out:
         points = (zip(b.omega.tolist(), b.fidelity.tolist()) for b in blocks)
@@ -387,7 +383,6 @@ def _cmd_appendix_a(args):
         "class_probabilities": ";".join(
             f"{sign}={p:.12g}" for sign, p in zip(_SIGNS.tolist(), class_prob.tolist())
         ),
-        "violations": violations,
     }
     return meta, columns, rows, violations
 
@@ -400,7 +395,7 @@ def _cmd_order_param(args):
     cells += [(f"omega_{format_sign_pair(c)}", op.omega[c]) for c in BELL_CLASSES]
     cells += [(f"weight_{format_sign_pair(c)}", weights[c] ** 2) for c in BELL_CLASSES]
     meta = {"channel": args.channel, "seed": args.seed}
-    return meta, *_one_row(cells), 0
+    return meta, *_one_row(cells), None
 
 
 def _cmd_cluster_check(args):
@@ -423,7 +418,7 @@ def _cmd_cluster_check(args):
     ok = top < 1.0 - 1e-6  # cluster states must straddle classes
     violations += not ok
     rows.append(["max_class_weight", top, 0.0, int(ok)])
-    meta = {"qubits": L, "violations": violations}
+    meta = {"qubits": L}
     return meta, columns, rows, violations
 
 
@@ -451,7 +446,7 @@ def _cmd_aklt_check(args):
     for name, value, expected, ok in checks:
         violations += not ok
         rows.append([name, value, expected, int(ok)])
-    meta = {"qubits": L, "violations": violations}
+    meta = {"qubits": L}
     return meta, columns, rows, violations
 
 
@@ -477,7 +472,7 @@ def _cmd_bound_scan(args):
         ("argmin_abs_c", res.c_mag),
         ("predicted_a", predicted_a),
     ]
-    meta = {"theta": theta, "violations": int(not ok)}
+    meta = {"theta": theta}
     return meta, *_one_row(cells), int(not ok)
 
 
@@ -512,7 +507,6 @@ def _cmd_three_qubit(args):
         "theta_det_kappa_plus": f"{abs(det_p):.3e}",
         "theta_rank_kappa_minus": rank_m,
         "theta_det_kappa_minus": f"{abs(det_m):.3e}",
-        "violations": violations,
     }
     return meta, columns, rows, violations
 
@@ -529,26 +523,17 @@ def _cmd_qudit_demo(args):
     client = random_state(1, d, np.random.default_rng(args.seed)).amplitudes
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # distinct for d >= 2
-    channels = _qudit_bell_bra(d)[[j * d + k for j, k in labels], 0].conj()  # qudit_bell's
-    # np.stack keeps each table's layout (transposed gates), and with it how
-    # each gate product rounds in a one-label pass
-    gates = np.stack([_qudit_gate_table(d, j, k) for j, k in labels])
-    roots, branches = _qudit_teleports(client, channels, gates, _possible)
-    fidelities = np.array(branches.fidelities)
+    roots, branches = _qudit_teleports(client, *_label_stack(d, labels), _possible)
     j, k = np.array(labels)[roots].T.tolist()
     p, q = np.divmod(branches.rows, d)
     rows = list(
         zip(
             [d] * len(roots), j, k, p.tolist(), q.tolist(),
-            branches.probs.tolist(), branches.fidelities,
+            branches.probs.tolist(), branches.fidelities.tolist(),
         )
     )
-    violations = int((~(fidelities >= 1.0 - _CLAIM_TOL)).sum())
-    meta = {
-        "seed": args.seed,
-        "dim": d,
-        "violations": violations,
-    }
+    violations = int((~(branches.fidelities >= 1.0 - _CLAIM_TOL)).sum())
+    meta = {"seed": args.seed, "dim": d}
     return meta, columns, rows, violations
 
 
@@ -561,7 +546,8 @@ def _cmd_heisenberg_check(args):
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
     assumed = dec.dominant_class()
-    min_f = min(_teleports(client, ground, assumed, None, args.trials, rng)[2].fidelities)
+    branches = _teleports(client, ground, assumed, None, args.trials, rng)[2]
+    min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
     violations = int(abs(op.efficiency - 1.0) > 1e-8) + int(min_f < 1.0 - 1e-8)
     cells = [
         ("L", L),
@@ -570,7 +556,7 @@ def _cmd_heisenberg_check(args):
         ("sampled_runs", args.trials),
         ("min_fidelity", min_f),
     ]
-    meta = {"qubits": L, "seed": args.seed, "trials": args.trials, "violations": violations}
+    meta = {"qubits": L, "seed": args.seed, "trials": args.trials}
     return meta, *_one_row(cells), violations
 
 
@@ -724,6 +710,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     meta = {"subcommand": args.subcommand, **meta}
+    if violations is not None:
+        meta["violations"] = violations
     if args.out:
         with open(args.out, "w") as fh:
             write_table(fh, meta, columns, rows, args.deterministic)

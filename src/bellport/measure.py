@@ -20,10 +20,11 @@ at or below ZERO_PROB_ATOL), every possible row when enumerating
 every branch, one walk per trial for all four assumed classes, all the
 branches of the eight ``three-qubit`` channels per mode and of the
 ``qudit-demo`` channels in one walk, and ``appendix-a``).  ``collapse`` is its
-one-level case onto one row; ``teleport3`` and ``qudit_teleport`` are
-one-level walks too.  Bob's gate depends on a branch only through a
-function of its rows (the XOR of the Bell rows, the trio class, the
-qudit row), so it is a row of a gate table.  A sampled outcome is the
+one-level case onto one row.  A forced outcome is its index in its
+level's labels (``_forced_row``): a Bell pair's, the trio's, a qudit
+pair's.  Bob's gate depends on a branch only through a function of its
+rows (the XOR of the Bell rows, the trio class, the qudit row), so it is
+a row of a gate table.  A sampled outcome is the
 search that ``Generator.choice`` makes in the cumulative distribution,
 on one uniform draw, so many sampled runs walk together exactly as each
 would alone (``_Sampled``): every run picks its row on its own draw,
@@ -142,10 +143,12 @@ def collapse(
     return int(rows[0]), float(probs[0]), residual.reshape(bra.shape[1], *rest)
 
 
-def _check_pair(state: PureState, a: int, b: int) -> None:
-    n = state.num_sites
+def _check_qubits(state: PureState) -> None:
     if state.local_dim != 2:
         raise ValueError("Bell measurements act on qubit states")
+
+
+def _check_pair(n: int, a: int, b: int) -> None:
     if a == b:
         raise ValueError("measurement sites must be distinct")
     if not (0 <= a < n and 0 <= b < n):
@@ -154,7 +157,8 @@ def _check_pair(state: PureState, a: int, b: int) -> None:
 
 def outcome_distribution(state: PureState, a: int, b: int) -> dict[BellLabel, float]:
     """Probability of each Bell outcome for a measurement on (a, b)."""
-    _check_pair(state, a, b)
+    _check_qubits(state)
+    _check_pair(state.num_sites, a, b)
     dist = {}
 
     def note(i, probs):  # keep the level's probabilities and follow no row
@@ -165,12 +169,15 @@ def outcome_distribution(state: PureState, a: int, b: int) -> dict[BellLabel, fl
     return dist
 
 
-def _forced_row(forced, pair: Sequence[int]) -> tuple[int | None, str | None]:
-    """Row of a forced Bell label and its name in errors; (None, None) samples."""
+def _forced_row(
+    labels: Sequence, forced, read: Callable = lambda f: f
+) -> tuple[int | None, object]:
+    """The row of a ``forced`` outcome, the index of ``read(forced)`` in its level's
+    ``labels``, and that label, which names it in errors; (None, None) samples."""
     if forced is None:
         return None, None
-    forced = BellLabel(*forced)
-    return BELL_LABELS.index(forced), f"{forced} on sites {tuple(pair)}"
+    label = read(forced)
+    return labels.index(tuple(label)), label
 
 
 def _walk(
@@ -223,16 +230,16 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps / _norms(amps)
 
 
-def _check_pairs(state: PureState, pairs: Sequence[tuple[int, int]]) -> None:
-    """Refuse ``pairs`` that overlap, leave no site of ``state`` unmeasured or
-    fail ``_check_pair``."""
+def _check_pairs(sites: int, pairs: Sequence[tuple[int, int]]) -> None:
+    """Refuse ``pairs`` that overlap, leave none of ``sites`` sites
+    unmeasured or fail ``_check_pair``: no state need be built to check."""
     flat = [s for pair in pairs for s in pair]
     if len(set(flat)) != len(flat):
         raise ValueError(f"measurement pairs overlap: {pairs}")
-    if len(flat) > state.num_sites - 1:
+    if len(flat) > sites - 1:
         raise ValueError("measurements must leave at least one site untouched")
     for a, b in pairs:
-        _check_pair(state, a, b)
+        _check_pair(sites, a, b)
 
 
 def _record(
@@ -256,7 +263,8 @@ def _leaves(
 ) -> Iterator[tuple[MeasurementRecord, PureState]]:
     """Check ``pairs`` on ``state``, walk its outcome tree alone and give
     each leaf as (record, renormalised residual), in walk order."""
-    _check_pairs(state, pairs)
+    _check_pairs(state.num_sites, pairs)
+    _check_qubits(state)
     levels = [(pair, _BELL_BRA) for pair in pairs]
     _, rows, probs, residuals = _walk(state.as_tensor()[None], levels, follow)
     residuals = _normalized(residuals)
@@ -302,10 +310,11 @@ def bell_measure(
     one of ``forced`` (a Bell label) or ``rng`` (seed or Generator)
     selects the branch.
     """
-    _check_pair(state, a, b)
-    row, label = _forced_row(forced, (a, b))
+    _check_qubits(state)
+    _check_pair(state.num_sites, a, b)
+    row, label = _forced_row(BELL_LABELS, forced, lambda forced: BellLabel(*forced))
     row, prob, residual = collapse(
-        state.as_tensor(), (a, b), _BELL_BRA, row=row, rng=rng, label=label
+        state.as_tensor(), (a, b), _BELL_BRA, row=row, rng=rng, label=f"{label} on sites {(a, b)}"
     )
     outcome = MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
     pair_tensor = bell_state(outcome.label).amplitudes.reshape(2, 2)
@@ -331,8 +340,9 @@ def measure_sequence(
     wants = [None] * len(pairs) if forced is None else forced
     if any(want is None for want in wants):
         rng = _as_rng(rng)  # one generator for every sampled pair
-    rows = [_forced_row(want, pair) for want, pair in zip(wants, pairs)]
-    (result,) = _leaves(state, pairs, lambda i, probs: [_pick(probs[0], *rows[i], rng)])
+    rows = [_forced_row(BELL_LABELS, want, lambda want: BellLabel(*want)) for want in wants]
+    names = [f"{label} on sites {tuple(pair)}" for (_, label), pair in zip(rows, pairs)]
+    (result,) = _leaves(state, pairs, lambda i, probs: [_pick(probs[0], rows[i][0], names[i], rng)])
     return result
 
 

@@ -93,10 +93,16 @@ def _teleport_setup(
     total = tensor(client, channel)
     if pairing is None:
         pairing = default_pairing(total.num_sites)
-    measured = [s for pair in pairing for s in pair]
-    if len(measured) != total.num_sites - 1:
-        raise ValueError("pairing must cover all sites except the recipient")
+    _check_pairing(total.num_sites, pairing)
     return total, pairing
+
+
+def _check_pairing(sites: int, pairing: Sequence[tuple[int, int]]) -> None:
+    """Refuse a ``pairing`` of ``sites`` qubits that does not measure all of
+    them but the recipient, or that ``_check_pairs`` refuses."""
+    if sum(map(len, pairing)) != sites - 1:
+        raise ValueError("pairing must cover all sites except the recipient")
+    _check_pairs(sites, pairing)
 
 
 def teleport(
@@ -130,37 +136,29 @@ class _Branches(NamedTuple):
     probs: np.ndarray  # their conditional probabilities
     gates: np.ndarray  # Bob's gate
     recipients: np.ndarray  # the recipient's amplitudes after it
-    fidelities: list[float]  # with the client
+    fidelities: np.ndarray  # with the client
 
 
 def _corrected(
     client: np.ndarray, gates: np.ndarray, residuals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's ``gates`` on the one-site ``residuals``: the recipients (rows,
-    dim, 1) and each one's fidelity with the ``client`` amplitudes (one
-    row, or one per residual), rounded as ``overlap_fidelity`` rounds it."""
+    dim) and each one's fidelity with the ``client`` amplitudes (one row,
+    or one per residual), rounded as ``overlap_fidelity`` rounds it."""
     recipients = gates @ residuals[:, :, None]
     overlaps = np.broadcast_to(client, residuals.shape).conj()[:, None, :] @ recipients
     # libm's hypot and pow, which abs(z) ** 2 calls on a Python complex z;
     # numpy's complex abs and ** 2 can differ from them in the last bit
-    return recipients, np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
-
-
-def _corrected_branches(
-    client: np.ndarray, gates: np.ndarray, rows, probs, residuals: np.ndarray
-) -> _Branches:
-    """``_corrected`` as the branches ``rows``, with their ``probs``."""
-    recipients, fidelities = _corrected(client, gates, residuals)
-    return _Branches(rows, probs, gates, recipients[:, :, 0], fidelities.tolist())
+    return recipients[:, :, 0], np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
 
 
 def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
     """One ``TeleportResult`` per branch, with the record ``record(rows, probs)``."""
-    dim = branches.recipients.shape[1]
     return [
-        TeleportResult(record(rows, probs), gate, _wrap(amps, dim), fid)
+        TeleportResult(record(rows, probs), gate, _wrap(amps, len(amps)), fid)
         for rows, probs, gate, amps, fid in zip(
-            branches.rows.tolist(), branches.probs.tolist(), *branches[2:]
+            branches.rows.tolist(), branches.probs.tolist(), branches.gates,
+            branches.recipients, branches.fidelities.tolist(),
         )
     ]
 
@@ -168,12 +166,12 @@ def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
 def _teleport_one(
     teleports: Callable, labels: Sequence, pair: tuple[int, int], forced, rng
 ) -> TeleportResult:
-    """The teleport ``teleports(follow)`` makes over one measurement (a trio
-    or a qudit pair) with outcome rows ``labels``: onto the row of ``forced``
-    (refused when impossible) or one drawn from ``rng``.  Its record names
-    ``pair``, with the label's first two entries as the aggregate class."""
-    row = None if forced is None else labels.index(tuple(forced))
-    branches = teleports(lambda i, probs: [_pick(probs[0], row, forced, rng)])
+    """The teleport ``teleports(follow)``, a family's stacked pass over one
+    channel, makes onto ``forced``, a ``_forced_row`` of the outcome rows
+    ``labels`` (refused when impossible), or onto one drawn from ``rng``.  Its
+    record names ``pair``, with the label's first two entries as the class."""
+    row, label = forced
+    _, branches = teleports(lambda i, probs: [_pick(probs[0], row, label, rng)])
 
     def record(row: int, prob: float) -> MeasurementRecord:
         outcome = MeasurementOutcome(pair=pair, label=labels[row], probability=prob)
@@ -197,7 +195,6 @@ def _teleports(
     of a 4-gate table, indexed by the aggregate class (the XOR of the rows).
     """
     total, pairing = _teleport_setup(client, channel, pairing)
-    _check_pairs(total, pairing)
     follow = _possible
     if trials is not None:
         u = _as_rng(rng).random((trials, len(pairing)))
@@ -206,9 +203,8 @@ def _teleports(
     _, rows, probs, residuals = _walk(total.as_tensor()[None], levels, follow)
     gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(rows, axis=1)]
     leaf = None if trials is None else follow.at
-    return pairing, leaf, _corrected_branches(
-        client.amplitudes, gates, rows, probs, _normalized(residuals)
-    )
+    corrected = _corrected(client.amplitudes, gates, _normalized(residuals))
+    return pairing, leaf, _Branches(rows, probs, gates, *corrected)
 
 
 def teleport_branches(
@@ -622,14 +618,15 @@ def _scatter_teleports(
 
 
 class _Fig2Block(NamedTuple):
-    """The rows of a block of fig2 trials as columns, one entry per row."""
+    """The rows of a block of fig2 trials as columns, one entry per row;
+    the index columns are as narrow as their values allow (23 B a row)."""
 
-    trial: np.ndarray
-    assumed: np.ndarray  # the assumed class, an index into BELL_CLASSES
+    trial: np.ndarray  # int32, far wider than the CLI's 2**17 trials
+    assumed: np.ndarray  # the assumed class, an int8 index into BELL_CLASSES
     omega: np.ndarray  # the channel's Omega of the assumed class
-    measured: np.ndarray  # the measured class, an index into BELL_CLASSES
+    measured: np.ndarray  # the measured class, an int8 index into BELL_CLASSES
     fidelity: np.ndarray
-    kind: np.ndarray  # the channel's kind, an index into _KINDS
+    kind: np.ndarray  # the channel's kind, an int8 index into _KINDS
 
 
 def _fig2_blocks(
@@ -652,7 +649,8 @@ def _fig2_blocks(
             draws = np.array([rng.random(uniforms) for rng in rngs])
         trial, cls, measured, fidelity = _scatter_teleports(clients, channels, draws)
         yield _Fig2Block(
-            start + trial, cls, omegas[trial, cls], measured, fidelity, kinds[trial]
+            (start + trial).astype(np.int32), cls.astype(np.int8), omegas[trial, cls],
+            measured.astype(np.int8), fidelity, kinds[trial].astype(np.int8),
         )
 
 
@@ -691,8 +689,12 @@ def fig2_run(
     return rows
 
 
+def _below_bound(fidelity, omega):
+    """Whether a ``fidelity`` (a float or an array) breaks fig2's bound
+    (Omega - 1) / 2 at ``omega``, less FIG2_BOUND_SLACK; a NaN breaks nothing."""
+    return fidelity < (omega - 1.0) / 2.0 - FIG2_BOUND_SLACK
+
+
 def fig2_violations(rows: Sequence[Fig2Row]) -> list[Fig2Row]:
     """Rows that break the fidelity lower bound (should be empty)."""
-    return [
-        r for r in rows if r.fidelity < (r.omega - 1.0) / 2.0 - FIG2_BOUND_SLACK
-    ]
+    return [r for r in rows if _below_bound(r.fidelity, r.omega)]

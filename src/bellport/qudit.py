@@ -19,10 +19,10 @@ to the qubit Upsilon operators).
 Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}.
 Every outcome is one level of ``measure._walk`` with that bra over a
 stack of channels (``_stack_teleports``); Bob's gates
-(Xtilde^{jk}_{pq})^dagger are a d^2-row table built once per
+(Xtilde^{jk}_{pq})^dagger are a C-ordered d^2-row table built once per
 (d, assumed label), kept in a bounded cache, and indexed by the outcome
-row p d + q, so a single ``qudit_teleport`` walks one channel along one
-row, forced or drawn.
+row p d + q.  ``qudit_teleport`` is that pass over a one-row stack, and
+``qudit-demo`` over the stack ``_label_stack`` builds.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measure import MeasurementOutcome, _walk, collapse
-from .protocol import TeleportResult, _Branches, _corrected_branches, _teleport_one
+from .measure import MeasurementOutcome, _forced_row, _walk, collapse
+from .protocol import TeleportResult, _Branches, _corrected, _teleport_one
 from .states import PureState, apply_local
 
 
@@ -84,13 +84,14 @@ def qudit_x_tilde(d: int, j: int, k: int, p: int, q: int) -> np.ndarray:
 def _gate_table(d: int, j: int, k: int) -> np.ndarray:
     """Bob's gates (Xtilde^{jk}_{pq})^dagger for every outcome, row p d + q,
     each the product ``qudit_x_tilde`` forms, so the entries are the same
-    (read-only)."""
+    (C-ordered, so that no gate product depends on a view's layout, and
+    read-only)."""
     shift, phase = permutation_matrix(d), phase_matrix(d)
     powers_p = [np.linalg.matrix_power(shift, q) for q in range(d)]
     powers_q = [np.linalg.matrix_power(phase, -p % d) for p in range(d)]
     tail = np.array(powers_p)[None] @ np.array(powers_q)[:, None]  # R^{q,-p}
     gates = generalized_pauli(d, k, j) @ tail
-    table = gates.conj().swapaxes(-1, -2).reshape(d * d, d, d)
+    table = np.ascontiguousarray(gates.conj().swapaxes(-1, -2).reshape(d * d, d, d))
     table.flags.writeable = False
     return table
 
@@ -102,6 +103,12 @@ def _bell_bra(d: int) -> np.ndarray:
     bra = np.array(rows).conj()
     bra.flags.writeable = False
     return bra
+
+
+def _outcomes(d: int) -> tuple[tuple[tuple[int, int], ...], Callable]:
+    """The outcome (p, q) of each row p d + q of the Bell bra, and the read
+    of a forced outcome for ``_forced_row``: each symbol mod d."""
+    return tuple(divmod(row, d) for row in range(d * d)), lambda f: (f[0] % d, f[1] % d)
 
 
 def qudit_bell_measure(
@@ -124,14 +131,12 @@ def qudit_bell_measure(
         raise ValueError(f"invalid site pair ({a}, {b})")
     if n < 3:
         raise ValueError("measurement must leave at least one site")
-    row = label = None
-    if forced is not None:
-        label = (forced[0] % d, forced[1] % d)
-        row = label[0] * d + label[1]
+    labels, read = _outcomes(d)
+    row, label = _forced_row(labels, forced, read)
     row, prob, residual = collapse(
         state.as_tensor(), (a, b), _bell_bra(d), row=row, rng=rng, label=label
     )
-    outcome = MeasurementOutcome(pair=(a, b), label=divmod(row, d), probability=prob)
+    outcome = MeasurementOutcome(pair=(a, b), label=labels[row], probability=prob)
     return outcome, PureState(residual.reshape(-1), local_dim=d)
 
 
@@ -150,21 +155,17 @@ def _stack_teleports(
     d = len(client)
     totals = (client[:, None] * channels[:, None, :]).reshape(-1, d, d, d)  # np.kron
     roots, rows, probs, residuals = _walk(totals, [((0, 1), _bell_bra(d))], follow)
-    rows, probs = rows[:, 0], probs[:, 0]
+    rows, probs, gates = rows[:, 0], probs[:, 0], gates[roots, rows[:, 0]]
     # the residuals stay as the walk divides them, as qudit_bell_measure's do
-    return roots, _corrected_branches(client, gates[roots, rows], rows, probs, residuals)
+    return roots, _Branches(rows, probs, gates, *_corrected(client, gates, residuals))
 
 
-def _teleports(
-    client: PureState,
-    channel: PureState,
-    assumed: tuple[int, int],
-    follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> _Branches:
-    """``_stack_teleports`` of ``client`` across the one ``channel``, with
-    Bob's gates for the label ``assumed``."""
-    gates = _gate_table(client.local_dim, *assumed)[None]
-    return _stack_teleports(client.amplitudes, channel.amplitudes[None], gates, follow)[1]
+def _label_stack(d: int, labels: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The channels |j:k} of ``labels`` (the Bell bra's rows conjugated
+    back), shape (labels, d^2), and Bob's gate table for each, shape
+    (labels, d^2, d, d), as ``_stack_teleports`` takes them."""
+    channels = _bell_bra(d)[[j % d * d + k % d for j, k in labels], 0].conj()
+    return channels, np.array([_gate_table(d, j, k) for j, k in labels])
 
 
 def qudit_teleport(
@@ -197,11 +198,10 @@ def qudit_teleport(
         raise ValueError("channel must be a two-qudit state of the client dimension")
     if assumed is None:
         raise ValueError("assumed channel label is required for a state channel")
-    if forced is not None:
-        forced = (forced[0] % dim, forced[1] % dim)
-    labels = [divmod(row, dim) for row in range(dim * dim)]  # row p d + q is (p, q)
-    teleports = partial(_teleports, client, chan_state, assumed)
-    return _teleport_one(teleports, labels, (0, 1), forced, rng)
+    gates = _gate_table(dim, *assumed)[None]
+    teleports = partial(_stack_teleports, client.amplitudes, chan_state.amplitudes[None], gates)
+    labels, read = _outcomes(dim)
+    return _teleport_one(teleports, labels, (0, 1), _forced_row(labels, forced, read), rng)
 
 
 # ---------------------------------------------------------------------------

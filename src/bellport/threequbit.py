@@ -15,12 +15,12 @@ the rank-2 projection fixing (Lambda^1, Lambda^2) = (p, q), leaving the
 redundant Lambda^3 unmeasured.
 
 Every outcome of the trio comes from one level of ``measure._walk`` with
-the 8-row bra over a stack of trio channels (``_stack_teleports``),
-taken one row per outcome in full mode and two in reduced mode; Bob's
-gate is a row of each channel's 4-gate table of the qubit protocol,
-indexed by the class (p, q) of the outcome row, so a single
-``teleport3`` is the same walk over one channel following one row,
-forced or drawn.
+the 8-row bra over a stack of trio channels (``_stack_teleports``, the
+only teleport pass here), taken one row per outcome in full mode and two
+in reduced mode; Bob's gate is a row of each channel's 4-gate table of
+the qubit protocol, indexed by the class (p, q) of the outcome row.
+``teleport3`` is that pass over a one-row stack, and ``three-qubit``
+over the eight basis channels (``_TRIO_CHANNELS``, ``_TRIO_GATES``).
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import u_matrix, x_operator
-from .measure import _normalized, _walk
+from .bell import BELL_CLASSES
+from .measure import _forced_row, _normalized, _walk
 from .protocol import (
+    _CLASS_GATES,
     TeleportResult,
     _Branches,
-    _corrected_branches,
+    _corrected,
     _gate_table,
     _teleport_one,
 )
@@ -78,6 +80,10 @@ _OUTCOMES = {
         _BELL3_BRA.reshape(4, 2, 8),
     ),
 }
+# the eight basis channels |j:k:l} (the bra's rows conjugated back), and
+# Bob's gate table for the class (j, l) of each: the stack three-qubit walks
+_TRIO_CHANNELS = _BELL3_BRA.conj()
+_TRIO_GATES = _CLASS_GATES[[BELL_CLASSES.index((lab.j, lab.l)) for lab in BELL3_LABELS]]
 
 
 def lambda_operator(alpha: int) -> np.ndarray:
@@ -130,23 +136,9 @@ def _stack_teleports(
                 "the channel is not confined to one (Lambda1, Lambda3) class"
             )
         blocks = vh
-    classes = rows // 2 if mode == "full" else rows  # the (p, q) of each row
-    return roots, _corrected_branches(
-        client, gates[roots, classes], rows, probs, _normalized(blocks[:, 0])
-    )
-
-
-def _teleports(
-    client: PureState,
-    channel: PureState,
-    assumed: tuple[int, int],
-    mode: str,
-    follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> _Branches:
-    """``_stack_teleports`` of ``client`` across the one trio ``channel``,
-    with Bob's gates for the class ``assumed``."""
-    gates = _gate_table(assumed)[None]
-    return _stack_teleports(client.amplitudes, channel.amplitudes[None], gates, mode, follow)[1]
+    gates = gates[roots, rows // 2 if mode == "full" else rows]  # at the (p, q) of each row
+    corrected = _corrected(client, gates, _normalized(blocks[:, 0]))
+    return roots, _Branches(rows, probs, gates, *corrected)
 
 
 def teleport3(
@@ -179,9 +171,10 @@ def teleport3(
         raise ValueError(
             f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
         )
-    teleports = partial(_teleports, client, channel, assumed, mode)
+    gates = _gate_table(assumed)[None]
+    teleports = partial(_stack_teleports, client.amplitudes, channel.amplitudes[None], gates, mode)
     # sites 0..2 are measured jointly; the pair field records the span
-    return _teleport_one(teleports, labels, (0, 2), forced, rng)
+    return _teleport_one(teleports, labels, (0, 2), _forced_row(labels, forced), rng)
 
 
 def theta_operator(kappa: int) -> np.ndarray:

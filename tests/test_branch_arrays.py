@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellport import cli, protocol, qudit
+from bellport import cli, protocol, qudit, threequbit
 from bellport.bell import BELL_CLASSES, BELL_LABELS, format_sign_pair
 from bellport.measure import (
     ImpossibleOutcomeError,
@@ -42,7 +42,6 @@ from bellport.protocol import (
 )
 from bellport.qudit import (
     _stack_teleports as qudit_stack_teleports,
-    _teleports as qudit_teleports,
     qudit_bell,
     qudit_bell_measure,
     qudit_teleport,
@@ -53,7 +52,6 @@ from bellport.threequbit import (
     _OUTCOMES,
     BELL3_LABELS,
     _stack_teleports as trio_stack_teleports,
-    _teleports as trio_teleports,
     bell3_state,
     teleport3,
 )
@@ -82,7 +80,9 @@ def old_qudit_teleport(client, channel, assumed=None, *, forced=None, rng=None):
     total = tensor(client, chan_state)
     outcome, residual = qudit_bell_measure(total, 0, 1, forced=forced, rng=rng)
     p, q = outcome.label
-    gate = qudit_x_tilde(dim, assumed[0], assumed[1], p, q).conj().T
+    # C-ordered, as the library's gate tables are: the rounding of a gate
+    # product may depend on the gate's memory layout
+    gate = np.ascontiguousarray(qudit_x_tilde(dim, assumed[0], assumed[1], p, q).conj().T)
     record = MeasurementRecord(
         outcomes=(outcome,),
         aggregate_class=outcome.label,
@@ -145,6 +145,21 @@ def assert_same_result(new, old):
     assert np.array_equal(new.recipient_state.amplitudes, old.recipient_state.amplitudes)
     assert new.recipient_state.normalized == old.recipient_state.normalized
     assert new.fidelity == old.fidelity
+
+
+def qudit_teleports(client, channel, assumed, follow):
+    """The branches of the stacked qudit pass over the one-row stack of
+    ``channel``, with Bob's gate table for ``assumed``."""
+    gates = qudit._gate_table(client.local_dim, *assumed)[None]
+    return qudit_stack_teleports(client.amplitudes, channel.amplitudes[None], gates, follow)[1]
+
+
+def trio_teleports(client, channel, assumed, mode, follow):
+    """The branches of the stacked trio pass over the one-row stack of
+    ``channel``, with Bob's gate table for ``assumed``."""
+    gates = protocol._gate_table(assumed)[None]
+    stack = channel.amplitudes[None]
+    return trio_stack_teleports(client.amplitudes, stack, gates, mode, follow)[1]
 
 
 def assert_rows_match(branches, old):
@@ -404,19 +419,14 @@ def test_three_qubit_rows_match_forced_calls(seed):
 
 
 def assert_same_branches(new, old):
-    for name in ("rows", "probs", "gates", "recipients"):
+    for name in protocol._Branches._fields:  # fidelities: float ==, item by item
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
-    assert new.fidelities == old.fidelities  # float ==, item by item
 
 
 def one_pass_per_channel(passes):
     """The roots and the concatenated branches of one pass per channel."""
     roots = np.concatenate([np.full(len(b.rows), i) for i, b in enumerate(passes)])
-    arrays = [
-        np.concatenate([getattr(b, name) for b in passes])
-        for name in ("rows", "probs", "gates", "recipients")
-    ]
-    return roots, protocol._Branches(*arrays, [f for b in passes for f in b.fidelities])
+    return roots, protocol._Branches(*map(np.concatenate, zip(*passes)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -424,10 +434,10 @@ def one_pass_per_channel(passes):
 def test_stacked_trio_pass_matches_one_pass_per_channel(mode, seed):
     client = random_state(1, 2, np.random.default_rng(seed))
     for i, lab in enumerate(BELL3_LABELS):  # the stack three-qubit walks
-        assert np.array_equal(cli._TRIO_CHANNELS[i], bell3_state(lab).amplitudes)
-        assert np.array_equal(cli._TRIO_GATES[i], protocol._gate_table((lab.j, lab.l)))
+        assert np.array_equal(threequbit._TRIO_CHANNELS[i], bell3_state(lab).amplitudes)
+        assert np.array_equal(threequbit._TRIO_GATES[i], protocol._gate_table((lab.j, lab.l)))
     roots, new = trio_stack_teleports(
-        client.amplitudes, cli._TRIO_CHANNELS, cli._TRIO_GATES, mode, _possible
+        client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, mode, _possible
     )
     old_roots, old = one_pass_per_channel(
         [trio_teleports(client, bell3_state(lab), (lab.j, lab.l), mode, _possible)
@@ -442,8 +452,8 @@ def test_stacked_reduced_pass_refuses_a_straddling_channel():
     amps = bell3_state((1, 1, 1)).amplitudes + bell3_state((1, -1, -1)).amplitudes
     channel = amps / np.linalg.norm(amps)
     client = random_state(1, 2, 4)
-    channels = np.vstack([cli._TRIO_CHANNELS, channel])
-    gates = np.concatenate([cli._TRIO_GATES, cli._TRIO_GATES[:1]])
+    channels = np.vstack([threequbit._TRIO_CHANNELS, channel])
+    gates = np.concatenate([threequbit._TRIO_GATES, threequbit._TRIO_GATES[:1]])
     with pytest.raises(ValueError, match="entangled"):
         trio_stack_teleports(client.amplitudes, channels, gates, "reduced", _possible)
     trio_stack_teleports(client.amplitudes, channels, gates, "full", _possible)
@@ -456,11 +466,9 @@ def test_stacked_qudit_pass_matches_one_pass_per_label(d):
     client = random_state(1, d, np.random.default_rng(d))
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # qudit-demo's
     assert len(set(labels)) == 4  # distinct for every d >= 2, d = 2 too
-    channels = np.array([qudit_bell(d, j, k).amplitudes for j, k in labels])
-    # the CLI stacks them as the bra's rows conjugated back
-    rows = [j * d + k for j, k in labels]
-    assert np.array_equal(cli._qudit_bell_bra(d)[rows, 0].conj(), channels)
-    gates = np.stack([qudit._gate_table(d, j, k) for j, k in labels])  # as the CLI does
+    channels, gates = qudit._label_stack(d, labels)  # the stack qudit-demo walks
+    assert np.array_equal(channels, [qudit_bell(d, j, k).amplitudes for j, k in labels])
+    assert np.array_equal(gates, [qudit._gate_table(d, j, k) for j, k in labels])
     roots, new = qudit_stack_teleports(client.amplitudes, channels, gates, _possible)
     old_roots, old = one_pass_per_channel(
         [qudit_teleports(client, qudit_bell(d, j, k), (j, k), _possible) for j, k in labels]
@@ -490,8 +498,30 @@ def corrected_case(draw):
 @given(corrected_case())
 def test_corrected_fidelities_are_abs_squared_bit_for_bit(case):
     client, gates, residuals = case
-    branches = protocol._corrected_branches(client, gates, None, None, residuals)
+    _, fidelities = protocol._corrected(client, gates, residuals)
     recipients = gates @ residuals[:, :, None]
     overlaps = np.broadcast_to(client, residuals.shape).conj()[:, None, :] @ recipients
-    assert branches.fidelities == [abs(z) ** 2 for z in overlaps.ravel().tolist()]
-    assert all(type(f) is float for f in branches.fidelities)
+    assert fidelities.tolist() == [abs(z) ** 2 for z in overlaps.ravel().tolist()]
+    assert all(type(f) is float for f in fidelities.tolist())
+
+
+def test_every_branch_field_of_the_three_passes_is_an_array():
+    client = random_state(1, 2, 5)
+    channel = random_state(4, 2, 6)
+    passes = [
+        protocol._teleports(client, channel, (1, -1), None)[2],
+        protocol._teleports(client, channel, (1, -1), None, 7, 8)[2],
+        trio_stack_teleports(
+            client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, "full",
+            _possible,
+        )[1],
+        qudit_stack_teleports(
+            random_state(1, 3, 7).amplitudes, *qudit._label_stack(3, [(0, 0), (1, 2)]),
+            _possible,
+        )[1],
+    ]
+    for branches in passes:
+        for name, field in zip(branches._fields, branches):
+            assert isinstance(field, np.ndarray), name
+        assert branches.fidelities.dtype == np.float64
+        assert branches.recipients.shape == (len(branches.rows), branches.gates.shape[-1])

@@ -327,6 +327,9 @@ def test_option_not_read_by_subcommand_exits_64(tmp_path, capsys):
         (["appendix-a", "--phi", "1e308"], "2 * phi finite"),  # sin(2 * phi) overflows
         (["teleport", "--channel", "random:4:1:2"], "is not kind:qubits[:seed]"),
         (["teleport", "--channel", "explicit:4"], "explicit channels are library-only"),
+        (["teleport", "--channel", "ghz:4", "--pairing", "0-1,0-2"], "must measure all but one"),
+        (["teleport", "--channel", "ghz:4", "--pairing", "0-1,2-9"], "must measure all but one"),
+        (["teleport", "--channel", "ghz:4", "--pairing", "0-1"], "must measure all but one"),
     ],
 )
 def test_bad_input_exits_64(argv, message, tmp_path, capsys):

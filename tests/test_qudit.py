@@ -11,7 +11,8 @@ from bellport.measure import _possible
 from bellport.protocol import teleport
 from bellport.qudit import (
     _bell_bra,
-    _teleports,
+    _gate_table,
+    _stack_teleports,
     apply_qudit_upsilon,
     generalized_pauli,
     omega_root,
@@ -155,6 +156,22 @@ def test_qudit_teleport_all_branches(d):
             assert abs(res.record.joint_probability - 1.0 / d**2) < 1e-12
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_gate_table_is_c_ordered_read_only_and_the_transposed_build(d):
+    # the build before the tables were made C-ordered: a transposed view
+    shift, phase = permutation_matrix(d), phase_matrix(d)
+    powers_p = [np.linalg.matrix_power(shift, q) for q in range(d)]
+    powers_q = [np.linalg.matrix_power(phase, -p % d) for p in range(d)]
+    tail = np.array(powers_p)[None] @ np.array(powers_q)[:, None]
+    for j, k in product(range(d), repeat=2):
+        old = (generalized_pauli(d, k, j) @ tail).conj().swapaxes(-1, -2).reshape(d * d, d, d)
+        table = _gate_table(d, j, k)
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert np.array_equal(table.view(np.uint64), np.ascontiguousarray(old).view(np.uint64))
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+
 def test_qudit_bell_bra_built_once_and_read_only():
     bra = _bell_bra(4)
     assert _bell_bra(4) is bra
@@ -272,10 +289,14 @@ def test_mean_branch_fidelity_is_the_class_weight_law(d, seed):
     weights = qudit_decompose(channel)
     clients = mub_states(d)
     for label in product(range(d), repeat=2):
+        gates = _gate_table(d, *label)[None]  # one channel's stack
         mean = np.mean(
             [
                 np.dot(branches.probs, branches.fidelities)
-                for branches in (_teleports(v, channel, label, _possible) for v in clients)
+                for _, branches in (
+                    _stack_teleports(v.amplitudes, channel.amplitudes[None], gates, _possible)
+                    for v in clients
+                )
             ]
         )
         w = weights[label] ** 2
