@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import SIGNS
-from .states import PureState, inner_product, tensor
+from .states import PureState, _adopt, tensor
 
 # A state is reported as lying in a single class when its top class
 # weight exceeds 1 - PURE_CLASS_TOL.
@@ -113,14 +113,20 @@ def _parity(size: int) -> np.ndarray:
     return sign
 
 
+def _upsilon2(amps: np.ndarray) -> np.ndarray:
+    """Upsilon^2 of a stack of qubit states (..., 2^n): U2 on every site is
+    the parity sign."""
+    return _parity(amps.shape[-1]) * amps
+
+
 def _upsilons(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upsilon^1, Upsilon^2, Upsilon^3 of a stack of qubit states (..., 2^n).
 
     U1 on every site flips every bit of the index, which reverses the
-    vector; U2 on every site is the parity sign; Upsilon^3 is both.  The
-    reversals are copied: BLAS sums a reversed view in another order.
+    vector; Upsilon^3 is both U1 and U2.  The reversals are copied: BLAS
+    sums a reversed view in another order.
     """
-    y2 = _parity(amps.shape[-1]) * amps
+    y2 = _upsilon2(amps)
     return amps[..., ::-1].copy(), y2, y2[..., ::-1].copy()
 
 
@@ -136,8 +142,10 @@ def apply_upsilon(state: PureState, alpha: int) -> PureState:
         raise ValueError(f"Upsilon index must be 1, 2 or 3, got {alpha}")
     if state.local_dim != 2:
         raise ValueError("Upsilon operators are defined for qubit states")
-    amps = _upsilons(state.amplitudes)[alpha - 1]
-    return PureState(amps, normalized=state.normalized)
+    amps = _upsilon2(state.amplitudes) if alpha & 2 else state.amplitudes
+    if alpha & 1:
+        amps = amps[::-1].copy()  # C-ordered, as every state's amplitudes are
+    return _adopt(amps, normalized=state.normalized)
 
 
 def upsilon_expectations(state: PureState) -> tuple[float, float, float]:
@@ -159,22 +167,29 @@ def _require_even_qubits(state: PureState) -> None:
         raise ValueError("Bell classes need an even number of sites")
 
 
-def _class_components(
-    amps: np.ndarray, classes: Sequence[BellClass | tuple[int, int]]
-) -> list[np.ndarray]:
-    """P_[j:k] a = (a + j Y1 a + k Y2 a + jk Y3 a) / 4 for each class, unnormalized.
+_SIGNED_ADD = {1: np.add, -1: np.subtract}  # adding the product by each sign
 
-    For a stack ``amps`` (..., 2^n), j and k may be arrays of signs that
-    broadcast against it, such as one class per state as columns."""
-    y1, y2, y3 = _upsilons(amps)
-    return [0.25 * (amps + j * y1 + k * y2 + j * k * y3) for j, k in classes]
+
+def _class_component(amps: np.ndarray, j: int, k: int) -> np.ndarray:
+    """P_[j:k] a = (((a + j Y1 a) + k Y2 a) + jk Y3 a) / 4 of a stack ``amps``
+    (..., 2^n), unnormalized: each sign picks an add or a subtract, which
+    round as adding the product by +-1 would (an exact zero may come out
+    with the other sign)."""
+    y2 = _upsilon2(amps)
+    out = _SIGNED_ADD[j](amps, amps[..., ::-1])
+    _SIGNED_ADD[k](out, y2, out=out)
+    _SIGNED_ADD[j * k](out, y2[..., ::-1], out=out)
+    out *= 0.25
+    return out
 
 
 def class_projector_apply(state: PureState, cls: BellClass | tuple[int, int]) -> PureState:
     """P_[j:k] applied to the state, possibly unnormalized."""
     _require_even_qubits(state)
-    (amps,) = _class_components(state.amplitudes, [cls])
-    return PureState(amps, normalized=False)
+    j, k = cls
+    if j not in SIGNS or k not in SIGNS:
+        raise ValueError(f"bad Bell class {cls!r}")
+    return _adopt(_class_component(state.amplitudes, j, k), normalized=False)
 
 
 @dataclass(frozen=True)
@@ -211,9 +226,11 @@ def decompose_classes(state: PureState) -> ClassDecomposition:
     _require_even_qubits(state)
     coefficients: dict[BellClass, float] = {}
     components: dict[BellClass, PureState] = {}
-    for cls, amps in zip(BELL_CLASSES, _class_components(state.amplitudes, BELL_CLASSES)):
+    for cls in BELL_CLASSES:
+        amps = _class_component(state.amplitudes, *cls)
         c = float(np.linalg.norm(amps))
         coefficients[cls] = c
         if c >= COMPONENT_ATOL:
-            components[cls] = PureState(amps / c)
+            amps /= c  # rounded as amps / c
+            components[cls] = _adopt(amps)
     return ClassDecomposition(coefficients=coefficients, components=components)

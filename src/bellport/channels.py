@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bell import BellLabel, _parity, _u_string, apply_upsilon, bell_basis_state
+from .bell import BellLabel, _parity, _u_string, _upsilon2, bell_basis_state
 from .states import PureState, _as_rng, _normalize_own, inner_product, random_state
 
 # 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
@@ -446,5 +446,6 @@ def string_order(state: PureState) -> float:
     L = state.num_sites
     if state.local_dim != 2 or L % 2 != 0:
         raise ValueError("string order needs an even number of qubit sites")
-    e2 = np.real(inner_product(state, apply_upsilon(state, 2)))
+    amps = state.amplitudes
+    e2 = np.vdot(amps, _upsilon2(amps)).real  # as inner_product takes <a|Upsilon^2 a>
     return float((-1.0) ** (L // 2 - 1) * e2)

@@ -74,6 +74,12 @@ CLAIM_VIOLATION = 2
 # with --enumerate-branches, about 64 rows a trial)
 MAX_TRIALS = 2**17
 _CLAIM_TOL = 1e-10  # the tolerance of every exact claim a subcommand checks
+# heisenberg-check's, looser: the ring's ground state is an eigensolver's
+# vector, exact only to the solver's residual, not to rounding
+_EIGEN_TOL = 1e-8
+# appendix-a's, tighter: each probability is a few products of O(1)
+# amplitudes, a few ulps from its closed form
+_CLOSED_FORM_TOL = 1e-12
 _CHUNK_ROWS = 4096  # rows write_table formats and writes at a time
 # the text of each Bell label, and of each class, in BELL_LABELS order; an
 # object array, so that indexing it shares these strings instead of copying
@@ -370,8 +376,8 @@ def _cmd_appendix_a(args):
     expected = (1.0 - labels[second].prod(axis=1) * np.sin(2 * phi)) / 16.0
     agg = first ^ second  # the class of both outcomes
     class_prob = np.bincount(agg, weights=prob, minlength=4)  # summed in branch order
-    violations = int((~(abs(prob - expected) <= 1e-12)).sum())  # NaN is a violation too
-    violations += int((~(abs(class_prob - 0.25) <= 1e-12)).sum())
+    violations = int((~(abs(prob - expected) <= _CLOSED_FORM_TOL)).sum())  # NaN is a violation too
+    violations += int((~(abs(class_prob - 0.25) <= _CLOSED_FORM_TOL)).sum())
     p1, q1 = labels[first].T.tolist()
     p2, q2 = labels[second].T.tolist()
     rows = list(
@@ -542,13 +548,13 @@ def _cmd_heisenberg_check(args):
     ground = _built(heisenberg_ring_ground, L, "heisenberg-check")
     op = order_parameter(ground)
     dec = decompose_classes(ground)
-    pure = dec.pure_class(1e-8)
+    pure = dec.pure_class(_EIGEN_TOL)
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
     assumed = dec.dominant_class()
     branches = _teleports(client, ground, assumed, None, args.trials, rng)[2]
     min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
-    violations = int(abs(op.efficiency - 1.0) > 1e-8) + int(min_f < 1.0 - 1e-8)
+    violations = int(abs(op.efficiency - 1.0) > _EIGEN_TOL) + int(min_f < 1.0 - _EIGEN_TOL)
     cells = [
         ("L", L),
         ("efficiency", op.efficiency),

@@ -21,7 +21,7 @@ from .bell import (
     BELL_LABELS,
     BellClass,
     BellLabel,
-    _class_components,
+    _class_component,
     _expectations,
     bell_state,
     format_sign_pair,
@@ -431,7 +431,6 @@ class Fig2Row:
 # fig2 samples and walks this many trials at a time, as stacked arrays; a
 # block bounds the generators, draws and walk arrays held at once.
 _FIG2_BLOCK = 1024
-_CLASS_SIGNS = np.array(BELL_CLASSES)  # the (j, k) of each class
 # each channel kind by its index: a class index, or -1 for a Haar channel
 _KINDS = np.array(
     [f"pure-class {format_sign_pair(c)}" for c in BELL_CLASSES] + ["haar"], dtype=object
@@ -537,8 +536,11 @@ def _scatter_channels(
         z = np.array([rngs[i].standard_normal(32) for i in todo.tolist()])
         amps = _normalized(z[:, :16] + 1j * z[:, 16:])  # as _haar rounds it
         pure = cls[todo] >= 0
-        j, k = _CLASS_SIGNS[cls[todo][pure]].T[:, :, None]  # columns, one row per trial
-        (projected,) = _class_components(amps[pure], [(j, k)])
+        classes = cls[todo][pure]
+        projected = amps[pure]
+        for c in set(classes.tolist()):  # each class's trials at once
+            of_c = classes == c
+            projected[of_c] = _class_component(projected[of_c], *BELL_CLASSES[c])
         norms = _norms(projected)
         amps[pure] = projected / norms
         omega = np.stack(list(_omega(*_expectations(amps).T).values()), axis=1)

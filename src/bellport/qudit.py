@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measure import MeasurementOutcome, _forced_row, _walk, collapse
+from .measure import MeasurementOutcome, _check_pair, _forced_row, _walk, collapse
 from .protocol import TeleportResult, _Branches, _corrected, _teleport_one
 from .states import PureState, apply_local
 
@@ -127,8 +127,7 @@ def qudit_bell_measure(
     """
     d = state.local_dim
     n = state.num_sites
-    if a == b or not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"invalid site pair ({a}, {b})")
+    _check_pair(n, a, b)
     if n < 3:
         raise ValueError("measurement must leave at least one site")
     labels, read = _outcomes(d)

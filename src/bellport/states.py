@@ -44,7 +44,10 @@ class PureState:
     num_sites: int = field(init=False)  # derived from amplitudes/local_dim
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)  # always copy
+        self._settle(np.array(self.amplitudes, dtype=complex))  # always copy
+
+    def _settle(self, amps: np.ndarray) -> None:
+        """Check the complex array ``amps`` and keep it, read-only, as the amplitudes."""
         if amps.ndim != 1:
             amps = amps.reshape(-1)
         if self.local_dim < 2:
@@ -80,10 +83,21 @@ class PureState:
         )
 
 
+def _adopt(amps: np.ndarray, local_dim: int = 2, normalized: bool = True) -> PureState:
+    """``PureState(amps, local_dim, normalized)`` without its copy, for an array
+    the library has just computed and holds alone: a C-ordered complex
+    ``amps`` becomes the state's amplitudes, checked as ``PureState`` checks."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "local_dim", local_dim)
+    object.__setattr__(state, "normalized", normalized)
+    state._settle(np.ascontiguousarray(amps, dtype=complex))
+    return state
+
+
 def _wrap(amplitudes: np.ndarray, local_dim: int) -> PureState:
-    """Build a state, detecting whether it is normalized."""
+    """Adopt a computed array as a state, detecting whether it is normalized."""
     ok = abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_ATOL
-    return PureState(amplitudes, local_dim=local_dim, normalized=ok)
+    return _adopt(amplitudes, local_dim, normalized=ok)
 
 
 def basis_state(digits: Sequence[int], local_dim: int = 2) -> PureState:
@@ -174,12 +188,12 @@ def normalize(state: PureState) -> PureState:
 
 def _normalize_own(amps: np.ndarray, local_dim: int = 2) -> PureState:
     """``normalize`` for a complex array the caller owns: ``amps`` is divided
-    in place, so the state is copied once (by ``PureState``)."""
+    in place and adopted, so it is never copied."""
     nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
         raise ValueError("cannot normalize a (numerically) zero state")
     amps /= nrm
-    return PureState(amps, local_dim=local_dim)
+    return _adopt(amps, local_dim)
 
 
 def _haar(size: int, rng: np.random.Generator) -> np.ndarray:

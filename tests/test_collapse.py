@@ -30,7 +30,7 @@ from bellport.bell import (
     BELL_LABELS,
     BellClass,
     BellLabel,
-    _class_components,
+    _class_component,
     _expectations,
     bell_basis_state,
     bell_state,
@@ -479,7 +479,7 @@ def old_scatter_channel(rng):
         cls = BELL_CLASSES[rng.integers(4)]
         while True:
             draws += 1
-            (projected,) = _class_components(_haar(16, rng), [cls])
+            projected = _class_component(_haar(16, rng), *cls)
             norm = float(np.linalg.norm(projected))
             if norm > 1e-6:
                 amps = projected / norm

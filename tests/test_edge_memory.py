@@ -49,11 +49,13 @@ def peak_and_rows(argv, out):
             "teleport --channel random:12:1 --enumerate-branches",
             1000,
         ),
-        ("fig2 --trials 4096 --enumerate-branches", "fig2 --trials 64 --enumerate-branches", 250),
+        # both span several 1,024-trial blocks, so that per-block transients
+        # cancel and the 23 B of a row's index and value columns show
+        ("fig2 --trials 8192 --enumerate-branches", "fig2 --trials 2048 --enumerate-branches", 40),
     ],
 )
 def test_peak_memory_per_row(tmp_path, large, small, bound):
     big, big_rows = peak_and_rows(large.split(), tmp_path / "large.csv")
     base, base_rows = peak_and_rows(small.split(), tmp_path / "small.csv")
-    assert big_rows > 10 * base_rows
+    assert big_rows >= 4 * base_rows
     assert (big - base) / (big_rows - base_rows) <= bound

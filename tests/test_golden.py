@@ -17,7 +17,11 @@ of one command shared a single walk of the outcome tree, and the
 qudit-demo -d 5, three-qubit seed-7, mg-dimers:10, five-pair bell and
 fig2 seed-3 branch cases before every forced branch of a command came
 from one batched pass with a gate table, and the two bound-scan cases
-before its claim check was corrected above theta = pi/2.  They are
+before its claim check was corrected above theta = pi/2, and the
+heisenberg-ring:8 and :10 order-param and cluster-check -L 10 cases
+before a Bell-class component became signed adds (the empty-class
+weights of the Heisenberg rings print their rounding noise, and -L 10
+takes the odd pair-count branch of the cluster G operators).  They are
 never regenerated to make a change pass: a refactor that moves an RNG
 draw or a printed digit shows up here as a byte difference.
 """
@@ -86,6 +90,9 @@ CASES = {
     "fig2_t20_enum_s3": ["fig2", "--trials", "20", "--enumerate-branches", "--seed", "3"],
     "bound_scan_pi3": ["bound-scan", "--theta", "1.0471975511965976"],
     "bound_scan_1_5": ["bound-scan", "--theta", "1.5"],
+    "order_param_heisenberg_ring_8": ["order-param", "--channel", "heisenberg-ring:8"],
+    "order_param_heisenberg_ring_10": ["order-param", "--channel", "heisenberg-ring:10"],
+    "cluster_check_L10": ["cluster-check", "-L", "10"],
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from bellport.algebra import u_matrix
 from bellport.bell import bell_state
-from bellport.measure import _possible
+from bellport.measure import _possible, bell_measure
 from bellport.protocol import teleport
 from bellport.qudit import (
     _bell_bra,
@@ -266,6 +266,15 @@ def test_qudit_class_projectors_rank_and_completeness():
 def test_qudit_measure_requires_extra_site():
     with pytest.raises(ValueError):
         qudit_bell_measure(qudit_bell(3, 0, 0), 0, 1)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (-1, 2), (0, -1), (0, 4), (4, 0), (5, 7)])
+def test_qudit_measure_refuses_the_pairs_bell_measure_refuses(a, b):
+    # one pair rule: the qubit and the qudit measurement share it
+    with pytest.raises(ValueError):
+        bell_measure(random_state(4, 2, 0), a, b, rng=1)
+    with pytest.raises(ValueError):
+        qudit_bell_measure(random_state(4, 3, 0), a, b, rng=1)
 
 
 def mub_states(d):
