@@ -49,6 +49,7 @@ def peak_and_rows(argv, out):
             "teleport --channel random:12:1 --enumerate-branches",
             1000,
         ),
+        ("fig2 --trials 4096 --enumerate-branches", "fig2 --trials 64 --enumerate-branches", 250),
         # both span several 1,024-trial blocks, so that per-block transients
         # cancel and the 23 B of a row's index and value columns show
         ("fig2 --trials 8192 --enumerate-branches", "fig2 --trials 2048 --enumerate-branches", 40),
