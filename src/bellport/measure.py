@@ -19,8 +19,11 @@ at or below ZERO_PROB_ATOL), every possible row when enumerating
 (``measure_branches``, ``protocol.teleport_branches``, ``fig2`` with
 every branch, one walk per trial for all four assumed classes, all the
 branches of the eight ``three-qubit`` channels per mode and of the
-``qudit-demo`` channels in one walk, and ``appendix-a``).  ``collapse`` is its
-one-level case onto one row.  A forced outcome is its index in its
+``qudit-demo`` channels in one walk, and ``appendix-a``).  A single call
+(``bell_measure``, ``measure_sequence``, ``protocol.teleport``, the trio
+and qudit ones) is a walk of one run, whose follow ``_run`` takes the
+forced row or draws one at each level, and every record comes from
+``_record``.  A forced outcome is its index in its
 level's labels (``_forced_row``): a Bell pair's, the trio's, a qudit
 pair's.  Bob's gate depends on a branch only through a function of its
 rows (the XOR of the Bell rows, the trio class, the qudit row), so it is
@@ -49,7 +52,7 @@ from .states import PureState, _as_rng
 ZERO_PROB_ATOL = 1e-14
 
 # Rows of _BELL_BRA are the conjugated Bell states in BELL_LABELS order,
-# one bra per outcome, so collapse() onto it is a Bell measurement.
+# one bra per outcome, so a walk level with it is a Bell measurement.
 _BELL_BRA = np.array([[bell_state(lab).amplitudes] for lab in BELL_LABELS]).conj()
 
 
@@ -106,41 +109,28 @@ def _choose(probs: np.ndarray, u) -> np.ndarray:
     return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
-def _pick(probs: np.ndarray, row: int | None, label: object, rng) -> int:
-    """The forced ``row`` (refused when impossible) or one drawn from ``rng``."""
-    if row is None:
-        return int(_choose(probs, _as_rng(rng).random()))
-    if probs[row] <= ZERO_PROB_ATOL:
-        raise ImpossibleOutcomeError(
-            f"outcome {label} has probability {probs[row]:.3e}"
-        )
-    return row
+def _run(forced: Sequence[tuple[int | None, object]], rng) -> Callable:
+    """The follow of one run down the levels.  ``forced[i]`` is level i's
+    (row, name) from ``_forced_row``: the row is taken, refused at or below
+    ZERO_PROB_ATOL with the name in the error, or where it is None one is
+    drawn from a generator built from ``rng`` once, only if some level samples."""
+    gen = _as_rng(rng) if any(row is None for row, _ in forced) else None
+
+    def follow(i: int, probs: np.ndarray) -> list[int]:
+        row, name = forced[i]
+        if row is None:
+            return [int(_choose(probs[0], gen.random()))]
+        if probs[0, row] <= ZERO_PROB_ATOL:
+            raise ImpossibleOutcomeError(f"outcome {name} has probability {probs[0, row]:.3e}")
+        return [row]
+
+    return follow
 
 
 def _possible(i: int, probs: np.ndarray) -> np.ndarray:
     """The follow that takes every row (flat index) of ``probs`` above
     ZERO_PROB_ATOL, in order, at any level ``i``."""
     return np.flatnonzero(probs > ZERO_PROB_ATOL)
-
-
-def collapse(
-    t: np.ndarray,
-    axes: Sequence[int],
-    bra: np.ndarray,
-    *,
-    row: int | None = None,
-    rng: int | np.random.Generator | None = None,
-    label: object = None,
-) -> tuple[int, float, np.ndarray]:
-    """``bra`` on the ``axes`` of ``t`` as a one-level ``_walk`` onto one row:
-    ``row`` when given (``label`` names it in the error) and drawn from
-    ``rng`` otherwise.  Returns the outcome row, its probability and its
-    renormalised residual, shape (group, *rest), the rest in their order."""
-    _, (rows,), (probs,), (residual,) = _walk(
-        t[None], [(axes, bra)], lambda i, probs: [_pick(probs[0], row, label, rng)]
-    )
-    rest = [n for i, n in enumerate(t.shape) if i not in axes]
-    return int(rows[0]), float(probs[0]), residual.reshape(bra.shape[1], *rest)
 
 
 def _check_qubits(state: PureState) -> None:
@@ -159,14 +149,8 @@ def outcome_distribution(state: PureState, a: int, b: int) -> dict[BellLabel, fl
     """Probability of each Bell outcome for a measurement on (a, b)."""
     _check_qubits(state)
     _check_pair(state.num_sites, a, b)
-    dist = {}
-
-    def note(i, probs):  # keep the level's probabilities and follow no row
-        dist.update(zip(BELL_LABELS, probs[0].tolist()))
-        return []
-
-    _walk(state.as_tensor()[None], [((a, b), _BELL_BRA)], note)
-    return dist
+    _, probs = _components(state.as_tensor()[None], (a, b), _BELL_BRA)
+    return dict(zip(BELL_LABELS, probs[0].tolist()))
 
 
 def _forced_row(
@@ -243,17 +227,23 @@ def _check_pairs(sites: int, pairs: Sequence[tuple[int, int]]) -> None:
 
 
 def _record(
-    pairs: Sequence[tuple[int, int]], rows: Sequence[int], probs: Sequence[float]
+    pairs: Sequence[tuple[int, int]],
+    labels: Sequence,
+    rows: Sequence[int],
+    probs: Sequence[float],
+    aggregate: object = None,
 ) -> MeasurementRecord:
-    """The record of one leaf: its outcome ``rows`` and their ``probs``."""
+    """The record of one leaf: the outcome ``rows`` of the levels that
+    measure ``pairs``, as their ``labels``, with their ``probs``.  The
+    aggregate class is ``aggregate`` when given (a trio's or a qudit's), and
+    the Bell class of the labels otherwise."""
     outcomes = tuple(
-        MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
+        MeasurementOutcome(pair=(a, b), label=labels[row], probability=prob)
         for (a, b), row, prob in zip(pairs, rows, probs)
     )
-    agg = labels_class([o.label for o in outcomes])
-    return MeasurementRecord(
-        outcomes=outcomes, aggregate_class=agg, joint_probability=float(np.prod(probs))
-    )
+    if aggregate is None:
+        aggregate = labels_class([o.label for o in outcomes])
+    return MeasurementRecord(outcomes, aggregate, joint_probability=float(np.prod(probs)))
 
 
 def _leaves(
@@ -269,7 +259,7 @@ def _leaves(
     _, rows, probs, residuals = _walk(state.as_tensor()[None], levels, follow)
     residuals = _normalized(residuals)
     return (
-        (_record(pairs, leaf_rows, leaf_probs), PureState(amps, local_dim=2))
+        (_record(pairs, BELL_LABELS, leaf_rows, leaf_probs), PureState(amps, local_dim=2))
         for leaf_rows, leaf_probs, amps in zip(rows.tolist(), probs.tolist(), residuals)
     )
 
@@ -313,13 +303,13 @@ def bell_measure(
     _check_qubits(state)
     _check_pair(state.num_sites, a, b)
     row, label = _forced_row(BELL_LABELS, forced, lambda forced: BellLabel(*forced))
-    row, prob, residual = collapse(
-        state.as_tensor(), (a, b), _BELL_BRA, row=row, rng=rng, label=f"{label} on sites {(a, b)}"
-    )
+    follow = _run([(row, f"{label} on sites {(a, b)}")], rng)
+    _, rows, probs, (residual,) = _walk(state.as_tensor()[None], [((a, b), _BELL_BRA)], follow)
+    (row,), (prob,) = rows.tolist()[0], probs.tolist()[0]
     outcome = MeasurementOutcome(pair=(a, b), label=BELL_LABELS[row], probability=prob)
     pair_tensor = bell_state(outcome.label).amplitudes.reshape(2, 2)
-    post = np.moveaxis(np.multiply.outer(pair_tensor, residual[0]), (0, 1), (a, b))
-    return outcome, PureState(post.reshape(-1), local_dim=2)
+    post = np.multiply.outer(pair_tensor, residual).reshape((2,) * state.num_sites)
+    return outcome, PureState(np.moveaxis(post, (0, 1), (a, b)).reshape(-1), local_dim=2)
 
 
 def measure_sequence(
@@ -338,11 +328,9 @@ def measure_sequence(
     if forced is not None and len(forced) != len(pairs):
         raise ValueError("one forced label (or None) is needed per pair")
     wants = [None] * len(pairs) if forced is None else forced
-    if any(want is None for want in wants):
-        rng = _as_rng(rng)  # one generator for every sampled pair
     rows = [_forced_row(BELL_LABELS, want, lambda want: BellLabel(*want)) for want in wants]
-    names = [f"{label} on sites {tuple(pair)}" for (_, label), pair in zip(rows, pairs)]
-    (result,) = _leaves(state, pairs, lambda i, probs: [_pick(probs[0], rows[i][0], names[i], rng)])
+    named = [(row, f"{label} on sites {tuple(pair)}") for (row, label), pair in zip(rows, pairs)]
+    (result,) = _leaves(state, pairs, _run(named, rng))
     return result
 
 

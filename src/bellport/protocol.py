@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -31,27 +30,18 @@ from .measure import (
     _BELL_BRA,
     ZERO_PROB_ATOL,
     ImpossibleOutcomeError,
-    MeasurementOutcome,
     MeasurementRecord,
     _Sampled,
     _check_pairs,
     _normalized,
     _norms,
-    _pick,
     _possible,
     _record,
+    _run,
     _walk,
     measure_sequence,
 )
-from .states import (
-    PureState,
-    _as_rng,
-    _wrap,
-    apply_local,
-    inner_product,
-    overlap_fidelity,
-    tensor,
-)
+from .states import PureState, _as_rng, _wrap, inner_product, tensor
 
 FIG2_BOUND_SLACK = 1e-9
 
@@ -120,13 +110,15 @@ def teleport(
     the measured pairs (defaults to consecutive pairs with the last site
     as recipient) and must leave exactly one site unmeasured.
     ``assumed_class`` is Bob's prior knowledge of the channel class; no
-    auto-detection happens here.
+    auto-detection happens here.  Bob's gate is the row of the gate table
+    at the measured class, applied and scored by ``_corrected`` as in
+    every batched pass.
     """
     total, pairing = _teleport_setup(client, channel, pairing)
     record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
-    gate = correction_gate(assumed_class, record.aggregate_class)
-    recipient = apply_local(residual, gate, 0)
-    return TeleportResult(record, gate, recipient, overlap_fidelity(client, recipient))
+    gates = _gate_table(assumed_class)[[BELL_CLASSES.index(record.aggregate_class)]]
+    (recipient,), (fidelity,) = _corrected(client.amplitudes, gates, residual.amplitudes[None])
+    return TeleportResult(record, gates[0], _wrap(recipient, 2), float(fidelity))
 
 
 class _Branches(NamedTuple):
@@ -152,13 +144,17 @@ def _corrected(
     return recipients[:, :, 0], np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
 
 
-def _results(branches: _Branches, record: Callable) -> list[TeleportResult]:
-    """One ``TeleportResult`` per branch, with the record ``record(rows, probs)``."""
+def _results(
+    branches: _Branches, pairs: Sequence[tuple[int, int]], labels: Sequence, aggregate=None
+) -> list[TeleportResult]:
+    """One ``TeleportResult`` per branch, with the record ``_record`` makes
+    of its rows (one per pair of ``pairs``, read in ``labels``)."""
+    rows = branches.rows.reshape(len(branches.rows), -1).tolist()
+    probs = branches.probs.reshape(len(rows), -1).tolist()
     return [
-        TeleportResult(record(rows, probs), gate, _wrap(amps, len(amps)), fid)
-        for rows, probs, gate, amps, fid in zip(
-            branches.rows.tolist(), branches.probs.tolist(), branches.gates,
-            branches.recipients, branches.fidelities.tolist(),
+        TeleportResult(_record(pairs, labels, r, p, aggregate), gate, _wrap(amps, len(amps)), fid)
+        for r, p, gate, amps, fid in zip(
+            rows, probs, branches.gates, branches.recipients, branches.fidelities.tolist()
         )
     ]
 
@@ -170,15 +166,8 @@ def _teleport_one(
     channel, makes onto ``forced``, a ``_forced_row`` of the outcome rows
     ``labels`` (refused when impossible), or onto one drawn from ``rng``.  Its
     record names ``pair``, with the label's first two entries as the class."""
-    row, label = forced
-    _, branches = teleports(lambda i, probs: [_pick(probs[0], row, label, rng)])
-
-    def record(row: int, prob: float) -> MeasurementRecord:
-        outcome = MeasurementOutcome(pair=pair, label=labels[row], probability=prob)
-        return MeasurementRecord((outcome,), labels[row][:2], joint_probability=prob)
-
-    (result,) = _results(branches, record)
-    return result
+    _, branches = teleports(_run([forced], rng))
+    return _results(branches, [pair], labels, labels[branches.rows[0]][:2])[0]
 
 
 def _teleports(
@@ -216,7 +205,7 @@ def teleport_branches(
     """``teleport`` forced onto every possible branch, in the order of
     ``measure_branches``, from one walk of the outcome tree."""
     pairing, _, branches = _teleports(client, channel, assumed_class, pairing)
-    return iter(_results(branches, partial(_record, pairing)))
+    return iter(_results(branches, pairing, BELL_LABELS))
 
 
 def teleport_samples(
@@ -241,7 +230,7 @@ def teleport_samples(
     pairing, leaf, branches = _teleports(
         client, channel, assumed_class, pairing, trials, rng
     )
-    results = _results(branches, partial(_record, pairing))
+    results = _results(branches, pairing, BELL_LABELS)
     return map(results.__getitem__, leaf.tolist())
 
 
@@ -552,14 +541,6 @@ def _scatter_channels(
     return channels, cls, omegas
 
 
-def _scatter_channel(
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, str, dict[BellClass, float]]:
-    """``sample_scatter_channel`` on raw amplitudes, with the channel's Omega_c."""
-    (channel,), (kind,), (omega,) = _scatter_channels([rng])
-    return channel, _KINDS[kind], dict(zip(BELL_CLASSES, omega.tolist()))
-
-
 def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     """Random 4-qubit channel for the scatter experiment.
 
@@ -575,8 +556,8 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     parts, again after every refused draw.  The draws run on raw
     amplitude vectors; only the accepted channel becomes a state.
     """
-    amps, kind, _ = _scatter_channel(rng)
-    return PureState(amps), kind
+    (amps,), (kind,), _ = _scatter_channels([rng])
+    return PureState(amps), _KINDS[kind]
 
 
 # The Bell levels of a client and a 4-qubit channel

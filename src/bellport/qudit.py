@@ -20,9 +20,11 @@ Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}.
 Every outcome is one level of ``measure._walk`` with that bra over a
 stack of channels (``_stack_teleports``); Bob's gates
 (Xtilde^{jk}_{pq})^dagger are a C-ordered d^2-row table built once per
-(d, assumed label), kept in a bounded cache, and indexed by the outcome
-row p d + q.  ``qudit_teleport`` is that pass over a one-row stack, and
-``qudit-demo`` over the stack ``_label_stack`` builds.
+(d, assumed label) and indexed by the outcome row p d + q.  The bra and
+the tables are kept for four dimensions at a time.  ``qudit_teleport`` is
+that pass over a one-row stack following one run (``measure._run``),
+``qudit_bell_measure`` one level of such a run, and ``qudit-demo`` the
+pass over the stack ``_label_stack`` builds.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measure import MeasurementOutcome, _check_pair, _forced_row, _walk, collapse
+from .measure import MeasurementOutcome, _check_pair, _forced_row, _run, _walk
 from .protocol import TeleportResult, _Branches, _corrected, _teleport_one
 from .states import PureState, apply_local
 
@@ -96,7 +98,7 @@ def _gate_table(d: int, j: int, k: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # the four dimensions _gate_table's bound assumes; 16 d^4 B each
 def _bell_bra(d: int) -> np.ndarray:
     """Conjugated |j:k} rows in (j, k) order, one bra per outcome (read-only)."""
     rows = [[qudit_bell(d, j, k).amplitudes] for j in range(d) for k in range(d)]
@@ -131,12 +133,11 @@ def qudit_bell_measure(
     if n < 3:
         raise ValueError("measurement must leave at least one site")
     labels, read = _outcomes(d)
-    row, label = _forced_row(labels, forced, read)
-    row, prob, residual = collapse(
-        state.as_tensor(), (a, b), _bell_bra(d), row=row, rng=rng, label=label
-    )
+    follow = _run([_forced_row(labels, forced, read)], rng)
+    _, rows, probs, (residual,) = _walk(state.as_tensor()[None], [((a, b), _bell_bra(d))], follow)
+    (row,), (prob,) = rows.tolist()[0], probs.tolist()[0]
     outcome = MeasurementOutcome(pair=(a, b), label=labels[row], probability=prob)
-    return outcome, PureState(residual.reshape(-1), local_dim=d)
+    return outcome, PureState(residual, local_dim=d)
 
 
 def _stack_teleports(

@@ -61,10 +61,10 @@ class PureState:
             raise ValueError(
                 f"amplitude length {amps.size} is not a positive power of {self.local_dim}"
             )
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
-            raise ValueError(
-                f"state flagged normalized but has norm {np.linalg.norm(amps)!r}"
-            )
+        if self.normalized:
+            norm = np.linalg.norm(amps)
+            if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN or infinite norm fails too
+                raise ValueError(f"state flagged normalized but has norm {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_sites", n)
@@ -192,6 +192,8 @@ def _normalize_own(amps: np.ndarray, local_dim: int = 2) -> PureState:
     nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
         raise ValueError("cannot normalize a (numerically) zero state")
+    if not nrm < np.inf:  # NaN or infinite
+        raise ValueError(f"cannot normalize a state of norm {nrm}")
     amps /= nrm
     return _adopt(amps, local_dim)
 

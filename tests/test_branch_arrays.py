@@ -23,13 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellport import cli, protocol, qudit, threequbit
-from bellport.bell import BELL_CLASSES, BELL_LABELS, format_sign_pair
+from bellport.bell import BELL_CLASSES, BELL_LABELS, BellClass, BellLabel, format_sign_pair
 from bellport.measure import (
     ImpossibleOutcomeError,
     MeasurementOutcome,
     MeasurementRecord,
     _possible,
-    collapse,
+    _run,
+    _walk,
+    bell_measure,
+    measure_sequence,
 )
 from bellport.protocol import (
     Fig2Row,
@@ -51,6 +54,7 @@ from bellport.states import PureState, apply_local, overlap_fidelity, random_sta
 from bellport.threequbit import (
     _OUTCOMES,
     BELL3_LABELS,
+    Bell3Label,
     _stack_teleports as trio_stack_teleports,
     bell3_state,
     teleport3,
@@ -61,6 +65,17 @@ seeds = st.integers(0, 2**32 - 1)
 
 # ---------------------------------------------------------------------------
 # oracles: one branch per call
+
+
+def collapse(t, axes, bra, *, row=None, rng=None, label=None):
+    """``bra`` on the ``axes`` of the site tensor ``t`` as a one-level walk
+    onto one row: ``row`` when given (``label`` names it in the error) and
+    drawn from ``rng`` otherwise.  Returns the outcome row, its probability
+    and its renormalised residual, shape (group, *rest), the rest in their
+    order."""
+    _, (rows,), (probs,), (residual,) = _walk(t[None], [(axes, bra)], _run([(row, label)], rng))
+    rest = [n for i, n in enumerate(t.shape) if i not in axes]
+    return int(rows[0]), float(probs[0]), residual.reshape(bra.shape[1], *rest)
 
 
 def old_qudit_teleport(client, channel, assumed=None, *, forced=None, rng=None):
@@ -525,3 +540,61 @@ def test_every_branch_field_of_the_three_passes_is_an_array():
             assert isinstance(field, np.ndarray), name
         assert branches.fidelities.dtype == np.float64
         assert branches.recipients.shape == (len(branches.rows), branches.gates.shape[-1])
+
+
+# ---------------------------------------------------------------------------
+# the records of single calls: all from `_record`, each field of its own type
+
+
+def assert_record_types(record, label_type, aggregate_type):
+    assert type(record) is MeasurementRecord and type(record.outcomes) is tuple
+    for outcome in record.outcomes:
+        assert type(outcome) is MeasurementOutcome
+        assert type(outcome.pair) is tuple and {type(s) for s in outcome.pair} == {int}
+        assert type(outcome.label) is label_type and {type(s) for s in outcome.label} == {int}
+        assert type(outcome.probability) is float
+    assert type(record.aggregate_class) is aggregate_type
+    assert {type(s) for s in record.aggregate_class} == {int}
+    assert type(record.joint_probability) is float
+
+
+def assert_result_types(res, label_type, aggregate_type):
+    assert type(res) is TeleportResult
+    assert_record_types(res.record, label_type, aggregate_type)
+    assert type(res.correction) is np.ndarray and type(res.recipient_state) is PureState
+    assert type(res.fidelity) is float
+
+
+def test_single_call_records_keep_their_field_types():
+    # the qubit calls carry BellClass aggregates; the trio and qudit calls
+    # carry the plain (p, q) tuple of their outcome label, not a BellClass
+    rng = np.random.default_rng(7)
+    client, channel = random_state(1, 2, rng), random_state(4, 2, rng)
+    qubit = [
+        teleport(client, channel, (1, -1), rng=rng),
+        teleport(client, channel, (1, 1), forced=[(1, 1), (-1, 1)]),
+        next(protocol.teleport_branches(client, channel, (1, -1))),
+        next(protocol.teleport_samples(client, channel, (1, -1), trials=3, rng=rng)),
+    ]
+    for res in qubit:
+        assert_result_types(res, BellLabel, BellClass)
+    total = tensor(client, channel)
+    for forced in (None, [(1, -1), None], [(-1, -1), (1, 1)]):
+        record, _ = measure_sequence(total, [(0, 1), (2, 3)], forced=forced, rng=rng)
+        assert_record_types(record, BellLabel, BellClass)
+    for forced in (None, (1, -1)):
+        outcome, _ = bell_measure(total, 1, 3, forced=forced, rng=rng)
+        assert type(outcome.label) is BellLabel and type(outcome.probability) is float
+
+    trio = random_state(3, 2, rng)
+    for forced in (None, (1, -1, 1)):
+        assert_result_types(teleport3(client, trio, (1, 1), forced=forced, rng=rng), Bell3Label, tuple)
+    for forced in (None, (-1, 1)):
+        res = teleport3(client, bell3_state((1, -1, -1)), (1, -1), "reduced", forced=forced, rng=rng)
+        assert_result_types(res, tuple, tuple)
+    for forced in (None, (1, 2), (4, -1)):
+        res = qudit_teleport(random_state(1, 3, rng), (1, 2), forced=forced, rng=rng)
+        assert_result_types(res, tuple, tuple)
+        assert res.record.aggregate_class == res.record.outcomes[0].label
+        outcome, _ = qudit_bell_measure(random_state(3, 3, rng), 0, 2, forced=forced, rng=rng)
+        assert type(outcome.label) is tuple and type(outcome.probability) is float

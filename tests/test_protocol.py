@@ -21,7 +21,8 @@ from bellport.bell import (
 from bellport.channels import cluster_state, ghz_state, singlet_random
 from bellport.measure import ImpossibleOutcomeError, outcome_distribution
 from bellport.protocol import (
-    _scatter_channel,
+    _KINDS,
+    _scatter_channels,
     correction_gate,
     fidelity_formula,
     fig2_run,
@@ -370,13 +371,14 @@ def old_sample_scatter_channel(rng):
 def test_raw_scatter_sampler_matches_state_sampler(seed):
     old_rng, new_rng, public_rng = (np.random.default_rng(seed) for _ in range(3))
     old, old_kind = old_sample_scatter_channel(old_rng)
-    amps, kind, omega = _scatter_channel(new_rng)
+    (amps,), (kind,), (omega,) = _scatter_channels([new_rng])
     channel, public_kind = sample_scatter_channel(public_rng)
-    assert kind == public_kind == old_kind
+    assert _KINDS[kind] == public_kind == old_kind
     assert np.array_equal(amps.view(np.uint64), old.amplitudes.view(np.uint64))
     assert np.array_equal(channel.amplitudes.view(np.uint64), amps.view(np.uint64))
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
     assert public_rng.bit_generator.state == old_rng.bit_generator.state
+    omega = dict(zip(BELL_CLASSES, omega.tolist()))
     assert omega == order_parameter(channel).omega  # dict of floats, compared with ==
 
 

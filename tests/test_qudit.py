@@ -182,6 +182,15 @@ def test_qudit_bell_bra_built_once_and_read_only():
     assert np.array_equal(bra[:, 0], np.array(rows).conj())
 
 
+def test_bell_bra_cache_keeps_the_four_dimensions_of_the_gate_tables():
+    # each bra holds 16 d^4 B; a sweep of dimensions must not keep them all
+    for d in range(2, 13):
+        _bell_bra(d)
+        assert _bell_bra.cache_info().currsize <= 4
+    assert 4 * _bell_bra.cache_info().maxsize == _gate_table.cache_info().maxsize  # 4 labels a dim
+    assert _bell_bra(12) is _bell_bra(12)
+
+
 def test_qudit_teleport_sampled_reproducible():
     d = 3
     rng_amps = np.random.default_rng(103)

@@ -5,6 +5,7 @@ import pytest
 
 from bellport.algebra import u_matrix
 from bellport.bell import bell_state, upsilon_expectations
+from bellport.channels import ChannelSpec, build
 from bellport.states import (
     PureState,
     apply_local,
@@ -239,6 +240,18 @@ def test_normalized_flag_enforced():
     ok = PureState(np.array([1.0, 1.0]), normalized=False)
     assert not ok.normalized
     assert abs(ok.norm() - np.sqrt(2)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.6, np.nan)])
+def test_non_finite_amplitudes_are_refused(bad):
+    # a NaN norm compares False with every bound, so a check must be written to fail on it
+    amps = np.array([bad, 0.8])
+    with pytest.raises(ValueError, match="flagged normalized"):
+        PureState(amps)
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalize(PureState(amps, normalized=False))
+    with pytest.raises(ValueError, match="cannot normalize"):
+        build(ChannelSpec(kind="explicit", amplitudes=[0.6, 0.0, 0.0, bad]))
 
 
 def test_amplitudes_read_only():
