@@ -328,6 +328,8 @@ def measure_sequence(
     if forced is not None and len(forced) != len(pairs):
         raise ValueError("one forced label (or None) is needed per pair")
     wants = [None] * len(pairs) if forced is None else forced
+    if any(want is None for want in wants):
+        rng = _as_rng(rng)  # built before the labels are read, so its errors come first
     rows = [_forced_row(BELL_LABELS, want, lambda want: BellLabel(*want)) for want in wants]
     named = [(row, f"{label} on sites {tuple(pair)}") for (row, label), pair in zip(rows, pairs)]
     (result,) = _leaves(state, pairs, _run(named, rng))

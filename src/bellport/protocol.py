@@ -144,17 +144,14 @@ def _corrected(
     return recipients[:, :, 0], np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
 
 
-def _results(
-    branches: _Branches, pairs: Sequence[tuple[int, int]], labels: Sequence, aggregate=None
-) -> list[TeleportResult]:
-    """One ``TeleportResult`` per branch, with the record ``_record`` makes
-    of its rows (one per pair of ``pairs``, read in ``labels``)."""
-    rows = branches.rows.reshape(len(branches.rows), -1).tolist()
-    probs = branches.probs.reshape(len(rows), -1).tolist()
+def _results(branches: _Branches, pairs: Sequence[tuple[int, int]]) -> list[TeleportResult]:
+    """One ``TeleportResult`` per branch, with the Bell-class record
+    ``_record`` makes of its rows, one per pair of ``pairs``."""
     return [
-        TeleportResult(_record(pairs, labels, r, p, aggregate), gate, _wrap(amps, len(amps)), fid)
-        for r, p, gate, amps, fid in zip(
-            rows, probs, branches.gates, branches.recipients, branches.fidelities.tolist()
+        TeleportResult(_record(pairs, BELL_LABELS, rows, probs), gate, _wrap(amps, len(amps)), fid)
+        for rows, probs, gate, amps, fid in zip(
+            branches.rows.tolist(), branches.probs.tolist(), branches.gates,
+            branches.recipients, branches.fidelities.tolist(),
         )
     ]
 
@@ -167,7 +164,10 @@ def _teleport_one(
     ``labels`` (refused when impossible), or onto one drawn from ``rng``.  Its
     record names ``pair``, with the label's first two entries as the class."""
     _, branches = teleports(_run([forced], rng))
-    return _results(branches, [pair], labels, labels[branches.rows[0]][:2])[0]
+    (row,), (prob,) = branches.rows.tolist(), branches.probs.tolist()
+    (amps,), (fid,) = branches.recipients, branches.fidelities.tolist()
+    record = _record([pair], labels, [row], [prob], labels[row][:2])
+    return TeleportResult(record, branches.gates[0], _wrap(amps, len(amps)), fid)
 
 
 def _teleports(
@@ -205,7 +205,7 @@ def teleport_branches(
     """``teleport`` forced onto every possible branch, in the order of
     ``measure_branches``, from one walk of the outcome tree."""
     pairing, _, branches = _teleports(client, channel, assumed_class, pairing)
-    return iter(_results(branches, pairing, BELL_LABELS))
+    return iter(_results(branches, pairing))
 
 
 def teleport_samples(
@@ -230,7 +230,7 @@ def teleport_samples(
     pairing, leaf, branches = _teleports(
         client, channel, assumed_class, pairing, trials, rng
     )
-    results = _results(branches, pairing, BELL_LABELS)
+    results = _results(branches, pairing)
     return map(results.__getitem__, leaf.tolist())
 
 

@@ -2,9 +2,10 @@
 per-branch code it replaced.
 
 The oracles below are ``qudit_teleport`` and ``teleport3`` as they were
-before they became row picks from one contraction: one measurement per
-call, Bob's gate built per branch (``qudit_x_tilde`` with its
-``matrix_power`` products, ``correction_gate``), ``apply_local`` and
+before they became row picks from one contraction, and ``teleport`` as it
+was before it scored through the batched passes' ``_corrected``: one
+measurement per call, Bob's gate built per branch (``qudit_x_tilde`` with
+its ``matrix_power`` products, ``correction_gate``), ``apply_local`` and
 ``overlap_fidelity`` on checked states.  Forcing each outcome row one at a
 time through them must give the batched rows exactly: ``==`` on
 probabilities and fidelities, ``np.array_equal`` on recipients and gates.
@@ -76,6 +77,14 @@ def collapse(t, axes, bra, *, row=None, rng=None, label=None):
     _, (rows,), (probs,), (residual,) = _walk(t[None], [(axes, bra)], _run([(row, label)], rng))
     rest = [n for i, n in enumerate(t.shape) if i not in axes]
     return int(rows[0]), float(probs[0]), residual.reshape(bra.shape[1], *rest)
+
+
+def old_teleport(client, channel, assumed, pairing=None, *, forced=None, rng=None):
+    total, pairing = protocol._teleport_setup(client, channel, pairing)
+    record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
+    gate = correction_gate(assumed, record.aggregate_class)
+    recipient = apply_local(residual, gate, 0)
+    return TeleportResult(record, gate, recipient, overlap_fidelity(client, recipient))
 
 
 def old_qudit_teleport(client, channel, assumed=None, *, forced=None, rng=None):
@@ -340,7 +349,7 @@ def old_fig2_enumerated(trials, seed):
         for cls in BELL_CLASSES:
             for branch in product(BELL_LABELS, repeat=2):
                 try:
-                    res = teleport(client, channel, cls, forced=branch)
+                    res = old_teleport(client, channel, cls, forced=branch)
                 except ImpossibleOutcomeError:
                     continue
                 rows.append(

@@ -9,6 +9,9 @@ sampled rows, the fig2 scatter that ran one ``teleport`` per trial and
 class, the scatter's channel sampler drawing one trial after another,
 the sampled runs of one channel as successive ``teleport`` calls, and
 ``SeedSequence.spawn`` for the child seeds fig2 derives as one array.
+Each ``teleport`` there is ``test_branch_arrays.old_teleport``, which
+scores its branch with ``apply_local`` and ``overlap_fidelity`` rather
+than the batched passes' ``_corrected``.
 Random states, pairings and forced or seeded outcomes must give the
 same outcomes, probabilities and residuals (to 1e-12), and consume the
 same random draws; enumerated branches, the batched fig2 rows, the
@@ -52,13 +55,13 @@ from bellport.protocol import (
     fig2_run,
     order_parameter,
     sample_scatter_channel,
-    teleport,
     teleport_branches,
     teleport_samples,
 )
 from bellport.qudit import qudit_bell, qudit_bell_measure
 from bellport.states import PureState, _as_rng, _haar, random_state, tensor
 from bellport.threequbit import BELL3_LABELS, Bell3Label, bell3_state, teleport3
+from test_branch_arrays import old_teleport
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -285,7 +288,7 @@ def old_teleport_branches(client, channel, assumed, pairing):
     branches = []
     for branch in product(BELL_LABELS, repeat=channel.num_sites // 2):
         try:
-            branches.append(teleport(client, channel, assumed, pairing, forced=branch))
+            branches.append(old_teleport(client, channel, assumed, pairing, forced=branch))
         except ImpossibleOutcomeError:
             continue
     return branches
@@ -453,7 +456,7 @@ def old_fig2_run(trials, seed):
         channel, kind = sample_scatter_channel(rng)
         omega = order_parameter(channel).omega
         for cls in BELL_CLASSES:
-            res = teleport(client, channel, cls, rng=rng)
+            res = old_teleport(client, channel, cls, rng=rng)
             rows.append(
                 Fig2Row(t, cls, float(omega[cls]), res.record.aggregate_class, res.fidelity, kind)
             )
@@ -646,7 +649,7 @@ def test_teleport_samples_matches_successive_teleports(case, seed):
     new = list(
         teleport_samples(client, channel, assumed, pairing, trials=trials, rng=gens[0])
     )
-    old = [teleport(client, channel, assumed, pairing, rng=gens[1]) for _ in range(trials)]
+    old = [old_teleport(client, channel, assumed, pairing, rng=gens[1]) for _ in range(trials)]
     assert len(new) == len(old)
     for res, old_res in zip(new, old):
         assert_same_record(res.record, old_res.record)

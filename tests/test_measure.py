@@ -221,6 +221,16 @@ def test_fully_forced_sequence_builds_no_generator(monkeypatch):
         measure_sequence(total, [(0, 1), (2, 3)], forced=[(1, 1), None])
 
 
+def test_sequence_builds_its_generator_before_reading_labels():
+    # when some pair samples, a bad seed is reported ahead of a bad label
+    total = random_state(5, 2, 53)
+    pairs = [(0, 1), (2, 3)]
+    with pytest.raises(TypeError):
+        measure_sequence(total, pairs, forced=[(1, 2), None], rng="abc")
+    with pytest.raises(ValueError):  # fully forced: no generator is built
+        measure_sequence(total, pairs, forced=[(1, 2), (1, 1)], rng="abc")
+
+
 def test_localisable_entanglement_bell_class_states():
     # measuring any L-2 qubits of a class state leaves a Bell pair
     rng = np.random.default_rng(51)

@@ -18,8 +18,7 @@ comparing the two outputs with ``diff``:
     PYTHONPATH=/path/to/other/src python tools/det_sweep.py > before.txt
     diff before.txt after.txt
 
-``--list`` prints the commands without running them.  The whole sweep
-takes a few seconds.
+The whole sweep takes a few seconds.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import hashlib
 import io
 import os
 import shlex
-import sys
 import tempfile
 from itertools import product
 
@@ -106,10 +104,8 @@ def run(argv: list[str]) -> str:
 
 
 def main() -> None:
-    listing = sys.argv[1:] == ["--list"]
     for argv in commands():
-        line = shlex.join(argv)
-        print(line if listing else f"{run(argv)}  {line}", flush=True)
+        print(f"{run(argv)}  {shlex.join(argv)}", flush=True)
 
 
 if __name__ == "__main__":
