@@ -49,21 +49,21 @@ from .channels import (
     stabilizer_report,
     string_order,
 )
-from .measure import _BELL_BRA, _possible, _walk
+from .measure import _possible
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
     _KINDS,
     _below_bound,
+    _channel_teleports,
     _check_pairing,
     _fig2_blocks,
-    _teleports,
     min_fidelity_scan,
     order_parameter,
 )
 from .qudit import _label_stack
 from .qudit import _stack_teleports as _qudit_teleports
-from .states import PureState, random_state, tensor
+from .states import PureState, random_state
 from .threequbit import BELL3_LABELS, _OUTCOMES, _TRIO_CHANNELS, _TRIO_GATES, theta_rank
 from .threequbit import _stack_teleports as _trio_teleports
 
@@ -282,23 +282,19 @@ def _outcome_texts(codes: np.ndarray, pairs: int) -> list[str]:
 def _cmd_teleport(args):
     channel = _channel(args.channel, args.seed)
     assumed = _parse_class(args.assumed_class)
-    pairing = None
-    if args.pairing:
-        pairing, sites = _parse_pairing(args.pairing), channel.num_sites + 1
-        try:  # the library's rule, on the site count: no state is built yet
-            _check_pairing(sites, pairing)
-        except ValueError as exc:
-            raise UsageError(
-                f"pairing {args.pairing!r} must measure all but one of sites 0..{sites - 1}"
-            ) from exc
+    pairing = _parse_pairing(args.pairing) if args.pairing else None
+    sites = channel.num_sites + 1
+    try:  # the library's rule, on the site count: no state is built yet
+        pairing = _check_pairing(sites, pairing)
+    except ValueError as exc:
+        raise UsageError(
+            f"pairing {args.pairing!r} must measure all but one of sites 0..{sites - 1}"
+        ) from exc
     client = random_state(1, 2, np.random.default_rng(args.seed))
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
-    if args.enumerate_branches:
-        _, _, branches = _teleports(client, channel, assumed, pairing)
-        leaves = np.arange(len(branches.rows))
-    else:
-        rng = np.random.default_rng(args.seed + 1)
-        _, leaves, branches = _teleports(client, channel, assumed, pairing, args.trials, rng)
+    trials = None if args.enumerate_branches else args.trials
+    rng = np.random.default_rng(args.seed + 1)  # read only by sampled runs
+    _, leaves, branches = _channel_teleports(client, channel, assumed, pairing, trials, rng)
     pairs = branches.rows.shape[1]
     codes = branches.rows @ 4 ** np.arange(pairs)[::-1]  # the rows read as base-4 digits
     measured = np.bitwise_xor.reduce(branches.rows, axis=1)
@@ -314,7 +310,7 @@ def _cmd_teleport(args):
                 _outcome_texts(codes[branch], pairs),
                 _SIGNS[measured[branch]].tolist(),
                 probs[branch].tolist(),
-                branches.fidelities[branch].tolist(),
+                branches.fidelities[chunk].tolist(),
             )
 
     meta = {
@@ -365,13 +361,11 @@ def _cmd_appendix_a(args):
         raise UsageError(f"phi must be a number with 2 * phi finite, got {phi}")
     channel = PureState(np.cos(phi) * _APPENDIX_A_PAIRS[0] + np.sin(phi) * _APPENDIX_A_PAIRS[1])
     client = random_state(1, 2, np.random.default_rng(args.seed))
-    total = tensor(client, channel)
     columns = ["p1", "q1", "p2", "q2", "probability", "expected", "agg_class"]
-    levels = [((0, 1), _BELL_BRA), ((2, 3), _BELL_BRA)]
-    _, rows, probs, _ = _walk(total.as_tensor()[None], levels, _possible)
+    _, _, branches = _channel_teleports(client, channel, (1, 1), None)  # any class: rows read
     first, second = np.divmod(np.arange(16), 4)  # the rows of each branch, in order
     prob = np.zeros(16)  # an impossible branch has probability 0
-    prob[rows @ [4, 1]] = probs.prod(axis=1)
+    prob[branches.rows @ [4, 1]] = branches.probs.prod(axis=1)
     labels = np.array(BELL_LABELS)
     expected = (1.0 - labels[second].prod(axis=1) * np.sin(2 * phi)) / 16.0
     agg = first ^ second  # the class of both outcomes
@@ -380,9 +374,7 @@ def _cmd_appendix_a(args):
     violations += int((~(abs(class_prob - 0.25) <= _CLOSED_FORM_TOL)).sum())
     p1, q1 = labels[first].T.tolist()
     p2, q2 = labels[second].T.tolist()
-    rows = list(
-        zip(p1, q1, p2, q2, prob.tolist(), expected.tolist(), _SIGNS[agg].tolist())
-    )
+    rows = list(zip(p1, q1, p2, q2, prob.tolist(), expected.tolist(), _SIGNS[agg].tolist()))
     meta = {
         "seed": args.seed,
         "phi": phi,
@@ -552,7 +544,7 @@ def _cmd_heisenberg_check(args):
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
     assumed = dec.dominant_class()
-    branches = _teleports(client, ground, assumed, None, args.trials, rng)[2]
+    _, _, branches = _channel_teleports(client, ground, assumed, None, args.trials, rng)
     min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
     violations = int(abs(op.efficiency - 1.0) > _EIGEN_TOL) + int(min_f < 1.0 - _EIGEN_TOL)
     cells = [

@@ -15,27 +15,27 @@ the outcome tree over a stack of site tensors.  At each level one
 batched contraction covers every live node, and the walk descends into
 the rows it is told to follow -- one seeded draw per level when
 sampling, the given rows when forcing (raising ImpossibleOutcomeError
-at or below ZERO_PROB_ATOL), every possible row when enumerating
-(``measure_branches``, ``protocol.teleport_branches``, ``fig2`` with
-every branch, one walk per trial for all four assumed classes, all the
-branches of the eight ``three-qubit`` channels per mode and of the
-``qudit-demo`` channels in one walk, and ``appendix-a``).  A single call
-(``bell_measure``, ``measure_sequence``, ``protocol.teleport``, the trio
-and qudit ones) is a walk of one run, whose follow ``_run`` takes the
-forced row or draws one at each level, and every record comes from
-``_record``.  A forced outcome is its index in its
-level's labels (``_forced_row``): a Bell pair's, the trio's, a qudit
-pair's.  Bob's gate depends on a branch only through a function of its
-rows (the XOR of the Bell rows, the trio class, the qudit row), so it is
-a row of a gate table.  A sampled outcome is the
-search that ``Generator.choice`` makes in the cumulative distribution,
-on one uniform draw, so many sampled runs walk together exactly as each
-would alone (``_Sampled``): every run picks its row on its own draw,
-and the walk descends once into each distinct (node, row), so runs that
-share a prefix share its nodes and no level holds more amplitudes than
-its roots.  ``protocol.teleport_samples`` walks all the runs of one
-channel from one root this way, and ``protocol.fig2_run`` all its
-trials, one root each.
+at or below ZERO_PROB_ATOL), every possible row when enumerating.  Each
+teleport family walks in one stacked pass: ``protocol._teleports`` (the
+Bell pairs of ``teleport_branches``, ``teleport_samples``, both ``fig2``
+modes, and the CLI's ``teleport``, ``heisenberg-check`` and
+``appendix-a``), ``threequbit._stack_teleports`` and
+``qudit._stack_teleports``.  A single call (``bell_measure``,
+``measure_sequence``, ``protocol.teleport``, the trio and qudit ones) is
+a walk of one run, whose follow ``_run`` takes the forced row or draws
+one at each level, and every record comes from ``_record``.  A forced
+outcome is its index in its level's labels (``_forced_row``, which
+refuses any other value with one ValueError): a Bell pair's, the trio's,
+a qudit pair's.  Bob's gate depends on a branch only through a function
+of its rows (the XOR of the Bell rows, the trio class, the qudit row),
+so it is a row of a gate table.  A sampled outcome is the search that
+``Generator.choice`` makes in the cumulative distribution, on one
+uniform draw, so many sampled runs walk together exactly as each would
+alone (``_Sampled``): every run picks its row on its own draw, and the
+walk descends once into each distinct (node, row), so runs that share a
+prefix share its nodes and no level holds more amplitudes than its
+roots.  ``protocol._teleports`` walks the runs of every channel of its
+stack this way, one root each.
 """
 
 from __future__ import annotations
@@ -157,11 +157,16 @@ def _forced_row(
     labels: Sequence, forced, read: Callable = lambda f: f
 ) -> tuple[int | None, object]:
     """The row of a ``forced`` outcome, the index of ``read(forced)`` in its level's
-    ``labels``, and that label, which names it in errors; (None, None) samples."""
+    ``labels``, and that label, which names it in errors; (None, None) samples.
+    A value that reads as none of the labels raises ValueError naming both."""
     if forced is None:
         return None, None
-    label = read(forced)
-    return labels.index(tuple(label)), label
+    try:
+        label = read(forced)
+        return labels.index(tuple(label)), label
+    except (IndexError, TypeError, ValueError):
+        names = ", ".join(map(str, map(tuple, labels)))
+        raise ValueError(f"forced outcome {forced!r} is none of {names}") from None
 
 
 def _walk(

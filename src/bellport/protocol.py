@@ -1,5 +1,8 @@
 """End-to-end teleportation over 2L-qubit channels.
 
+Every qubit teleport but the single ``teleport`` call (one
+``measure_sequence``) is one pass, ``_teleports``, over a stack of
+channels; Bob's gates are the rows of one table, ``_CLASS_GATES``.
 Includes the correction gate, the teleportation-order parameter and
 efficiency, the closed-form two-qubit fidelity, the coherent-error
 lower-bound scan, and the scatter experiment relating fidelity to the
@@ -14,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import u_matrix, x_tilde_operator
+from .algebra import nu_parity, u_matrix, x_tilde_operator
 from .bell import (
     BELL_CLASSES,
     BELL_LABELS,
@@ -72,27 +75,39 @@ def default_pairing(total_sites: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(0, total_sites - 1, 2))
 
 
-def _teleport_setup(
-    client: PureState, channel: PureState, pairing: Sequence[tuple[int, int]] | None
-) -> tuple[PureState, Sequence[tuple[int, int]]]:
-    """Client (x) channel, and the pairing that measures all but the recipient."""
+def _root(client: PureState, channel: PureState) -> PureState:
+    """``client`` (x) ``channel``: one qubit and an even number of them."""
     if client.num_sites != 1 or client.local_dim != 2:
         raise ValueError("client must be a single qubit")
     if channel.num_sites % 2 != 0:
         raise ValueError("channel must have an even number of qubits")
-    total = tensor(client, channel)
+    return tensor(client, channel)
+
+
+def _check_pairing(
+    sites: int, pairing: Sequence[tuple[int, int]] | None
+) -> Sequence[tuple[int, int]]:
+    """``pairing``, or with None the default one, of a teleport from
+    ``sites`` qubits; refused unless it measures all of them but the
+    recipient and ``_check_pairs`` accepts it."""
     if pairing is None:
-        pairing = default_pairing(total.num_sites)
-    _check_pairing(total.num_sites, pairing)
-    return total, pairing
-
-
-def _check_pairing(sites: int, pairing: Sequence[tuple[int, int]]) -> None:
-    """Refuse a ``pairing`` of ``sites`` qubits that does not measure all of
-    them but the recipient, or that ``_check_pairs`` refuses."""
+        return default_pairing(sites)
     if sum(map(len, pairing)) != sites - 1:
         raise ValueError("pairing must cover all sites except the recipient")
     _check_pairs(sites, pairing)
+    return pairing
+
+
+def _class_index(assumed_class: BellClass | tuple[int, int]) -> int:
+    """The index of ``assumed_class`` in BELL_CLASSES, its signs refused as
+    ``correction_gate`` refuses them."""
+    j, k = assumed_class
+    return 2 * nu_parity(j) + nu_parity(k)
+
+
+# Bob's gates [assumed, measured], both classes in BELL_CLASSES order; the
+# measured class of a branch is the XOR of its outcome rows
+_CLASS_GATES = np.array([[correction_gate(a, m) for m in BELL_CLASSES] for a in BELL_CLASSES])
 
 
 def teleport(
@@ -110,13 +125,14 @@ def teleport(
     the measured pairs (defaults to consecutive pairs with the last site
     as recipient) and must leave exactly one site unmeasured.
     ``assumed_class`` is Bob's prior knowledge of the channel class; no
-    auto-detection happens here.  Bob's gate is the row of the gate table
-    at the measured class, applied and scored by ``_corrected`` as in
-    every batched pass.
+    auto-detection happens here.  Bob's gate is the row of ``_CLASS_GATES``
+    at the assumed and the measured class, applied and scored by
+    ``_corrected`` as in ``_teleports``.
     """
-    total, pairing = _teleport_setup(client, channel, pairing)
+    total = _root(client, channel)
+    pairing = _check_pairing(total.num_sites, pairing)
     record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
-    gates = _gate_table(assumed_class)[[BELL_CLASSES.index(record.aggregate_class)]]
+    gates = _CLASS_GATES[_class_index(assumed_class), [_class_index(record.aggregate_class)]]
     (recipient,), (fidelity,) = _corrected(client.amplitudes, gates, residual.amplitudes[None])
     return TeleportResult(record, gates[0], _wrap(recipient, 2), float(fidelity))
 
@@ -124,8 +140,8 @@ def teleport(
 class _Branches(NamedTuple):
     """Branches of a teleport as the arrays of one pass, one entry per branch."""
 
-    rows: np.ndarray  # the outcome rows
-    probs: np.ndarray  # their conditional probabilities
+    rows: np.ndarray  # the outcome rows (of each leaf of the walk, in the qubit pass)
+    probs: np.ndarray  # their conditional probabilities (likewise)
     gates: np.ndarray  # Bob's gate
     recipients: np.ndarray  # the recipient's amplitudes after it
     fidelities: np.ndarray  # with the client
@@ -144,18 +160,6 @@ def _corrected(
     return recipients[:, :, 0], np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
 
 
-def _results(branches: _Branches, pairs: Sequence[tuple[int, int]]) -> list[TeleportResult]:
-    """One ``TeleportResult`` per branch, with the Bell-class record
-    ``_record`` makes of its rows, one per pair of ``pairs``."""
-    return [
-        TeleportResult(_record(pairs, BELL_LABELS, rows, probs), gate, _wrap(amps, len(amps)), fid)
-        for rows, probs, gate, amps, fid in zip(
-            branches.rows.tolist(), branches.probs.tolist(), branches.gates,
-            branches.recipients, branches.fidelities.tolist(),
-        )
-    ]
-
-
 def _teleport_one(
     teleports: Callable, labels: Sequence, pair: tuple[int, int], forced, rng
 ) -> TeleportResult:
@@ -171,29 +175,78 @@ def _teleport_one(
 
 
 def _teleports(
+    clients: np.ndarray,
+    totals: np.ndarray,
+    classes: Sequence[BellClass | tuple[int, int]],
+    pairing: Sequence[tuple[int, int]],
+    draws: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Branches]:
+    """The teleports of every root and assumed class, as one walk.
+
+    Root i is the client ``clients[i]`` and ``totals[i]``, its product with
+    the channel, measured in the Bell pairs of the checked ``pairing``.
+    Without ``draws``, every possible branch of each root once per class
+    of ``classes``: the walk does not depend on the class.  With ``draws``
+    (roots, uniforms), the runs each root's row gives, one uniform per
+    pair, class-major and pair-minor as successive ``teleport`` calls draw
+    them.  The teleports come in (root, class, branch or run) order.
+    Returns the root, leaf and class index of each teleport, and the
+    branches: each leaf's rows and probs, and each teleport's gate (the
+    row of ``_CLASS_GATES`` at its classes), recipient and fidelity.
+    """
+    classes = np.array([_class_index(c) for c in classes])
+    stack = totals.reshape(len(totals), *(2,) * (2 * len(pairing) + 1))
+    levels = [(pair, _BELL_BRA) for pair in pairing]
+    if draws is None:
+        roots, rows, probs, residuals = _walk(stack, levels, _possible)
+        leaf, cls = np.tile(np.arange(len(rows)), len(classes)), np.repeat(classes, len(rows))
+        order = np.argsort(roots[leaf], kind="stable")  # root, then class, then branch
+        leaf, cls = leaf[order], cls[order]
+    else:
+        runs = draws.shape[1] // len(pairing)  # of each root, over all its classes
+        follow = _Sampled(np.repeat(np.arange(len(stack)), runs), draws.reshape(-1, len(pairing)))
+        roots, rows, probs, residuals = _walk(stack, levels, follow)
+        leaf, cls = follow.at, np.tile(np.repeat(classes, runs // len(classes)), len(stack))
+    residuals = _normalized(residuals)[leaf]  # drops the walk's own before the gates (peak memory)
+    gates = _CLASS_GATES[cls, np.bitwise_xor.reduce(rows, axis=1)[leaf]]
+    root = roots[leaf]
+    # a lone root's client is broadcast, not copied per teleport (peak memory)
+    corrected = _corrected(clients[root] if len(clients) > 1 else clients[0], gates, residuals)
+    return root, leaf, cls, _Branches(rows, probs, gates, *corrected)
+
+
+def _channel_teleports(
     client: PureState,
     channel: PureState,
     assumed_class: BellClass | tuple[int, int],
     pairing: Sequence[tuple[int, int]] | None,
     trials: int | None = None,
     rng: int | np.random.Generator | None = None,
-) -> tuple[Sequence[tuple[int, int]], np.ndarray | None, _Branches]:
-    """The pairing, each run's leaf and the arrays of the branches of one
-    walk: every possible branch, or with ``trials`` the leaves of that many
-    runs sampled from ``rng`` (``teleport_samples``).  Bob's gate is a row
-    of a 4-gate table, indexed by the aggregate class (the XOR of the rows).
-    """
-    total, pairing = _teleport_setup(client, channel, pairing)
-    follow = _possible
-    if trials is not None:
-        u = _as_rng(rng).random((trials, len(pairing)))
-        follow = _Sampled(np.zeros(trials, dtype=int), u)
-    levels = [(pair, _BELL_BRA) for pair in pairing]
-    _, rows, probs, residuals = _walk(total.as_tensor()[None], levels, follow)
-    gates = _gate_table(assumed_class)[np.bitwise_xor.reduce(rows, axis=1)]
-    leaf = None if trials is None else follow.at
-    corrected = _corrected(client.amplitudes, gates, _normalized(residuals))
-    return pairing, leaf, _Branches(rows, probs, gates, *corrected)
+) -> tuple[Sequence[tuple[int, int]], np.ndarray, _Branches]:
+    """The pairing, each teleport's leaf and the branches of ``_teleports``
+    over one channel: every possible branch, or with ``trials`` that many
+    runs sampled from ``rng`` (``teleport_samples``)."""
+    total = _root(client, channel)
+    pairing = _check_pairing(total.num_sites, pairing)
+    draws = None if trials is None else _as_rng(rng).random((1, trials * len(pairing)))
+    clients, totals = client.amplitudes[None], total.amplitudes[None]
+    _, leaf, _, branches = _teleports(clients, totals, [assumed_class], pairing, draws)
+    return pairing, leaf, branches
+
+
+def _results(
+    pairing: Sequence[tuple[int, int]], leaf: np.ndarray, branches: _Branches
+) -> Iterator[TeleportResult]:
+    """One ``TeleportResult`` per teleport of ``_channel_teleports``, built
+    as it is read, with the Bell-class record ``_record`` makes of its
+    leaf's rows, one per pair of ``pairing``."""
+    rows, probs = branches.rows.tolist(), branches.probs.tolist()
+    return (
+        TeleportResult(_record(pairing, BELL_LABELS, rows[i], probs[i]), gate, _wrap(amps, 2), fid)
+        for i, gate, amps, fid in zip(
+            leaf.tolist(), branches.gates, branches.recipients, branches.fidelities.tolist()
+        )
+    )
 
 
 def teleport_branches(
@@ -204,8 +257,7 @@ def teleport_branches(
 ) -> Iterator[TeleportResult]:
     """``teleport`` forced onto every possible branch, in the order of
     ``measure_branches``, from one walk of the outcome tree."""
-    pairing, _, branches = _teleports(client, channel, assumed_class, pairing)
-    return iter(_results(branches, pairing))
+    return _results(*_channel_teleports(client, channel, assumed_class, pairing))
 
 
 def teleport_samples(
@@ -223,25 +275,11 @@ def teleport_samples(
     are paths down one tree.  They take their uniforms from ``rng`` in the
     order successive ``teleport(..., rng=rng)`` calls would, all at once,
     and the walk contracts each node their paths share once.  Yields
-    what those calls return, in order, and leaves a Generator ``rng``
-    where they leave it (a seed starts one generator for every run);
-    runs that end on the same branch share one result.
+    what those calls return, one result per run, in order, and leaves a
+    Generator ``rng`` where they leave it (a seed starts one generator for
+    every run).
     """
-    pairing, leaf, branches = _teleports(
-        client, channel, assumed_class, pairing, trials, rng
-    )
-    results = _results(branches, pairing)
-    return map(results.__getitem__, leaf.tolist())
-
-
-def _gate_table(assumed_class: BellClass | tuple[int, int]) -> np.ndarray:
-    """Bob's gates for ``assumed_class``, one per aggregate class in
-    BELL_CLASSES order, which is the XOR of a branch's outcome rows."""
-    return np.array([correction_gate(assumed_class, m) for m in BELL_CLASSES])
-
-
-# Bob's gates [assumed, measured], both classes in BELL_CLASSES order
-_CLASS_GATES = np.array([_gate_table(c) for c in BELL_CLASSES])
+    return _results(*_channel_teleports(client, channel, assumed_class, pairing, trials, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -560,46 +598,6 @@ def sample_scatter_channel(rng: np.random.Generator) -> tuple[PureState, str]:
     return PureState(amps), _KINDS[kind]
 
 
-# The Bell levels of a client and a 4-qubit channel
-_SCATTER_LEVELS = [(pair, _BELL_BRA) for pair in default_pairing(5)]
-
-
-def _scatter_teleports(
-    clients: np.ndarray, channels: np.ndarray, draws: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The teleports of every trial and assumed class, as one walk.
-
-    ``clients`` and ``channels`` stack the amplitudes of the trials.  With
-    ``draws``, their uniforms, class-major and pair-minor per trial (the
-    draws ``teleport`` would take in turn, so every outcome is the same),
-    one sampled run per (trial, class); without, every possible branch of
-    each trial once per class, as ``teleport_branches`` gives them: the
-    walk does not depend on the class, only Bob's gate table does.
-    Returns the arrays (trial, assumed class, measured class, fidelity),
-    classes as indices into BELL_CLASSES, one entry per teleport,
-    trial-major, then class, then branch.
-    """
-    totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
-    totals = totals.reshape((len(totals),) + (2,) * (2 * len(_SCATTER_LEVELS) + 1))
-    classes = len(BELL_CLASSES)
-    if draws is None:
-        roots, rows, _, residuals = _walk(totals, _SCATTER_LEVELS, _possible)
-        leaf = np.tile(np.arange(len(rows)), classes)
-        cls = np.repeat(np.arange(classes), len(rows))
-        order = np.lexsort((leaf, cls, roots[leaf]))  # trial, then class, then branch
-        leaf, cls = leaf[order], cls[order]
-        trial = roots[leaf]
-    else:
-        trial = np.repeat(np.arange(len(totals)), classes)  # each root once per class
-        follow = _Sampled(trial, draws.reshape(len(trial), len(_SCATTER_LEVELS)))
-        _, rows, _, residuals = _walk(totals, _SCATTER_LEVELS, follow)
-        leaf, cls = follow.at, np.arange(len(trial)) % classes
-    measured = np.bitwise_xor.reduce(rows, axis=1)[leaf]
-    gates = _CLASS_GATES[cls, measured]
-    _, fidelities = _corrected(clients[trial], gates, _normalized(residuals)[leaf])
-    return trial, cls, measured, fidelities
-
-
 class _Fig2Block(NamedTuple):
     """The rows of a block of fig2 trials as columns, one entry per row;
     the index columns are as narrow as their values allow (23 B a row)."""
@@ -616,25 +614,29 @@ def _fig2_blocks(
     trials: int, seed: int, enumerate_branches: bool = False
 ) -> Iterator[_Fig2Block]:
     """The rows ``fig2_run`` returns, as the columns of one block of
-    ``_FIG2_BLOCK`` trials at a time."""
+    ``_FIG2_BLOCK`` trials at a time (no other array of a block outlives it)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    uniforms = len(BELL_CLASSES) * len(_SCATTER_LEVELS)
     for start in range(0, trials, _FIG2_BLOCK):
-        # the block's streams: the next children of the seed, as spawn(trials) lists them
-        states = _child_states(seed, start, min(start + _FIG2_BLOCK, trials))
-        rngs = [np.random.default_rng(_ChildSeed(state)) for state in states]
-        z = np.array([rng.standard_normal(4) for rng in rngs])  # 2 + 2 at once
-        clients = _normalized(z[:, :2] + 1j * z[:, 2:])  # as _haar rounds it
-        channels, kinds, omegas = _scatter_channels(rngs)
-        draws = None
-        if not enumerate_branches:
-            draws = np.array([rng.random(uniforms) for rng in rngs])
-        trial, cls, measured, fidelity = _scatter_teleports(clients, channels, draws)
-        yield _Fig2Block(
-            (start + trial).astype(np.int32), cls.astype(np.int8), omegas[trial, cls],
-            measured.astype(np.int8), fidelity, kinds[trial].astype(np.int8),
-        )
+        yield _fig2_block(seed, start, min(start + _FIG2_BLOCK, trials), enumerate_branches)
+
+
+def _fig2_block(seed: int, start: int, stop: int, enumerate_branches: bool) -> _Fig2Block:
+    """The rows of fig2's trials ``start`` to ``stop``, from one ``_teleports``."""
+    # the block's streams: the next children of the seed, as spawn(trials) lists them
+    rngs = [np.random.default_rng(_ChildSeed(state)) for state in _child_states(seed, start, stop)]
+    z = np.array([rng.standard_normal(4) for rng in rngs])  # 2 + 2 at once
+    clients = _normalized(z[:, :2] + 1j * z[:, 2:])  # as _haar rounds it
+    channels, kinds, omegas = _scatter_channels(rngs)
+    totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
+    pairing = default_pairing(5)  # a client and a 4-qubit channel: 8 uniforms, 2 per class
+    draws = None if enumerate_branches else np.array([rng.random(8) for rng in rngs])
+    trial, leaf, cls, branches = _teleports(clients, totals, BELL_CLASSES, pairing, draws)
+    measured = np.bitwise_xor.reduce(branches.rows, axis=1)[leaf]
+    return _Fig2Block(
+        (start + trial).astype(np.int32), cls.astype(np.int8), omegas[trial, cls],
+        measured.astype(np.int8), branches.fidelities, kinds[trial].astype(np.int8),
+    )
 
 
 def fig2_run(

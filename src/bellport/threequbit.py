@@ -31,14 +31,13 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import u_matrix, x_operator
-from .bell import BELL_CLASSES
 from .measure import _forced_row, _normalized, _walk
 from .protocol import (
     _CLASS_GATES,
     TeleportResult,
     _Branches,
+    _class_index,
     _corrected,
-    _gate_table,
     _teleport_one,
 )
 from .states import PureState
@@ -83,7 +82,7 @@ _OUTCOMES = {
 # the eight basis channels |j:k:l} (the bra's rows conjugated back), and
 # Bob's gate table for the class (j, l) of each: the stack three-qubit walks
 _TRIO_CHANNELS = _BELL3_BRA.conj()
-_TRIO_GATES = _CLASS_GATES[[BELL_CLASSES.index((lab.j, lab.l)) for lab in BELL3_LABELS]]
+_TRIO_GATES = _CLASS_GATES[[_class_index((lab.j, lab.l)) for lab in BELL3_LABELS]]
 
 
 def lambda_operator(alpha: int) -> np.ndarray:
@@ -171,7 +170,7 @@ def teleport3(
         raise ValueError(
             f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
         )
-    gates = _gate_table(assumed)[None]
+    gates = _CLASS_GATES[[_class_index(assumed)]]
     teleports = partial(_stack_teleports, client.amplitudes, channel.amplitudes[None], gates, mode)
     # sites 0..2 are measured jointly; the pair field records the span
     return _teleport_one(teleports, labels, (0, 2), _forced_row(labels, forced), rng)

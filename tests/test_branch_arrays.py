@@ -29,6 +29,7 @@ from bellport.measure import (
     ImpossibleOutcomeError,
     MeasurementOutcome,
     MeasurementRecord,
+    _check_pairs,
     _possible,
     _run,
     _walk,
@@ -80,7 +81,16 @@ def collapse(t, axes, bra, *, row=None, rng=None, label=None):
 
 
 def old_teleport(client, channel, assumed, pairing=None, *, forced=None, rng=None):
-    total, pairing = protocol._teleport_setup(client, channel, pairing)
+    if client.num_sites != 1 or client.local_dim != 2:
+        raise ValueError("client must be a single qubit")
+    if channel.num_sites % 2 != 0:
+        raise ValueError("channel must have an even number of qubits")
+    total = tensor(client, channel)
+    if pairing is None:
+        pairing = protocol.default_pairing(total.num_sites)
+    if sum(map(len, pairing)) != total.num_sites - 1:
+        raise ValueError("pairing must cover all sites except the recipient")
+    _check_pairs(total.num_sites, pairing)
     record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
     gate = correction_gate(assumed, record.aggregate_class)
     recipient = apply_local(residual, gate, 0)
@@ -178,10 +188,15 @@ def qudit_teleports(client, channel, assumed, follow):
     return qudit_stack_teleports(client.amplitudes, channel.amplitudes[None], gates, follow)[1]
 
 
+def gate_table(assumed):
+    """Bob's gate for ``assumed`` and each measured class, in BELL_CLASSES order."""
+    return np.array([correction_gate(assumed, m) for m in BELL_CLASSES])
+
+
 def trio_teleports(client, channel, assumed, mode, follow):
     """The branches of the stacked trio pass over the one-row stack of
     ``channel``, with Bob's gate table for ``assumed``."""
-    gates = protocol._gate_table(assumed)[None]
+    gates = gate_table(assumed)[None]
     stack = channel.amplitudes[None]
     return trio_stack_teleports(client.amplitudes, stack, gates, mode, follow)[1]
 
@@ -459,7 +474,7 @@ def test_stacked_trio_pass_matches_one_pass_per_channel(mode, seed):
     client = random_state(1, 2, np.random.default_rng(seed))
     for i, lab in enumerate(BELL3_LABELS):  # the stack three-qubit walks
         assert np.array_equal(threequbit._TRIO_CHANNELS[i], bell3_state(lab).amplitudes)
-        assert np.array_equal(threequbit._TRIO_GATES[i], protocol._gate_table((lab.j, lab.l)))
+        assert np.array_equal(threequbit._TRIO_GATES[i], gate_table((lab.j, lab.l)))
     roots, new = trio_stack_teleports(
         client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, mode, _possible
     )
@@ -533,8 +548,8 @@ def test_every_branch_field_of_the_three_passes_is_an_array():
     client = random_state(1, 2, 5)
     channel = random_state(4, 2, 6)
     passes = [
-        protocol._teleports(client, channel, (1, -1), None)[2],
-        protocol._teleports(client, channel, (1, -1), None, 7, 8)[2],
+        protocol._channel_teleports(client, channel, (1, -1), None)[2],
+        protocol._channel_teleports(client, channel, (1, -1), None, 7, 8)[2],
         trio_stack_teleports(
             client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, "full",
             _possible,
@@ -548,7 +563,7 @@ def test_every_branch_field_of_the_three_passes_is_an_array():
         for name, field in zip(branches._fields, branches):
             assert isinstance(field, np.ndarray), name
         assert branches.fidelities.dtype == np.float64
-        assert branches.recipients.shape == (len(branches.rows), branches.gates.shape[-1])
+        assert branches.recipients.shape == (len(branches.gates), branches.gates.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import fnmatch
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -342,16 +346,37 @@ def test_bad_input_exits_64(argv, message, tmp_path, capsys):
 
 
 def test_appendix_a_counts_nan_probabilities_as_violations(monkeypatch, tmp_path):
-    real = cli._walk
+    real = protocol._walk
 
     def nan_walk(stack, levels, follow):
         roots, rows, probs, residuals = real(stack, levels, follow)
         return roots, rows, np.full_like(probs, np.nan), residuals
 
-    monkeypatch.setattr(cli, "_walk", nan_walk)
+    monkeypatch.setattr(protocol, "_walk", nan_walk)
     code, text = run_cli(["appendix-a"], tmp_path)
     assert code == 2
     assert parse_csv(text)[0]["violations"] == str(16 + 4)  # every branch and class
+
+
+def test_stdout_reader_that_goes_away_ends_the_run_quietly():
+    # 4**7 branches, four chunks of rows and far more than a pipe buffer
+    # holds: a chunk written after the reader closes its end raises
+    # BrokenPipeError, which main absorbs (a table of one chunk can end
+    # without any write reporting the closed pipe)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["teleport", "--channel", "random:14:1", "--enumerate-branches"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bellport", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == f"# version={cli.__version__}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_plain_value_error_is_not_a_usage_error(monkeypatch, tmp_path):
@@ -413,15 +438,15 @@ def test_violation_exit_code(monkeypatch, tmp_path):
 def below_the_bound_in_the_last_block(monkeypatch):
     """Patch fig2's walk so that its one-trial blocks give one row below
     the bound and one NaN fidelity, which is no violation."""
-    real = protocol._scatter_teleports
+    real = protocol._teleports
 
-    def teleports(clients, channels, draws):
-        trial, cls, measured, fidelity = real(clients, channels, draws)
+    def teleports(clients, totals, classes, pairing, draws):
+        root, leaf, cls, branches = real(clients, totals, classes, pairing, draws)
         if len(clients) == 1:
-            fidelity[[1, 2]] = -2.0, np.nan  # the bound is never below -1
-        return trial, cls, measured, fidelity
+            branches.fidelities[[1, 2]] = -2.0, np.nan  # the bound is never below -1
+        return root, leaf, cls, branches
 
-    monkeypatch.setattr(protocol, "_scatter_teleports", teleports)
+    monkeypatch.setattr(protocol, "_teleports", teleports)
 
 
 @pytest.mark.parametrize("enumerate_branches", [False, True])

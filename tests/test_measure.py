@@ -1,5 +1,6 @@
 """Bell measurements: distributions, collapse, sequences, Appendix-A probabilities."""
 
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -21,6 +22,7 @@ from bellport.measure import (
     outcome_distribution,
 )
 from bellport.protocol import teleport
+from bellport.qudit import qudit_bell_measure, qudit_teleport
 from bellport.states import (
     PureState,
     normalize,
@@ -29,6 +31,7 @@ from bellport.states import (
     random_state,
     tensor,
 )
+from bellport.threequbit import bell3_state, teleport3
 
 
 def appendix_a_channel(phi):
@@ -229,6 +232,30 @@ def test_sequence_builds_its_generator_before_reading_labels():
         measure_sequence(total, pairs, forced=[(1, 2), None], rng="abc")
     with pytest.raises(ValueError):  # fully forced: no generator is built
         measure_sequence(total, pairs, forced=[(1, 2), (1, 1)], rng="abc")
+
+
+def test_malformed_forced_outcomes_raise_one_value_error():
+    # every single call reads its forced outcome with measure._forced_row
+    bell = list(product((1, -1), repeat=2))
+    trio = list(product((1, -1), repeat=3))
+    qutrit = list(product(range(3), repeat=2))
+    state, qutrits = random_state(3, 2, 54), random_state(3, 3, 55)
+    client, channel = random_state(1, 2, 56), random_state(2, 2, 57)
+    cases = [  # the call, given the forced value, and its level's labels
+        (lambda f: bell_measure(state, 0, 1, forced=f), (2, 1), bell),
+        (lambda f: bell_measure(state, 0, 1, forced=f), (1,), bell),
+        (lambda f: bell_measure(state, 0, 1, forced=f), 7, bell),
+        (lambda f: measure_sequence(state, [(0, 1)], forced=[f]), (1, 0), bell),
+        (lambda f: teleport(client, channel, (1, 1), forced=[f]), (1, 1, 1), bell),
+        (lambda f: teleport3(client, bell3_state((1, 1, 1)), (1, 1), forced=f), (1, 1, 2), trio),
+        (lambda f: qudit_bell_measure(qutrits, 0, 1, forced=f), (1,), qutrit),
+        (lambda f: qudit_teleport(random_state(1, 3, 58), (0, 0), forced=f), (1,), qutrit),
+    ]
+    for call, value, labels in cases:
+        message = f"forced outcome {value!r} is none of {', '.join(map(str, labels))}"
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            call(value)
+        assert type(err.value) is ValueError  # not an ImpossibleOutcomeError
 
 
 def test_localisable_entanglement_bell_class_states():

@@ -1,5 +1,6 @@
 """Teleportation protocol, order parameter, fidelity formula and bounds."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -34,6 +35,7 @@ from bellport.protocol import (
     sample_scatter_channel,
     teleport,
     teleport_branches,
+    teleport_samples,
 )
 from bellport.states import (
     PureState,
@@ -140,12 +142,25 @@ def test_cluster_channel_fails_some_branch():
 def test_teleport_validates_inputs():
     client = random_state(1, 2, 76)
     channel = random_state(4, 2, 77)
-    with pytest.raises(ValueError):
-        teleport(random_state(2, 2, 78), channel, (1, 1))
-    with pytest.raises(ValueError):
-        teleport(client, random_state(3, 2, 79), (1, 1))
-    with pytest.raises(ValueError):
-        teleport(client, channel, (1, 1), pairing=[(0, 1)])
+    cases = [  # (client, channel, assumed class, pairing), and the message
+        ((random_state(2, 2, 78), channel, (1, 1), None), "client must be a single qubit"),
+        ((random_state(1, 4, 78), channel, (1, 1), None), "client must be a single qubit"),
+        ((client, random_state(3, 2, 79), (1, 1), None), "channel must have an even number"),
+        ((client, random_state(2, 4, 80), (1, 1), None), "local dimensions differ: 2 vs 4"),
+        ((client, channel, (1, 1), [(0, 1)]), "pairing must cover all sites except the"),
+        ((client, channel, (1, 1), [(0, 1), (1, 2)]), "measurement pairs overlap"),
+        ((client, channel, (1, 1), [(0, 1), (2, 9)]), "sites (2, 9) out of range for 5 sites"),
+        ((client, channel, (2, 1), None), "sign label must be +1 or -1, got 2"),
+        ((client, channel, (1, -3), None), "sign label must be +1 or -1, got -3"),
+    ]
+    calls = [
+        teleport,
+        teleport_branches,
+        lambda *args: teleport_samples(*args, trials=3, rng=0),
+    ]
+    for (args, message), call in product(cases, calls):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(*args)  # raised at the call, before any result is read
 
 
 def test_order_parameter_reference_states():
