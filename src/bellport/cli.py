@@ -294,7 +294,7 @@ def _cmd_teleport(args):
     columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     trials = None if args.enumerate_branches else args.trials
     rng = np.random.default_rng(args.seed + 1)  # read only by sampled runs
-    _, leaves, branches = _channel_teleports(client, channel, assumed, pairing, trials, rng)
+    _, leaves, branches = _channel_teleports(client, channel, [assumed], pairing, trials, rng)
     pairs = branches.rows.shape[1]
     codes = branches.rows @ 4 ** np.arange(pairs)[::-1]  # the rows read as base-4 digits
     measured = np.bitwise_xor.reduce(branches.rows, axis=1)
@@ -362,7 +362,7 @@ def _cmd_appendix_a(args):
     channel = PureState(np.cos(phi) * _APPENDIX_A_PAIRS[0] + np.sin(phi) * _APPENDIX_A_PAIRS[1])
     client = random_state(1, 2, np.random.default_rng(args.seed))
     columns = ["p1", "q1", "p2", "q2", "probability", "expected", "agg_class"]
-    _, _, branches = _channel_teleports(client, channel, (1, 1), None)  # any class: rows read
+    _, _, branches = _channel_teleports(client, channel, [], None)  # no class: rows only
     first, second = np.divmod(np.arange(16), 4)  # the rows of each branch, in order
     prob = np.zeros(16)  # an impossible branch has probability 0
     prob[branches.rows @ [4, 1]] = branches.probs.prod(axis=1)
@@ -544,7 +544,7 @@ def _cmd_heisenberg_check(args):
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
     assumed = dec.dominant_class()
-    _, _, branches = _channel_teleports(client, ground, assumed, None, args.trials, rng)
+    _, _, branches = _channel_teleports(client, ground, [assumed], None, args.trials, rng)
     min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
     violations = int(abs(op.efficiency - 1.0) > _EIGEN_TOL) + int(min_f < 1.0 - _EIGEN_TOL)
     cells = [

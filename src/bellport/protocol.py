@@ -138,13 +138,15 @@ def teleport(
 
 
 class _Branches(NamedTuple):
-    """Branches of a teleport as the arrays of one pass, one entry per branch."""
+    """Branches of a teleport as the arrays of one pass, one entry per branch;
+    in the qubit pass, ``_teleports``, ``rows`` and ``probs`` have one per leaf
+    of its walk, the rest one per teleport, and its ``leaf`` maps one to the other."""
 
-    rows: np.ndarray  # the outcome rows (of each leaf of the walk, in the qubit pass)
+    rows: np.ndarray  # the outcome rows (per branch, or per leaf)
     probs: np.ndarray  # their conditional probabilities (likewise)
-    gates: np.ndarray  # Bob's gate
-    recipients: np.ndarray  # the recipient's amplitudes after it
-    fidelities: np.ndarray  # with the client
+    gates: np.ndarray  # Bob's gate (per branch, or per teleport)
+    recipients: np.ndarray  # the recipient's amplitudes after it (likewise)
+    fidelities: np.ndarray  # with the client (likewise)
 
 
 def _corrected(
@@ -189,7 +191,8 @@ def _teleports(
     of ``classes``: the walk does not depend on the class.  With ``draws``
     (roots, uniforms), the runs each root's row gives, one uniform per
     pair, class-major and pair-minor as successive ``teleport`` calls draw
-    them.  The teleports come in (root, class, branch or run) order.
+    them.  The teleports come in (root, class, branch or run) order; no
+    ``classes`` gives none, only the rows and probs of every branch.
     Returns the root, leaf and class index of each teleport, and the
     branches: each leaf's rows and probs, and each teleport's gate (the
     row of ``_CLASS_GATES`` at its classes), recipient and fidelity.
@@ -199,6 +202,9 @@ def _teleports(
     levels = [(pair, _BELL_BRA) for pair in pairing]
     if draws is None:
         roots, rows, probs, residuals = _walk(stack, levels, _possible)
+        if not len(classes):  # no teleport to correct: the rows and probs alone
+            none = np.empty(0, np.intp)
+            return none, none, none, _Branches(rows, probs, *np.empty((3, 0)))
         leaf, cls = np.tile(np.arange(len(rows)), len(classes)), np.repeat(classes, len(rows))
         order = np.argsort(roots[leaf], kind="stable")  # root, then class, then branch
         leaf, cls = leaf[order], cls[order]
@@ -218,19 +224,19 @@ def _teleports(
 def _channel_teleports(
     client: PureState,
     channel: PureState,
-    assumed_class: BellClass | tuple[int, int],
+    classes: Sequence[BellClass | tuple[int, int]],
     pairing: Sequence[tuple[int, int]] | None,
     trials: int | None = None,
     rng: int | np.random.Generator | None = None,
 ) -> tuple[Sequence[tuple[int, int]], np.ndarray, _Branches]:
     """The pairing, each teleport's leaf and the branches of ``_teleports``
-    over one channel: every possible branch, or with ``trials`` that many
-    runs sampled from ``rng`` (``teleport_samples``)."""
+    over one channel and ``classes``: every possible branch, or with ``trials``
+    that many runs sampled from ``rng`` (``teleport_samples``)."""
     total = _root(client, channel)
     pairing = _check_pairing(total.num_sites, pairing)
     draws = None if trials is None else _as_rng(rng).random((1, trials * len(pairing)))
     clients, totals = client.amplitudes[None], total.amplitudes[None]
-    _, leaf, _, branches = _teleports(clients, totals, [assumed_class], pairing, draws)
+    _, leaf, _, branches = _teleports(clients, totals, classes, pairing, draws)
     return pairing, leaf, branches
 
 
@@ -257,7 +263,7 @@ def teleport_branches(
 ) -> Iterator[TeleportResult]:
     """``teleport`` forced onto every possible branch, in the order of
     ``measure_branches``, from one walk of the outcome tree."""
-    return _results(*_channel_teleports(client, channel, assumed_class, pairing))
+    return _results(*_channel_teleports(client, channel, [assumed_class], pairing))
 
 
 def teleport_samples(
@@ -279,7 +285,7 @@ def teleport_samples(
     Generator ``rng`` where they leave it (a seed starts one generator for
     every run).
     """
-    return _results(*_channel_teleports(client, channel, assumed_class, pairing, trials, rng))
+    return _results(*_channel_teleports(client, channel, [assumed_class], pairing, trials, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +325,11 @@ def order_parameter(state: PureState) -> OrderParameter:
 def _channel_bell_coefficients(channel: PureState) -> dict[BellLabel, complex]:
     if channel.num_sites != 2 or channel.local_dim != 2:
         raise ValueError("expected a 2-qubit channel")
-    return {
-        lab: inner_product(bell_state(lab), channel) for lab in BELL_LABELS
-    }
+    return {lab: inner_product(bell_state(lab), channel) for lab in BELL_LABELS}
 
 
 def _x_tilde_mix(coeffs: dict[BellLabel, complex], p: int, q: int) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for (j, k), c in coeffs.items():
-        out += c * x_tilde_operator(j, k, p, q)
-    return out
+    return sum(c * x_tilde_operator(j, k, p, q) for (j, k), c in coeffs.items())
 
 
 def outcome_probability_formula(
@@ -361,9 +362,7 @@ def fidelity_formula(
     v = client.amplitudes
     den = abs(np.vdot(v, xt.conj().T @ (xt @ v)))
     if den <= 4.0 * ZERO_PROB_ATOL:
-        raise ImpossibleOutcomeError(
-            f"outcome {tuple(outcome)} has probability {den / 4.0:.3e}"
-        )
+        raise ImpossibleOutcomeError(f"outcome {tuple(outcome)} has probability {den / 4.0:.3e}")
     num = abs(np.vdot(v, x_tilde_operator(r, s, p, q).conj().T @ (xt @ v))) ** 2
     return float(num / den)
 

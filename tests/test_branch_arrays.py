@@ -547,23 +547,33 @@ def test_corrected_fidelities_are_abs_squared_bit_for_bit(case):
 def test_every_branch_field_of_the_three_passes_is_an_array():
     client = random_state(1, 2, 5)
     channel = random_state(4, 2, 6)
-    passes = [
-        protocol._channel_teleports(client, channel, (1, -1), None)[2],
-        protocol._channel_teleports(client, channel, (1, -1), None, 7, 8)[2],
-        trio_stack_teleports(
-            client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, "full",
-            _possible,
-        )[1],
-        qudit_stack_teleports(
-            random_state(1, 3, 7).amplitudes, *qudit._label_stack(3, [(0, 0), (1, 2)]),
-            _possible,
-        )[1],
-    ]
-    for branches in passes:
+    _, enumerated_leaf, enumerated = protocol._channel_teleports(client, channel, [(1, -1)], None)
+    _, sampled_leaf, sampled = protocol._channel_teleports(client, channel, [(1, -1)], None, 7, 8)
+    trio = trio_stack_teleports(
+        client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, "full", _possible
+    )[1]
+    qudit_pass = qudit_stack_teleports(
+        random_state(1, 3, 7).amplitudes, *qudit._label_stack(3, [(0, 0), (1, 2)]), _possible
+    )[1]
+    for branches in [enumerated, sampled, trio, qudit_pass]:
         for name, field in zip(branches._fields, branches):
             assert isinstance(field, np.ndarray), name
         assert branches.fidelities.dtype == np.float64
-        assert branches.recipients.shape == (len(branches.gates), branches.gates.shape[-1])
+    # the trio and qudit passes: one recipient per branch row
+    for branches in [trio, qudit_pass]:
+        assert branches.recipients.shape == (len(branches.rows), branches.gates.shape[-1])
+    # the qubit pass: one recipient per teleport, each on a leaf of its rows
+    for leaf, branches in [(enumerated_leaf, enumerated), (sampled_leaf, sampled)]:
+        assert branches.recipients.shape == (len(leaf), 2)
+        assert len(branches.gates) == len(branches.fidelities) == len(leaf)
+        assert 0 <= leaf.min() and leaf.max() < len(branches.rows) == len(branches.probs)
+    assert len(sampled_leaf) == 7
+    assert enumerated_leaf.tolist() == list(range(len(enumerated.rows)))  # one class: each once
+    # no assumed class: no teleports, the same rows and probs
+    _, no_leaf, rows_only = protocol._channel_teleports(client, channel, [], None)
+    assert len(no_leaf) == len(rows_only.gates) == len(rows_only.fidelities) == 0
+    assert np.array_equal(rows_only.rows, enumerated.rows)
+    assert np.array_equal(rows_only.probs, enumerated.probs)
 
 
 # ---------------------------------------------------------------------------
