@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import SIGNS
-from .states import PureState, _adopt, tensor
+from .states import PureState, _adopt, _norm, tensor
 
 # A state is reported as lying in a single class when its top class
 # weight exceeds 1 - PURE_CLASS_TOL.
@@ -105,10 +105,13 @@ def _u_string(amps: np.ndarray, factors: Sequence[int]) -> np.ndarray:
 
 @cache
 def _parity(size: int) -> np.ndarray:
-    """(-1)^(number of 1 bits of i) for i < size, by the U-string doubling rule."""
+    """(-1)^(number of 1 bits of i) for i < size, by the U-string doubling rule,
+    cast once to complex: numpy multiplies a float sign by complex amplitudes
+    as its cast (imaginary parts +0), so the products are the same bits."""
     sign = np.ones(1)
     while sign.size < size:
         sign = np.concatenate((sign, -sign))
+    sign = sign.astype(complex)  # not -(1+0j), whose -0 would flip zeros' signs
     sign.flags.writeable = False  # shared by every caller
     return sign
 
@@ -157,7 +160,8 @@ def upsilon_expectations(state: PureState) -> tuple[float, float, float]:
     """
     if state.local_dim != 2:
         raise ValueError("Upsilon operators are defined for qubit states")
-    return tuple(_expectations(state.amplitudes).tolist())
+    amps = state.amplitudes
+    return tuple(float(np.vdot(amps, y).real) for y in _upsilons(amps))  # string_order's form
 
 
 def _require_even_qubits(state: PureState) -> None:
@@ -228,9 +232,13 @@ def decompose_classes(state: PureState) -> ClassDecomposition:
     components: dict[BellClass, PureState] = {}
     for cls in BELL_CLASSES:
         amps = _class_component(state.amplitudes, *cls)
-        c = float(np.linalg.norm(amps))
+        c = _norm(amps)
         coefficients[cls] = c
         if c >= COMPONENT_ATOL:
-            amps /= c  # rounded as amps / c
+            # amps / c, which numpy forms as (re + im * 0) * (1 / c): the same
+            # bits, up to the sign of a zero
+            f = amps.view(np.float64)
+            f *= 1.0 / c
             components[cls] = _adopt(amps)
+        del amps  # a dropped component is freed before the next one is formed
     return ClassDecomposition(coefficients=coefficients, components=components)

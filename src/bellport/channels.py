@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bell import BellLabel, _parity, _u_string, _upsilon2, bell_basis_state
-from .states import PureState, _as_rng, _normalize_own, inner_product, random_state
+from .states import PureState, _as_rng, _norm, _normalize_own, inner_product, random_state
 
 # 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
 MAX_QUBITS = 20
@@ -317,7 +317,7 @@ def cluster_state(L: int) -> PureState:
     if L < 2:
         raise ValueError("cluster state needs at least 2 qubits")
     x = np.arange(2**L)
-    return PureState(_parity(2**L)[x & (x >> 1)] / np.sqrt(2.0**L))
+    return PureState(_parity(2**L).real[x & (x >> 1)] / np.sqrt(2.0**L))
 
 
 @dataclass(frozen=True)
@@ -397,7 +397,7 @@ def stabilizer_report(state: PureState, op: UProduct, name: str) -> StabilizerRe
     """Eigenvalue estimate <s|Op|s> and the residual ||Op s - ev s||."""
     applied = op.apply(state)
     ev = float(np.real(inner_product(state, applied)))
-    deviation = float(np.linalg.norm(applied.amplitudes - ev * state.amplitudes))
+    deviation = _norm(applied.amplitudes - ev * state.amplitudes)
     return StabilizerReport(name=name, eigenvalue=ev, deviation=deviation)
 
 
@@ -415,7 +415,7 @@ def _aklt_build(L: int) -> tuple[PureState, float]:
         t = t + t.swapaxes(r, r + 1)  # triplet projector (1 + SWAP) / 2
         t *= 0.5
     amps = t.reshape(-1)
-    nrm = float(np.linalg.norm(amps))
+    nrm = _norm(amps)
     return _normalize_own(amps), nrm
 
 

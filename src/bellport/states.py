@@ -14,12 +14,29 @@ reproduced bit-for-bit from its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 NORM_ATOL = 1e-10
+
+
+def _norm(amps: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array, the same bits: its sum
+    re . re + im . im over the array in memory order, without its dispatch."""
+    f = amps.ravel(order="K").view(np.float64)
+    re, im = f[::2], f[1::2]
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _is_unit(amps: np.ndarray) -> bool:
+    """Whether the flat C-ordered complex ``amps`` has unit norm to NORM_ATOL,
+    by one contiguous dot of its float view (summed in another order than
+    ``_norm``, so its last bit may differ; no output reads it)."""
+    f = amps.view(np.float64)
+    return abs(math.sqrt(f.dot(f)) - 1.0) <= NORM_ATOL  # NaN, inf and overflow fail
 
 
 def _as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -61,16 +78,15 @@ class PureState:
             raise ValueError(
                 f"amplitude length {amps.size} is not a positive power of {self.local_dim}"
             )
-        if self.normalized:
-            norm = np.linalg.norm(amps)
-            if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN or infinite norm fails too
-                raise ValueError(f"state flagged normalized but has norm {norm!r}")
+        if self.normalized and not _is_unit(amps):
+            norm = np.float64(_norm(amps))  # the norm ``norm()`` reports, as numpy's scalar
+            raise ValueError(f"state flagged normalized but has norm {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_sites", n)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def as_tensor(self) -> np.ndarray:
         """View of the amplitudes with one axis per site."""
@@ -96,8 +112,9 @@ def _adopt(amps: np.ndarray, local_dim: int = 2, normalized: bool = True) -> Pur
 
 def _wrap(amplitudes: np.ndarray, local_dim: int) -> PureState:
     """Adopt a computed array as a state, detecting whether it is normalized."""
-    ok = abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_ATOL
-    return _adopt(amplitudes, local_dim, normalized=ok)
+    state = _adopt(amplitudes, local_dim, normalized=False)
+    object.__setattr__(state, "normalized", _is_unit(state.amplitudes))
+    return state
 
 
 def basis_state(digits: Sequence[int], local_dim: int = 2) -> PureState:
@@ -189,7 +206,7 @@ def normalize(state: PureState) -> PureState:
 def _normalize_own(amps: np.ndarray, local_dim: int = 2) -> PureState:
     """``normalize`` for a complex array the caller owns: ``amps`` is divided
     in place and adopted, so it is never copied."""
-    nrm = float(np.linalg.norm(amps))
+    nrm = _norm(amps)
     if nrm < 1e-12:
         raise ValueError("cannot normalize a (numerically) zero state")
     if not nrm < np.inf:  # NaN or infinite
@@ -201,7 +218,7 @@ def _normalize_own(amps: np.ndarray, local_dim: int = 2) -> PureState:
 def _haar(size: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vector of ``size`` i.i.d. complex normal amplitudes."""
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return amps / np.linalg.norm(amps)
+    return amps / _norm(amps)
 
 
 def random_state(

@@ -10,6 +10,12 @@ family the coefficients and the string order must be ``==`` and the
 components ``array_equal``: a product by -1 and a subtract round every
 nonzero amplitude alike, though an exact zero may come out with the
 other sign.
+
+``upsilon_expectations`` (and so ``order_parameter``) takes each
+expectation as ``np.vdot(a, Y a)``, ``string_order``'s form, while
+``_scatter_channels``' stacks keep the batched ``_expectations``; the two
+forms must stay ``==`` on every channel family, on every BLAS the tests
+run on.
 """
 
 from functools import cache
@@ -21,13 +27,17 @@ from hypothesis import strategies as st
 
 from bellport.bell import (
     BELL_CLASSES,
+    BELL_LABELS,
     COMPONENT_ATOL,
-    _upsilons,
+    _expectations,
     apply_upsilon,
+    bell_basis_state,
     class_projector_apply,
     decompose_classes,
+    upsilon_expectations,
 )
-from bellport.channels import ChannelSpec, build, string_order
+from bellport.channels import CHANNEL_KINDS, ChannelSpec, build, string_order
+from bellport.protocol import _omega, order_parameter
 from bellport.states import PureState, _adopt, inner_product, random_state
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -37,8 +47,18 @@ KINDS = ("random", "singlet-random", "aklt", "cluster1d", "ghz", "heisenberg-rin
 # oracles: the analyses before the signed adds and the adopted arrays
 
 
+def old_upsilons(amps):
+    """The three images with a float parity sign, which numpy casts to complex
+    (imaginary parts +0) in the product: the rule the cached sign must keep."""
+    sign = np.ones(1)
+    while sign.size < amps.shape[-1]:
+        sign = np.concatenate((sign, -sign))
+    y2 = sign * amps
+    return amps[..., ::-1].copy(), y2, y2[..., ::-1].copy()
+
+
 def old_class_components(amps):
-    y1, y2, y3 = _upsilons(amps)
+    y1, y2, y3 = old_upsilons(amps)
     return [0.25 * (amps + j * y1 + k * y2 + j * k * y3) for j, k in BELL_CLASSES]
 
 
@@ -53,7 +73,7 @@ def old_decompose_classes(state):
 
 
 def old_apply_upsilon(state, alpha):
-    return PureState(_upsilons(state.amplitudes)[alpha - 1], normalized=state.normalized)
+    return PureState(old_upsilons(state.amplitudes)[alpha - 1], normalized=state.normalized)
 
 
 def old_string_order(state):
@@ -75,6 +95,40 @@ channels = st.builds(
     st.sampled_from((4, 6, 8, 10, 12)),
     st.integers(0, 7),
 )
+
+
+# every size 2..12 each family builds (pair families need even L, the AKLT
+# chain at least two pairs, and the odd Heisenberg rings are degenerate);
+# bell-product channels are drawn from their labels
+EVERY_L, EVEN_L = range(2, 13), range(2, 13, 2)
+FAMILY_SIZES = {
+    "random": EVERY_L,
+    "ghz": EVERY_L,
+    "cluster1d": EVERY_L,
+    "singlet-random": EVEN_L,
+    "mg-dimers": EVEN_L,
+    "heisenberg-ring": EVEN_L,
+    "aklt": range(4, 13, 2),
+}
+
+every_family = st.one_of(
+    st.sampled_from([(kind, L) for kind, sizes in FAMILY_SIZES.items() for L in sizes]).flatmap(
+        lambda kind_L: st.builds(channel, st.just(kind_L[0]), st.just(kind_L[1]), st.integers(0, 7))
+    ),
+    st.lists(st.sampled_from(BELL_LABELS), min_size=1, max_size=6).map(bell_basis_state),
+)
+
+
+def test_every_buildable_family_is_drawn():
+    assert set(FAMILY_SIZES) == set(CHANNEL_KINDS) - {"bell-product", "explicit"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(every_family)
+def test_vdot_expectations_equal_the_stacked_form(state):
+    stacked = _expectations(state.amplitudes[None])[0].tolist()
+    assert upsilon_expectations(state) == tuple(stacked)
+    assert order_parameter(state).omega == _omega(*stacked)
 
 
 @PROPERTY

@@ -8,6 +8,8 @@ from bellport.bell import bell_state, upsilon_expectations
 from bellport.channels import ChannelSpec, build
 from bellport.states import (
     PureState,
+    _adopt,
+    _wrap,
     apply_local,
     apply_two_site,
     basis_state,
@@ -252,6 +254,50 @@ def test_non_finite_amplitudes_are_refused(bad):
         normalize(PureState(amps, normalized=False))
     with pytest.raises(ValueError, match="cannot normalize"):
         build(ChannelSpec(kind="explicit", amplitudes=[0.6, 0.0, 0.0, bad]))
+
+
+# The normalized check takes the norm as one dot of the float view; the
+# message names np.linalg.norm's value, as norm() reports it.
+ACCEPTED_SCALES = [1 + 0.9e-10, 1 - 0.9e-10]
+REFUSED_SCALES = [1 + 1.1e-10, 1 - 1.1e-10, np.nan, np.inf, -np.inf, 0.0, 1e200]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", ACCEPTED_SCALES)
+def test_norms_inside_the_tolerance_pass_the_check(scale, d):
+    amps = random_state(3, d, 5).amplitudes * scale
+    assert PureState(amps, local_dim=d).normalized
+    assert _adopt(amps.copy(), d).normalized
+    assert _wrap(amps.copy(), d).normalized
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # the 1e200 scale
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", REFUSED_SCALES)
+def test_norms_outside_the_tolerance_fail_the_check_with_the_norm_named(scale, d):
+    amps = random_state(3, d, 5).amplitudes * scale
+    message = f"state flagged normalized but has norm {np.linalg.norm(amps)!r}"
+    for make in (PureState, lambda a, d: _adopt(a.copy(), d)):
+        with pytest.raises(ValueError) as refused:
+            make(amps, d)
+        assert str(refused.value) == message
+    assert not _wrap(amps.copy(), d).normalized
+
+
+def test_tensor_and_apply_local_flag_their_results_by_the_inputs_norm():
+    amps = random_state(2, 2, 7).amplitudes
+    unit = PureState(amps)
+    near, off, half = (PureState(amps * s, normalized=False) for s in (1 + 0.9e-10, 1 + 1.1e-10, 0.5))
+    assert tensor(unit, unit).normalized and tensor(near, unit).normalized
+    assert not tensor(near, near).normalized  # norm (1 + 0.9e-10)^2
+    assert not tensor(unit, half).normalized and not tensor(half, half).normalized
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for site in (0, 1):
+        assert apply_local(unit, hadamard, site).normalized
+        assert apply_local(near, hadamard, site).normalized
+        assert not apply_local(off, hadamard, site).normalized
+        assert not apply_local(half, hadamard, site).normalized
+        assert not apply_local(unit, 2 * hadamard, site).normalized
 
 
 def test_amplitudes_read_only():
