@@ -49,7 +49,6 @@ from .channels import (
     stabilizer_report,
     string_order,
 )
-from .measure import _possible
 from .protocol import (
     FIG2_BOUND_SLACK,
     Fig2Row,
@@ -58,14 +57,13 @@ from .protocol import (
     _channel_teleports,
     _check_pairing,
     _fig2_blocks,
+    _teleports,
     min_fidelity_scan,
     order_parameter,
 )
 from .qudit import _label_stack
-from .qudit import _stack_teleports as _qudit_teleports
 from .states import PureState, random_state
-from .threequbit import BELL3_LABELS, _OUTCOMES, _TRIO_CHANNELS, _TRIO_GATES, theta_rank
-from .threequbit import _stack_teleports as _trio_teleports
+from .threequbit import BELL3_LABELS, _OUTCOMES, _TRIO_CHANNELS, _TRIO_TABLES, theta_rank
 
 USAGE_ERROR = 64
 CLAIM_VIOLATION = 2
@@ -478,25 +476,17 @@ def _cmd_three_qubit(args):
     columns = ["j", "k", "l", "mode", "outcome", "probability", "fidelity"]
     client = random_state(1, 2, np.random.default_rng(args.seed)).amplitudes
     parts = []  # per mode: its branches' (channel, mode, outcome, probability, fidelity)
-    for mode, (labels, _) in _OUTCOMES.items():
-        roots, branches = _trio_teleports(client, _TRIO_CHANNELS, _TRIO_GATES, mode, _possible)
-        outcomes = np.array([format_sign_pair(lab) for lab in labels])[branches.rows]
+    for mode, (labels, levels, _, settle) in _OUTCOMES.items():
+        tables = _TRIO_TABLES[mode]
+        roots, _, _, branches = _teleports(client[None], _TRIO_CHANNELS, levels, tables, settle)
+        outcomes = np.array([format_sign_pair(lab) for lab in labels])[branches.rows[:, 0]]
         modes = np.full(len(roots), mode)
-        parts.append((roots, modes, outcomes, branches.probs, branches.fidelities))
-    roots, modes, outcomes, probs, fidelities = map(np.concatenate, zip(*parts))
+        parts.append((roots, modes, outcomes, branches.probs[:, 0], branches.fidelities))
+    roots, *cells = map(np.concatenate, zip(*parts))
     order = np.argsort(roots, kind="stable")  # by channel, each in mode order
-    fidelities = fidelities[order]
-    j, k, l = np.array(BELL3_LABELS)[roots[order]].T.tolist()
-    rows = list(
-        zip(
-            j, k, l,
-            modes[order].tolist(),
-            outcomes[order].tolist(),
-            probs[order].tolist(),
-            fidelities.tolist(),
-        )
-    )
-    violations = int((~(fidelities >= 1.0 - _CLAIM_TOL)).sum())
+    labels = np.array(BELL3_LABELS)[roots[order]].T.tolist()
+    rows = list(zip(*labels, *(cell[order].tolist() for cell in cells)))
+    violations = int((~(cells[-1] >= 1.0 - _CLAIM_TOL)).sum())
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
     meta = {
@@ -521,13 +511,13 @@ def _cmd_qudit_demo(args):
     client = random_state(1, d, np.random.default_rng(args.seed)).amplitudes
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # distinct for d >= 2
-    roots, branches = _qudit_teleports(client, *_label_stack(d, labels), _possible)
+    roots, _, _, branches = _teleports(client[None], *_label_stack(d, labels))
     j, k = np.array(labels)[roots].T.tolist()
-    p, q = np.divmod(branches.rows, d)
+    p, q = np.divmod(branches.rows[:, 0], d)
     rows = list(
         zip(
             [d] * len(roots), j, k, p.tolist(), q.tolist(),
-            branches.probs.tolist(), branches.fidelities.tolist(),
+            branches.probs[:, 0].tolist(), branches.fidelities.tolist(),
         )
     )
     violations = int((~(branches.fidelities >= 1.0 - _CLAIM_TOL)).sum())

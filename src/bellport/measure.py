@@ -15,20 +15,20 @@ the outcome tree over a stack of site tensors.  At each level one
 batched contraction covers every live node, and the walk descends into
 the rows it is told to follow -- one seeded draw per level when
 sampling, the given rows when forcing (raising ImpossibleOutcomeError
-at or below ZERO_PROB_ATOL), every possible row when enumerating.  Each
-teleport family walks in one stacked pass: ``protocol._teleports`` (the
-Bell pairs of ``teleport_branches``, ``teleport_samples``, both ``fig2``
-modes, and the CLI's ``teleport``, ``heisenberg-check`` and
-``appendix-a``), ``threequbit._stack_teleports`` and
-``qudit._stack_teleports``.  A single call (``bell_measure``,
-``measure_sequence``, ``protocol.teleport``, the trio and qudit ones) is
-a walk of one run, whose follow ``_run`` takes the forced row or draws
-one at each level, and every record comes from ``_record``.  A forced
-outcome is its index in its level's labels (``_forced_row``, which
-refuses any other value with one ValueError): a Bell pair's, the trio's,
-a qudit pair's.  Bob's gate depends on a branch only through a function
-of its rows (the XOR of the Bell rows, the trio class, the qudit row),
-so it is a row of a gate table.  A sampled outcome is the search that
+at or below ZERO_PROB_ATOL), every possible row when enumerating.  Every
+teleport family walks in one pass, ``protocol._teleports``: the Bell
+pairs of ``teleport_branches``, ``teleport_samples``, both ``fig2``
+modes and the CLI's ``teleport``, ``heisenberg-check`` and
+``appendix-a``, the trio of ``teleport3`` and ``three-qubit``, and the
+qudit pair of ``qudit_teleport`` and ``qudit-demo``.  A single call
+(``bell_measure``, ``measure_sequence``, ``protocol.teleport``, the trio
+and qudit ones) is a walk of one run, whose follow ``_run`` takes the
+forced row or draws one at each level, and every record comes from
+``_record``.  A forced outcome is its index in its level's labels
+(``_forced_row``, which refuses any other value with one ValueError): a
+Bell pair's, the trio's, a qudit pair's.  Bob's gate depends on a branch
+only through the XOR of its rows (of the Bell rows; the one trio or
+qudit row), so it is a row of a gate table.  A sampled outcome is the search that
 ``Generator.choice`` makes in the cumulative distribution, on one
 uniform draw, so many sampled runs walk together exactly as each would
 alone (``_Sampled``): every run picks its row on its own draw, and the
@@ -330,9 +330,9 @@ def measure_sequence(
     sampled).  Returns the record plus the residual state on the
     unmeasured sites, in their original order.
     """
-    if forced is not None and len(forced) != len(pairs):
-        raise ValueError("one forced label (or None) is needed per pair")
     wants = [None] * len(pairs) if forced is None else forced
+    if not hasattr(wants, "__len__") or len(wants) != len(pairs):
+        raise ValueError("one forced label (or None) is needed per pair")
     if any(want is None for want in wants):
         rng = _as_rng(rng)  # built before the labels are read, so its errors come first
     rows = [_forced_row(BELL_LABELS, want, lambda want: BellLabel(*want)) for want in wants]

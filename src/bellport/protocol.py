@@ -1,12 +1,12 @@
 """End-to-end teleportation over 2L-qubit channels.
 
-Every qubit teleport but the single ``teleport`` call (one
-``measure_sequence``) is one pass, ``_teleports``, over a stack of
-channels; Bob's gates are the rows of one table, ``_CLASS_GATES``.
-Includes the correction gate, the teleportation-order parameter and
-efficiency, the closed-form two-qubit fidelity, the coherent-error
-lower-bound scan, and the scatter experiment relating fidelity to the
-order parameter.
+Every teleport of every family but the single ``teleport`` call (one
+``measure_sequence``) is one pass, ``_teleports``, given the family's
+walk levels, gate tables and residual step as data; the qubit gates are
+the rows of one table, ``_CLASS_GATES``.  Includes the correction gate,
+the teleportation-order parameter and efficiency, the closed-form
+two-qubit fidelity, the coherent-error lower-bound scan, and the
+scatter experiment relating fidelity to the order parameter.
 """
 
 from __future__ import annotations
@@ -75,13 +75,16 @@ def default_pairing(total_sites: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(0, total_sites - 1, 2))
 
 
-def _root(client: PureState, channel: PureState) -> PureState:
-    """``client`` (x) ``channel``: one qubit and an even number of them."""
+def _check_root(client: PureState, channel: PureState) -> int:
+    """The site count of ``client`` (x) ``channel``, refused unless they are
+    one qubit and an even number of them, as ``tensor`` refuses them."""
     if client.num_sites != 1 or client.local_dim != 2:
         raise ValueError("client must be a single qubit")
     if channel.num_sites % 2 != 0:
         raise ValueError("channel must have an even number of qubits")
-    return tensor(client, channel)
+    if channel.local_dim != 2:
+        raise ValueError(f"local dimensions differ: 2 vs {channel.local_dim}")
+    return 1 + channel.num_sites
 
 
 def _check_pairing(
@@ -129,24 +132,22 @@ def teleport(
     at the assumed and the measured class, applied and scored by
     ``_corrected`` as in ``_teleports``.
     """
-    total = _root(client, channel)
-    pairing = _check_pairing(total.num_sites, pairing)
-    record, residual = measure_sequence(total, pairing, forced=forced, rng=rng)
+    pairing = _check_pairing(_check_root(client, channel), pairing)
+    record, residual = measure_sequence(tensor(client, channel), pairing, forced=forced, rng=rng)
     gates = _CLASS_GATES[_class_index(assumed_class), [_class_index(record.aggregate_class)]]
     (recipient,), (fidelity,) = _corrected(client.amplitudes, gates, residual.amplitudes[None])
     return TeleportResult(record, gates[0], _wrap(recipient, 2), float(fidelity))
 
 
 class _Branches(NamedTuple):
-    """Branches of a teleport as the arrays of one pass, one entry per branch;
-    in the qubit pass, ``_teleports``, ``rows`` and ``probs`` have one per leaf
-    of its walk, the rest one per teleport, and its ``leaf`` maps one to the other."""
+    """The branches of a ``_teleports`` pass as arrays: ``rows`` and ``probs``
+    per leaf of its walk, shape (leaves, levels), the rest per teleport."""
 
-    rows: np.ndarray  # the outcome rows (per branch, or per leaf)
-    probs: np.ndarray  # their conditional probabilities (likewise)
-    gates: np.ndarray  # Bob's gate (per branch, or per teleport)
-    recipients: np.ndarray  # the recipient's amplitudes after it (likewise)
-    fidelities: np.ndarray  # with the client (likewise)
+    rows: np.ndarray  # each leaf's outcome rows, one per level
+    probs: np.ndarray  # their conditional probabilities
+    gates: np.ndarray  # each teleport's gate for Bob
+    recipients: np.ndarray  # the recipient's amplitudes after it
+    fidelities: np.ndarray  # with the client
 
 
 def _corrected(
@@ -162,63 +163,88 @@ def _corrected(
     return recipients[:, :, 0], np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0).ravel()
 
 
-def _teleport_one(
-    teleports: Callable, labels: Sequence, pair: tuple[int, int], forced, rng
-) -> TeleportResult:
-    """The teleport ``teleports(follow)``, a family's stacked pass over one
-    channel, makes onto ``forced``, a ``_forced_row`` of the outcome rows
-    ``labels`` (refused when impossible), or onto one drawn from ``rng``.  Its
-    record names ``pair``, with the label's first two entries as the class."""
-    _, branches = teleports(_run([forced], rng))
-    (row,), (prob,) = branches.rows.tolist(), branches.probs.tolist()
-    (amps,), (fid,) = branches.recipients, branches.fidelities.tolist()
-    record = _record([pair], labels, [row], [prob], labels[row][:2])
-    return TeleportResult(record, branches.gates[0], _wrap(amps, len(amps)), fid)
-
-
 def _teleports(
     clients: np.ndarray,
-    totals: np.ndarray,
-    classes: Sequence[BellClass | tuple[int, int]],
-    pairing: Sequence[tuple[int, int]],
+    channels: np.ndarray,
+    levels: Sequence[tuple[Sequence[int], np.ndarray]],
+    tables: np.ndarray,
+    settle: Callable[[np.ndarray], np.ndarray],
+    follow: Callable[[int, np.ndarray], Sequence[int]] = _possible,
     draws: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Branches]:
     """The teleports of every root and assumed class, as one walk.
 
-    Root i is the client ``clients[i]`` and ``totals[i]``, its product with
-    the channel, measured in the Bell pairs of the checked ``pairing``.
-    Without ``draws``, every possible branch of each root once per class
-    of ``classes``: the walk does not depend on the class.  With ``draws``
-    (roots, uniforms), the runs each root's row gives, one uniform per
-    pair, class-major and pair-minor as successive ``teleport`` calls draw
-    them.  The teleports come in (root, class, branch or run) order; no
-    ``classes`` gives none, only the rows and probs of every branch.
-    Returns the root, leaf and class index of each teleport, and the
-    branches: each leaf's rows and probs, and each teleport's gate (the
-    row of ``_CLASS_GATES`` at its classes), recipient and fidelity.
+    Root i is the client ``clients[i]`` (or the one client) times the
+    channel ``channels[i]``, measured in the ``levels`` of ``_walk``, which
+    leave one recipient site; ``settle`` maps the walk's residuals to the
+    recipients'.  Bob's gates are ``tables`` (roots or 1, classes, gate
+    rows, d, d), read at the XOR of a leaf's outcome rows.  The walk takes
+    the rows ``follow`` gives, and each leaf is one teleport per class, in
+    (root, class, leaf) order.  With ``draws`` (roots, uniforms) it takes
+    instead the runs each root's row gives, one uniform per level,
+    class-major as successive single calls draw them.  No class gives no
+    teleport, only the rows and probs of every leaf.  Returns the root,
+    leaf and class index of each teleport, and the branches.
     """
-    classes = np.array([_class_index(c) for c in classes])
-    stack = totals.reshape(len(totals), *(2,) * (2 * len(pairing) + 1))
-    levels = [(pair, _BELL_BRA) for pair in pairing]
-    if draws is None:
-        roots, rows, probs, residuals = _walk(stack, levels, _possible)
-        if not len(classes):  # no teleport to correct: the rows and probs alone
-            none = np.empty(0, np.intp)
-            return none, none, none, _Branches(rows, probs, *np.empty((3, 0)))
-        leaf, cls = np.tile(np.arange(len(rows)), len(classes)), np.repeat(classes, len(rows))
-        order = np.argsort(roots[leaf], kind="stable")  # root, then class, then branch
+    d = clients.shape[-1]
+    sites = 1 + sum(len(measured) for measured, _ in levels)
+    stack = (clients[:, :, None] * channels[:, None, :]).reshape(len(channels), *(d,) * sites)
+    if draws is not None:
+        runs = draws.shape[1] // len(levels)  # of each root, over all its classes
+        follow = _Sampled(np.repeat(np.arange(len(stack)), runs), draws.reshape(-1, len(levels)))
+    roots, rows, probs, residuals = _walk(stack, levels, follow)
+    classes = tables.shape[1]
+    if not classes:  # no teleport to correct: the rows and probs alone
+        none = np.empty(0, np.intp)
+        return none, none, none, _Branches(rows, probs, *np.empty((3, 0)))
+    residuals = settle(residuals)
+    leaf, cls = np.arange(len(rows)), np.zeros(len(rows), np.intp)  # one class: the leaves
+    if draws is not None:  # each root's runs, class-major
+        leaf, cls = follow.at, np.tile(np.repeat(np.arange(classes), runs // classes), len(stack))
+    elif classes > 1:  # each leaf once per class, in root, then class, then leaf order
+        leaf, cls = np.tile(leaf, classes), np.repeat(np.arange(classes), len(rows))
+        order = np.argsort(roots[leaf], kind="stable")
         leaf, cls = leaf[order], cls[order]
-    else:
-        runs = draws.shape[1] // len(pairing)  # of each root, over all its classes
-        follow = _Sampled(np.repeat(np.arange(len(stack)), runs), draws.reshape(-1, len(pairing)))
-        roots, rows, probs, residuals = _walk(stack, levels, follow)
-        leaf, cls = follow.at, np.tile(np.repeat(classes, runs // len(classes)), len(stack))
-    residuals = _normalized(residuals)[leaf]  # drops the walk's own before the gates (peak memory)
-    gates = _CLASS_GATES[cls, np.bitwise_xor.reduce(rows, axis=1)[leaf]]
-    root = roots[leaf]
-    # a lone root's client is broadcast, not copied per teleport (peak memory)
-    corrected = _corrected(clients[root] if len(clients) > 1 else clients[0], gates, residuals)
-    return root, leaf, cls, _Branches(rows, probs, gates, *corrected)
+    if draws is not None or classes > 1:  # the teleports are not the leaves in order
+        roots, residuals = roots[leaf], residuals[leaf]
+    gates = tables[roots if len(tables) > 1 else 0, cls, np.bitwise_xor.reduce(rows, axis=1)[leaf]]
+    # a lone client is broadcast, not copied per teleport (peak memory)
+    corrected = _corrected(clients[roots] if len(clients) > 1 else clients[0], gates, residuals)
+    return roots, leaf, cls, _Branches(rows, probs, gates, *corrected)
+
+
+def _results(
+    pairs: Sequence[tuple[int, int]],
+    leaf: np.ndarray,
+    branches: _Branches,
+    labels: Sequence = BELL_LABELS,
+    aggregate: object = None,
+) -> Iterator[TeleportResult]:
+    """One ``TeleportResult`` per teleport of a ``_teleports`` pass, built as
+    it is read, with the record ``_record`` makes of its leaf's rows, one
+    per pair of ``pairs``, as ``labels``, and ``aggregate`` as its class
+    (the Bell class of the labels when None)."""
+    rows, probs = branches.rows.tolist(), branches.probs.tolist()
+    return (
+        TeleportResult(
+            _record(pairs, labels, rows[i], probs[i], aggregate), gate, _wrap(amps, len(amps)), fid
+        )
+        for i, gate, amps, fid in zip(
+            leaf.tolist(), branches.gates, branches.recipients, branches.fidelities.tolist()
+        )
+    )
+
+
+def _teleport_one(
+    teleports: Callable, labels: Sequence, pair: tuple[int, int], forced, rng
+) -> TeleportResult:
+    """The teleport ``teleports(follow=...)``, ``_teleports`` over one
+    channel and class, makes onto ``forced``, a ``_forced_row`` of the
+    outcome rows ``labels`` (refused when impossible), or onto one drawn
+    from ``rng``.  Its record names ``pair``, with the label's first two
+    entries as the class."""
+    _, leaf, _, branches = teleports(follow=_run([forced], rng))
+    return next(_results([pair], leaf, branches, labels, labels[branches.rows[0, 0]][:2]))
 
 
 def _channel_teleports(
@@ -232,27 +258,13 @@ def _channel_teleports(
     """The pairing, each teleport's leaf and the branches of ``_teleports``
     over one channel and ``classes``: every possible branch, or with ``trials``
     that many runs sampled from ``rng`` (``teleport_samples``)."""
-    total = _root(client, channel)
-    pairing = _check_pairing(total.num_sites, pairing)
+    pairing = _check_pairing(_check_root(client, channel), pairing)
     draws = None if trials is None else _as_rng(rng).random((1, trials * len(pairing)))
-    clients, totals = client.amplitudes[None], total.amplitudes[None]
-    _, leaf, _, branches = _teleports(clients, totals, classes, pairing, draws)
+    tables = _CLASS_GATES[None, [_class_index(c) for c in classes]]
+    levels = [(pair, _BELL_BRA) for pair in pairing]
+    clients, channels = client.amplitudes[None], channel.amplitudes[None]
+    _, leaf, _, branches = _teleports(clients, channels, levels, tables, _normalized, draws=draws)
     return pairing, leaf, branches
-
-
-def _results(
-    pairing: Sequence[tuple[int, int]], leaf: np.ndarray, branches: _Branches
-) -> Iterator[TeleportResult]:
-    """One ``TeleportResult`` per teleport of ``_channel_teleports``, built
-    as it is read, with the Bell-class record ``_record`` makes of its
-    leaf's rows, one per pair of ``pairing``."""
-    rows, probs = branches.rows.tolist(), branches.probs.tolist()
-    return (
-        TeleportResult(_record(pairing, BELL_LABELS, rows[i], probs[i]), gate, _wrap(amps, 2), fid)
-        for i, gate, amps, fid in zip(
-            leaf.tolist(), branches.gates, branches.recipients, branches.fidelities.tolist()
-        )
-    )
 
 
 def teleport_branches(
@@ -627,10 +639,11 @@ def _fig2_block(seed: int, start: int, stop: int, enumerate_branches: bool) -> _
     z = np.array([rng.standard_normal(4) for rng in rngs])  # 2 + 2 at once
     clients = _normalized(z[:, :2] + 1j * z[:, 2:])  # as _haar rounds it
     channels, kinds, omegas = _scatter_channels(rngs)
-    totals = clients[:, :, None] * channels[:, None, :]  # np.kron of each trial
-    pairing = default_pairing(5)  # a client and a 4-qubit channel: 8 uniforms, 2 per class
+    levels = [(pair, _BELL_BRA) for pair in default_pairing(5)]  # 8 uniforms: 2 per class
     draws = None if enumerate_branches else np.array([rng.random(8) for rng in rngs])
-    trial, leaf, cls, branches = _teleports(clients, totals, BELL_CLASSES, pairing, draws)
+    trial, leaf, cls, branches = _teleports(
+        clients, channels, levels, _CLASS_GATES[None], _normalized, draws=draws
+    )
     measured = np.bitwise_xor.reduce(branches.rows, axis=1)[leaf]
     return _Fig2Block(
         (start + trial).astype(np.int32), cls.astype(np.int8), omegas[trial, cls],

@@ -16,15 +16,15 @@ eigenspaces of P^(xL) and the alternating product Q (x) Q^dag (x) Q ...
 (the conjugation pattern makes the two commute; for d = 2 it collapses
 to the qubit Upsilon operators).
 
-Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}.
-Every outcome is one level of ``measure._walk`` with that bra over a
-stack of channels (``_stack_teleports``); Bob's gates
-(Xtilde^{jk}_{pq})^dagger are a C-ordered d^2-row table built once per
-(d, assumed label) and indexed by the outcome row p d + q.  The bra and
-the tables are kept for four dimensions at a time.  ``qudit_teleport`` is
-that pass over a one-row stack following one run (``measure._run``),
-``qudit_bell_measure`` one level of such a run, and ``qudit-demo`` the
-pass over the stack ``_label_stack`` builds.
+Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}:
+one call to the teleport pass of every family, ``protocol._teleports``,
+with one walk level of that bra.  Bob's gates (Xtilde^{jk}_{pq})^dagger
+are a C-ordered d^2-row table built once per (d, assumed label) and read
+at the outcome row p d + q; the residuals stay as the walk divides them
+(``_walked``).  The bra and the tables are kept for four dimensions at a
+time.  ``qudit_teleport`` is that pass over one channel following one run
+(``measure._run``), ``qudit_bell_measure`` one level of such a run, and
+``qudit-demo`` the pass over the stack ``_label_stack`` builds.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measure import MeasurementOutcome, _check_pair, _forced_row, _run, _walk
-from .protocol import TeleportResult, _Branches, _corrected, _teleport_one
+from .protocol import TeleportResult, _teleport_one, _teleports
 from .states import PureState, apply_local
 
 
@@ -140,32 +140,18 @@ def qudit_bell_measure(
     return outcome, PureState(residual, local_dim=d)
 
 
-def _stack_teleports(
-    client: np.ndarray,
-    channels: np.ndarray,
-    gates: np.ndarray,
-    follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> tuple[np.ndarray, _Branches]:
-    """The teleports of the ``client`` amplitudes across each two-qudit
-    channel of the stack ``channels`` (channels, d^2) onto the outcome rows
-    p d + q that ``follow`` picks from their probabilities, as the arrays of
-    one contraction with the Bell bra: each branch's channel and the
-    branches.  Bob's gate is the row of its channel's table in ``gates``
-    (channels, d^2, d, d) at its outcome row."""
-    d = len(client)
-    totals = (client[:, None] * channels[:, None, :]).reshape(-1, d, d, d)  # np.kron
-    roots, rows, probs, residuals = _walk(totals, [((0, 1), _bell_bra(d))], follow)
-    rows, probs, gates = rows[:, 0], probs[:, 0], gates[roots, rows[:, 0]]
-    # the residuals stay as the walk divides them, as qudit_bell_measure's do
-    return roots, _Branches(rows, probs, gates, *_corrected(client, gates, residuals))
+def _walked(amps: np.ndarray) -> np.ndarray:
+    """The residuals as the walk divides them, as ``qudit_bell_measure``'s are."""
+    return amps
 
 
-def _label_stack(d: int, labels: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The channels |j:k} of ``labels`` (the Bell bra's rows conjugated
-    back), shape (labels, d^2), and Bob's gate table for each, shape
-    (labels, d^2, d, d), as ``_stack_teleports`` takes them."""
+def _label_stack(d: int, labels: Sequence[tuple[int, int]]) -> tuple:
+    """The channels |j:k} of ``labels`` (the Bell bra's rows conjugated back),
+    shape (labels, d^2), with the levels, Bob's gate table for each, shape
+    (labels, 1, d^2, d, d), and the residual step, as ``_teleports`` takes them."""
     channels = _bell_bra(d)[[j % d * d + k % d for j, k in labels], 0].conj()
-    return channels, np.array([_gate_table(d, j, k) for j, k in labels])
+    tables = np.array([_gate_table(d, j, k) for j, k in labels])[:, None]
+    return channels, [((0, 1), _bell_bra(d))], tables, _walked
 
 
 def qudit_teleport(
@@ -198,8 +184,10 @@ def qudit_teleport(
         raise ValueError("channel must be a two-qudit state of the client dimension")
     if assumed is None:
         raise ValueError("assumed channel label is required for a state channel")
-    gates = _gate_table(dim, *assumed)[None]
-    teleports = partial(_stack_teleports, client.amplitudes, chan_state.amplitudes[None], gates)
+    tables = _gate_table(dim, *assumed)[None, None]
+    levels = [((0, 1), _bell_bra(dim))]
+    channels = chan_state.amplitudes[None]
+    teleports = partial(_teleports, client.amplitudes[None], channels, levels, tables, _walked)
     labels, read = _outcomes(dim)
     return _teleport_one(teleports, labels, (0, 1), _forced_row(labels, forced, read), rng)
 

@@ -14,32 +14,25 @@ teleports superpositions alpha_+ |j:+:l} + alpha_- |j:-:l} perfectly is
 the rank-2 projection fixing (Lambda^1, Lambda^2) = (p, q), leaving the
 redundant Lambda^3 unmeasured.
 
-Every outcome of the trio comes from one level of ``measure._walk`` with
-the 8-row bra over a stack of trio channels (``_stack_teleports``, the
-only teleport pass here), taken one row per outcome in full mode and two
-in reduced mode; Bob's gate is a row of each channel's 4-gate table of
-the qubit protocol, indexed by the class (p, q) of the outcome row.
-``teleport3`` is that pass over a one-row stack, and ``three-qubit``
-over the eight basis channels (``_TRIO_CHANNELS``, ``_TRIO_GATES``).
+A trio teleport is the one teleport pass, ``protocol._teleports``, given
+its mode's data (``_OUTCOMES``): one walk level of the 8-row bra, taken
+one row per outcome in full mode and two in reduced mode; the qubit
+4-gate table, read at the class (p, q) of each outcome row; and the
+residual step, the reduced mode's factor check included.  ``teleport3``
+is that pass over one channel, and ``three-qubit`` over the eight basis
+channels (``_TRIO_CHANNELS``, ``_TRIO_TABLES``).
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import u_matrix, x_operator
-from .measure import _forced_row, _normalized, _walk
-from .protocol import (
-    _CLASS_GATES,
-    TeleportResult,
-    _Branches,
-    _class_index,
-    _corrected,
-    _teleport_one,
-)
+from .measure import _forced_row, _normalized
+from .protocol import _CLASS_GATES, TeleportResult, _class_index, _teleport_one, _teleports
 from .states import PureState
 
 
@@ -70,19 +63,37 @@ def bell3_state(label: Bell3Label | tuple[int, int, int]) -> PureState:
 
 
 _BELL3_BRA = np.array([bell3_state(lab).amplitudes for lab in BELL3_LABELS]).conj()
-# Outcome labels and bras per mode: a full outcome is one |j:k:l}; a
-# reduced outcome (p, q) projects onto both of its l-labels at once.
+
+
+def _factored(amps: np.ndarray) -> np.ndarray:
+    """Each reduced-mode residual (l-label x last site) as the recipient's
+    normalised amplitudes; one left entangled raises ValueError."""
+    _, s_, vh = np.linalg.svd(amps.reshape(len(amps), 2, 2))  # not -1: no row may be taken
+    if (s_[:, 1] > 1e-8).any():
+        raise ValueError(
+            "reduced measurement left the recipient entangled; "
+            "the channel is not confined to one (Lambda1, Lambda3) class"
+        )
+    return _normalized(vh[:, 0])
+
+
+# Per mode: the outcome labels, the walk levels, each outcome row's gate row
+# (its class (p, q)) and the residual step.  A full outcome is one |j:k:l};
+# a reduced outcome (p, q) projects onto both of its l-labels at once.
 _OUTCOMES = {
-    "full": (BELL3_LABELS, _BELL3_BRA[:, None]),
+    "full": (BELL3_LABELS, [((0, 1, 2), _BELL3_BRA[:, None])], np.arange(8) // 2, _normalized),
     "reduced": (
         tuple(lab[:2] for lab in BELL3_LABELS[::2]),
-        _BELL3_BRA.reshape(4, 2, 8),
+        [((0, 1, 2), _BELL3_BRA.reshape(4, 2, 8))],
+        np.arange(4),
+        _factored,
     ),
 }
 # the eight basis channels |j:k:l} (the bra's rows conjugated back), and
 # Bob's gate table for the class (j, l) of each: the stack three-qubit walks
 _TRIO_CHANNELS = _BELL3_BRA.conj()
 _TRIO_GATES = _CLASS_GATES[[_class_index((lab.j, lab.l)) for lab in BELL3_LABELS]]
+_TRIO_TABLES = {mode: _TRIO_GATES[:, None, rows] for mode, (*_, rows, _) in _OUTCOMES.items()}
 
 
 def lambda_operator(alpha: int) -> np.ndarray:
@@ -104,40 +115,6 @@ def y_operator(j: int, k: int, l: int, p: int, q: int, r: int) -> np.ndarray:
     """
     z = np.eye(2, dtype=complex) if k == q else u_matrix(1)
     return np.kron(z, x_operator(j, l, p, r))
-
-
-def _stack_teleports(
-    client: np.ndarray,
-    channels: np.ndarray,
-    gates: np.ndarray,
-    mode: str,
-    follow: Callable[[int, np.ndarray], Sequence[int]],
-) -> tuple[np.ndarray, _Branches]:
-    """The ``mode`` teleports of the ``client`` amplitudes across each trio
-    of the stack ``channels`` (channels, 8) onto the outcome rows ``follow``
-    picks from their probabilities, as the arrays of one contraction with
-    the trio bra: each branch's channel and the branches.  Bob's gate is
-    the row of its channel's 4-gate table in ``gates`` (channels, 4, 2, 2)
-    at the class (p, q) of its outcome row.  A reduced-mode row that leaves
-    the recipient entangled raises ValueError."""
-    _, bra = _OUTCOMES[mode]
-    totals = client[:, None] * channels[:, None, :]  # np.kron of each channel
-    levels = [((0, 1, 2), bra)]
-    roots, rows, probs, amps = _walk(totals.reshape(-1, 2, 2, 2, 2), levels, follow)
-    rows, probs = rows[:, 0], probs[:, 0]
-    blocks = amps.reshape(len(rows), bra.shape[1], 2)  # not -1: no row may be taken
-    if mode == "reduced":
-        # The projected trio must factor from the recipient qubit.
-        _, s_, vh = np.linalg.svd(blocks)  # each (2, 2): l-label x last site
-        if (s_[:, 1] > 1e-8).any():
-            raise ValueError(
-                "reduced measurement left the recipient entangled; "
-                "the channel is not confined to one (Lambda1, Lambda3) class"
-            )
-        blocks = vh
-    gates = gates[roots, rows // 2 if mode == "full" else rows]  # at the (p, q) of each row
-    corrected = _corrected(client, gates, _normalized(blocks[:, 0]))
-    return roots, _Branches(rows, probs, gates, *corrected)
 
 
 def teleport3(
@@ -165,13 +142,14 @@ def teleport3(
         raise ValueError("channel must be a 3-qubit state")
     if mode not in _OUTCOMES:
         raise ValueError(f"mode must be 'full' or 'reduced', got {mode!r}")
-    labels, _ = _OUTCOMES[mode]
-    if forced is not None and len(forced) != len(labels[0]):
+    labels, levels, gate_rows, settle = _OUTCOMES[mode]
+    if hasattr(forced, "__len__") and len(forced) != len(labels[0]):
         raise ValueError(
             f"{mode}-mode forced outcome has {len(labels[0])} signs, got {forced!r}"
         )
-    gates = _CLASS_GATES[[_class_index(assumed)]]
-    teleports = partial(_stack_teleports, client.amplitudes, channel.amplitudes[None], gates, mode)
+    tables = _CLASS_GATES[_class_index(assumed), gate_rows][None, None]
+    channels = channel.amplitudes[None]
+    teleports = partial(_teleports, client.amplitudes[None], channels, levels, tables, settle)
     # sites 0..2 are measured jointly; the pair field records the span
     return _teleport_one(teleports, labels, (0, 2), _forced_row(labels, forced), rng)
 

@@ -30,6 +30,7 @@ from bellport.measure import (
     MeasurementOutcome,
     MeasurementRecord,
     _check_pairs,
+    _normalized,
     _possible,
     _run,
     _walk,
@@ -46,7 +47,6 @@ from bellport.protocol import (
     teleport,
 )
 from bellport.qudit import (
-    _stack_teleports as qudit_stack_teleports,
     qudit_bell,
     qudit_bell_measure,
     qudit_teleport,
@@ -57,7 +57,6 @@ from bellport.threequbit import (
     _OUTCOMES,
     BELL3_LABELS,
     Bell3Label,
-    _stack_teleports as trio_stack_teleports,
     bell3_state,
     teleport3,
 )
@@ -127,7 +126,7 @@ def old_qudit_teleport(client, channel, assumed=None, *, forced=None, rng=None):
 
 
 def old_teleport3(client, channel, assumed, mode="full", *, forced=None, rng=None):
-    labels, bra = _OUTCOMES[mode]
+    labels, [(_, bra)], *_ = _OUTCOMES[mode]
     row = None
     if forced is not None:
         if len(forced) != len(labels[0]):
@@ -182,10 +181,14 @@ def assert_same_result(new, old):
 
 
 def qudit_teleports(client, channel, assumed, follow):
-    """The branches of the stacked qudit pass over the one-row stack of
-    ``channel``, with Bob's gate table for ``assumed``."""
-    gates = qudit._gate_table(client.local_dim, *assumed)[None]
-    return qudit_stack_teleports(client.amplitudes, channel.amplitudes[None], gates, follow)[1]
+    """The branches of ``protocol._teleports`` over the qudit ``channel``
+    alone, with Bob's gate table for ``assumed``."""
+    d = client.local_dim
+    tables = qudit._gate_table(d, *assumed)[None, None]
+    levels = [((0, 1), qudit._bell_bra(d))]
+    return protocol._teleports(
+        client.amplitudes[None], channel.amplitudes[None], levels, tables, qudit._walked, follow
+    )[3]
 
 
 def gate_table(assumed):
@@ -194,20 +197,22 @@ def gate_table(assumed):
 
 
 def trio_teleports(client, channel, assumed, mode, follow):
-    """The branches of the stacked trio pass over the one-row stack of
-    ``channel``, with Bob's gate table for ``assumed``."""
-    gates = gate_table(assumed)[None]
-    stack = channel.amplitudes[None]
-    return trio_stack_teleports(client.amplitudes, stack, gates, mode, follow)[1]
+    """The branches of ``protocol._teleports`` over the trio ``channel``
+    alone in ``mode``, with Bob's gate table for ``assumed``."""
+    _, levels, gate_rows, settle = _OUTCOMES[mode]
+    tables = gate_table(assumed)[None, None, gate_rows]
+    return protocol._teleports(
+        client.amplitudes[None], channel.amplitudes[None], levels, tables, settle, follow
+    )[3]
 
 
 def assert_rows_match(branches, old):
     """The batched ``branches`` are exactly the possible rows of ``old``."""
     possible = [row for row, res in enumerate(old) if res is not None]
-    assert branches.rows.tolist() == possible
+    assert branches.rows.tolist() == [[row] for row in possible]
     for i, row in enumerate(possible):
         res = old[row]
-        assert branches.probs[i] == res.record.joint_probability
+        assert branches.probs[i, 0] == res.record.joint_probability
         assert branches.fidelities[i] == res.fidelity
         assert np.array_equal(branches.gates[i], res.correction)
         assert np.array_equal(branches.recipients[i], res.recipient_state.amplitudes)
@@ -257,7 +262,7 @@ def test_qudit_product_channel_has_impossible_rows():
     client = PureState(np.eye(3)[1], local_dim=3)
     channel = PureState(np.kron(np.eye(3)[2], random_state(1, 3, 1).amplitudes), local_dim=3)
     branches = qudit_teleports(client, channel, (0, 0), _possible)
-    assert branches.rows.tolist() == [1, 4, 7]  # q = 2 - 1 only
+    assert branches.rows.tolist() == [[1], [4], [7]]  # q = 2 - 1 only
     with pytest.raises(ImpossibleOutcomeError):
         qudit_teleport(client, channel, (0, 0), forced=(0, 0))
 
@@ -454,7 +459,56 @@ def test_three_qubit_rows_match_forced_calls(seed):
 
 
 # ---------------------------------------------------------------------------
-# three-qubit and qudit-demo: one stacked pass against one pass per channel
+# three-qubit and qudit-demo: one pass over a stack, against one pass per
+# channel and against the per-family stacked passes it replaced
+
+
+def old_trio_stack_teleports(client, channels, gates, mode, follow):
+    """``threequbit._stack_teleports`` as it was before the trio became a
+    call to ``protocol._teleports``: the roots and branches of one walk with
+    the trio bra over the stack ``channels`` (channels, 8), one branch per
+    leaf, Bob's gate the row of its channel's 4-gate table in ``gates``
+    (channels, 4, 2, 2) at the class (p, q) of its outcome row."""
+    bra = threequbit._BELL3_BRA
+    bra = bra[:, None] if mode == "full" else bra.reshape(4, 2, 8)
+    totals = client[:, None] * channels[:, None, :]  # np.kron of each channel
+    roots, rows, probs, amps = _walk(totals.reshape(-1, 2, 2, 2, 2), [((0, 1, 2), bra)], follow)
+    rows, probs = rows[:, 0], probs[:, 0]
+    blocks = amps.reshape(len(rows), bra.shape[1], 2)
+    if mode == "reduced":
+        _, s_, vh = np.linalg.svd(blocks)
+        if (s_[:, 1] > 1e-8).any():
+            raise ValueError(
+                "reduced measurement left the recipient entangled; "
+                "the channel is not confined to one (Lambda1, Lambda3) class"
+            )
+        blocks = vh
+    gates = gates[roots, rows // 2 if mode == "full" else rows]
+    corrected = protocol._corrected(client, gates, _normalized(blocks[:, 0]))
+    return roots, protocol._Branches(rows, probs, gates, *corrected)
+
+
+def old_qudit_stack_teleports(client, channels, gates, follow):
+    """``qudit._stack_teleports`` as it was before the qudit pair became a
+    call to ``protocol._teleports``: the roots and branches of one walk with
+    the Bell bra over the stack ``channels`` (channels, d^2), Bob's gate the
+    row of its channel's table in ``gates`` (channels, d^2, d, d) at its
+    outcome row, the residuals left as the walk divides them."""
+    d = len(client)
+    totals = (client[:, None] * channels[:, None, :]).reshape(-1, d, d, d)
+    roots, rows, probs, residuals = _walk(totals, [((0, 1), qudit._bell_bra(d))], follow)
+    rows, probs, gates = rows[:, 0], probs[:, 0], gates[roots, rows[:, 0]]
+    corrected = protocol._corrected(client, gates, residuals)
+    return roots, protocol._Branches(rows, probs, gates, *corrected)
+
+
+def trio_stack(client, channels, mode):
+    """The roots and branches of ``protocol._teleports`` over the trio
+    ``channels`` in ``mode``, with the gate tables three-qubit uses."""
+    _, levels, _, settle = _OUTCOMES[mode]
+    tables = threequbit._TRIO_TABLES[mode][np.arange(len(channels)) % 8]
+    root, _, _, branches = protocol._teleports(client[None], channels, levels, tables, settle)
+    return root, branches
 
 
 def assert_same_branches(new, old):
@@ -472,12 +526,13 @@ def one_pass_per_channel(passes):
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 def test_stacked_trio_pass_matches_one_pass_per_channel(mode, seed):
     client = random_state(1, 2, np.random.default_rng(seed))
+    gate_rows = _OUTCOMES[mode][2]
     for i, lab in enumerate(BELL3_LABELS):  # the stack three-qubit walks
         assert np.array_equal(threequbit._TRIO_CHANNELS[i], bell3_state(lab).amplitudes)
         assert np.array_equal(threequbit._TRIO_GATES[i], gate_table((lab.j, lab.l)))
-    roots, new = trio_stack_teleports(
-        client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, mode, _possible
-    )
+        table = threequbit._TRIO_TABLES[mode][i, 0]
+        assert np.array_equal(table, threequbit._TRIO_GATES[i, gate_rows])
+    roots, new = trio_stack(client.amplitudes, threequbit._TRIO_CHANNELS, mode)
     old_roots, old = one_pass_per_channel(
         [trio_teleports(client, bell3_state(lab), (lab.j, lab.l), mode, _possible)
          for lab in BELL3_LABELS]
@@ -492,10 +547,9 @@ def test_stacked_reduced_pass_refuses_a_straddling_channel():
     channel = amps / np.linalg.norm(amps)
     client = random_state(1, 2, 4)
     channels = np.vstack([threequbit._TRIO_CHANNELS, channel])
-    gates = np.concatenate([threequbit._TRIO_GATES, threequbit._TRIO_GATES[:1]])
     with pytest.raises(ValueError, match="entangled"):
-        trio_stack_teleports(client.amplitudes, channels, gates, "reduced", _possible)
-    trio_stack_teleports(client.amplitudes, channels, gates, "full", _possible)
+        trio_stack(client.amplitudes, channels, "reduced")
+    trio_stack(client.amplitudes, channels, "full")
     with pytest.raises(ValueError, match="entangled"):
         teleport3(client, PureState(channel), (1, 1), "reduced", rng=0)
 
@@ -505,15 +559,81 @@ def test_stacked_qudit_pass_matches_one_pass_per_label(d):
     client = random_state(1, d, np.random.default_rng(d))
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # qudit-demo's
     assert len(set(labels)) == 4  # distinct for every d >= 2, d = 2 too
-    channels, gates = qudit._label_stack(d, labels)  # the stack qudit-demo walks
+    channels, levels, tables, settle = qudit._label_stack(d, labels)  # the stack qudit-demo walks
     assert np.array_equal(channels, [qudit_bell(d, j, k).amplitudes for j, k in labels])
-    assert np.array_equal(gates, [qudit._gate_table(d, j, k) for j, k in labels])
-    roots, new = qudit_stack_teleports(client.amplitudes, channels, gates, _possible)
+    assert np.array_equal(tables, [[qudit._gate_table(d, j, k)] for j, k in labels])
+    assert levels == [((0, 1), qudit._bell_bra(d))] and settle is qudit._walked
+    clients = client.amplitudes[None]
+    roots, _, _, new = protocol._teleports(clients, channels, levels, tables, settle)
     old_roots, old = one_pass_per_channel(
         [qudit_teleports(client, qudit_bell(d, j, k), (j, k), _possible) for j, k in labels]
     )
     assert np.array_equal(roots, old_roots)
     assert_same_branches(new, old)
+
+
+def assert_matches_old_pass(new, old):
+    """The roots and branches of the one pass, (roots, branches), are those
+    of a family's old stacked pass, whose rows and probs were one per branch."""
+    (roots, branches), (old_roots, old_branches) = new, old
+    assert np.array_equal(roots, old_roots)
+    rows, probs = old_branches.rows[:, None], old_branches.probs[:, None]
+    assert_same_branches(branches, old_branches._replace(rows=rows, probs=probs))
+
+
+def class_trios(rng, n):
+    """``n`` random trio channels, each confined to one (Lambda1, Lambda3)
+    class, so that the reduced mode takes every row of each."""
+    out = []
+    for _ in range(n):
+        j, l = BELL_CLASSES[rng.integers(4)]
+        alpha = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        alpha /= np.linalg.norm(alpha)
+        k_plus, k_minus = bell3_state((j, 1, l)).amplitudes, bell3_state((j, -1, l)).amplitudes
+        out.append(alpha[0] * k_plus + alpha[1] * k_minus)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_trio_pass_is_the_old_stacked_trio_pass_bit_for_bit(mode, seed):
+    rng = np.random.default_rng(700 + seed)
+    client = random_state(1, 2, rng).amplitudes
+    stacks = [threequbit._TRIO_CHANNELS, class_trios(rng, 16)]
+    if mode == "full":
+        stacks.append(np.array([random_state(3, 2, rng).amplitudes for _ in range(16)]))
+    for channels in stacks:
+        gates = threequbit._TRIO_GATES[np.arange(len(channels)) % 8]
+        old = old_trio_stack_teleports(client, channels, gates, mode, _possible)
+        assert_matches_old_pass(trio_stack(client, channels, mode), old)
+    # a random trio leaves the recipient entangled on some reduced row: both refuse
+    channels = np.array([random_state(3, 2, rng).amplitudes])
+    for call in (
+        lambda: trio_stack(client, channels, "reduced"),
+        lambda: old_trio_stack_teleports(
+            client, channels, threequbit._TRIO_GATES[:1], "reduced", _possible
+        ),
+    ):
+        with pytest.raises(ValueError, match="entangled"):
+            call()
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_qudit_pass_is_the_old_stacked_qudit_pass_bit_for_bit(d):
+    # the residuals stay as the walk divides them: normalising them again
+    # moves the last bit of recipients and fidelities
+    rng = np.random.default_rng(800 + d)
+    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]
+    for _ in range(3):
+        client = random_state(1, d, rng).amplitudes
+        channels, levels, tables, settle = qudit._label_stack(d, labels)
+        old = old_qudit_stack_teleports(client, channels, tables[:, 0], _possible)
+        new = protocol._teleports(client[None], channels, levels, tables, settle)
+        assert_matches_old_pass(new[::3], old)
+        channels = np.array([random_state(2, d, rng).amplitudes for _ in range(len(labels))])
+        old = old_qudit_stack_teleports(client, channels, tables[:, 0], _possible)
+        new = protocol._teleports(client[None], channels, levels, tables, settle)
+        assert_matches_old_pass(new[::3], old)
 
 
 amplitudes = st.floats(-1.0, 1.0, allow_subnormal=True)
@@ -545,30 +665,38 @@ def test_corrected_fidelities_are_abs_squared_bit_for_bit(case):
 
 
 def test_every_branch_field_of_the_three_passes_is_an_array():
+    # one layout for every family: rows and probs per leaf, (leaves, levels),
+    # and every other field per teleport, each on the leaf its index names
     client = random_state(1, 2, 5)
     channel = random_state(4, 2, 6)
     _, enumerated_leaf, enumerated = protocol._channel_teleports(client, channel, [(1, -1)], None)
     _, sampled_leaf, sampled = protocol._channel_teleports(client, channel, [(1, -1)], None, 7, 8)
-    trio = trio_stack_teleports(
-        client.amplitudes, threequbit._TRIO_CHANNELS, threequbit._TRIO_GATES, "full", _possible
-    )[1]
-    qudit_pass = qudit_stack_teleports(
-        random_state(1, 3, 7).amplitudes, *qudit._label_stack(3, [(0, 0), (1, 2)]), _possible
-    )[1]
-    for branches in [enumerated, sampled, trio, qudit_pass]:
+    _, levels, _, settle = _OUTCOMES["full"]
+    trio_tables = threequbit._TRIO_TABLES["full"]
+    _, trio_leaf, _, trio = protocol._teleports(
+        client.amplitudes[None], threequbit._TRIO_CHANNELS, levels, trio_tables, settle
+    )
+    _, qudit_leaf, _, qudit_pass = protocol._teleports(
+        random_state(1, 3, 7).amplitudes[None], *qudit._label_stack(3, [(0, 0), (1, 2)])
+    )
+    passes = [
+        (enumerated_leaf, enumerated, 2),
+        (sampled_leaf, sampled, 2),
+        (trio_leaf, trio, 1),
+        (qudit_leaf, qudit_pass, 1),
+    ]
+    for leaf, branches, levels in passes:
         for name, field in zip(branches._fields, branches):
             assert isinstance(field, np.ndarray), name
         assert branches.fidelities.dtype == np.float64
-    # the trio and qudit passes: one recipient per branch row
-    for branches in [trio, qudit_pass]:
-        assert branches.recipients.shape == (len(branches.rows), branches.gates.shape[-1])
-    # the qubit pass: one recipient per teleport, each on a leaf of its rows
-    for leaf, branches in [(enumerated_leaf, enumerated), (sampled_leaf, sampled)]:
-        assert branches.recipients.shape == (len(leaf), 2)
-        assert len(branches.gates) == len(branches.fidelities) == len(leaf)
-        assert 0 <= leaf.min() and leaf.max() < len(branches.rows) == len(branches.probs)
+        assert branches.rows.shape == branches.probs.shape == (len(branches.rows), levels)
+        assert 0 <= leaf.min() and leaf.max() < len(branches.rows)
+        per_teleport = branches.gates, branches.recipients, branches.fidelities
+        assert [len(field) for field in per_teleport] == [len(leaf)] * 3
+        assert branches.recipients.shape == (len(leaf), branches.gates.shape[-1])
     assert len(sampled_leaf) == 7
-    assert enumerated_leaf.tolist() == list(range(len(enumerated.rows)))  # one class: each once
+    for leaf, branches, _ in [passes[0], *passes[2:]]:  # one class: each leaf once, in order
+        assert leaf.tolist() == list(range(len(branches.rows)))
     # no assumed class: no teleports, the same rows and probs
     _, no_leaf, rows_only = protocol._channel_teleports(client, channel, [], None)
     assert len(no_leaf) == len(rows_only.gates) == len(rows_only.fidelities) == 0

@@ -440,8 +440,8 @@ def below_the_bound_in_the_last_block(monkeypatch):
     the bound and one NaN fidelity, which is no violation."""
     real = protocol._teleports
 
-    def teleports(clients, totals, classes, pairing, draws):
-        root, leaf, cls, branches = real(clients, totals, classes, pairing, draws)
+    def teleports(clients, *args, **kwargs):
+        root, leaf, cls, branches = real(clients, *args, **kwargs)
         if len(clients) == 1:
             branches.fidelities[[1, 2]] = -2.0, np.nan  # the bound is never below -1
         return root, leaf, cls, branches

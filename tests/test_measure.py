@@ -241,18 +241,26 @@ def test_malformed_forced_outcomes_raise_one_value_error():
     qutrit = list(product(range(3), repeat=2))
     state, qutrits = random_state(3, 2, 54), random_state(3, 3, 55)
     client, channel = random_state(1, 2, 56), random_state(2, 2, 57)
-    cases = [  # the call, given the forced value, and its level's labels
+    trio_channel = bell3_state((1, 1, 1))
+    per_pair = "one forced label (or None) is needed per pair"
+    cases = [  # the call, given the forced value, and its level's labels (or the message)
         (lambda f: bell_measure(state, 0, 1, forced=f), (2, 1), bell),
         (lambda f: bell_measure(state, 0, 1, forced=f), (1,), bell),
         (lambda f: bell_measure(state, 0, 1, forced=f), 7, bell),
         (lambda f: measure_sequence(state, [(0, 1)], forced=[f]), (1, 0), bell),
+        (lambda f: measure_sequence(state, [(0, 1)], forced=f), 5, per_pair),
         (lambda f: teleport(client, channel, (1, 1), forced=[f]), (1, 1, 1), bell),
-        (lambda f: teleport3(client, bell3_state((1, 1, 1)), (1, 1), forced=f), (1, 1, 2), trio),
+        (lambda f: teleport(client, channel, (1, 1), forced=f), 5, per_pair),
+        (lambda f: teleport3(client, trio_channel, (1, 1), forced=f), (1, 1, 2), trio),
+        (lambda f: teleport3(client, trio_channel, (1, 1), forced=f), 5, trio),
+        (lambda f: teleport3(client, trio_channel, (1, 1), "reduced", forced=f), 5, bell),
         (lambda f: qudit_bell_measure(qutrits, 0, 1, forced=f), (1,), qutrit),
         (lambda f: qudit_teleport(random_state(1, 3, 58), (0, 0), forced=f), (1,), qutrit),
     ]
     for call, value, labels in cases:
-        message = f"forced outcome {value!r} is none of {', '.join(map(str, labels))}"
+        message = labels
+        if not isinstance(labels, str):
+            message = f"forced outcome {value!r} is none of {', '.join(map(str, labels))}"
         with pytest.raises(ValueError, match=re.escape(message)) as err:
             call(value)
         assert type(err.value) is ValueError  # not an ImpossibleOutcomeError

@@ -161,6 +161,9 @@ def test_teleport_validates_inputs():
     for (args, message), call in product(cases, calls):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(*args)  # raised at the call, before any result is read
+    for forced in [5, [(1, 1)], [(1, 1)] * 3]:  # one label per pair, or a ValueError
+        with pytest.raises(ValueError, match="one forced label \\(or None\\) is needed per pair"):
+            teleport(client, channel, (1, 1), forced=forced)
 
 
 def test_order_parameter_reference_states():

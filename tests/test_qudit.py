@@ -7,12 +7,12 @@ import pytest
 
 from bellport.algebra import u_matrix
 from bellport.bell import bell_state
-from bellport.measure import _possible, bell_measure
-from bellport.protocol import teleport
+from bellport.measure import bell_measure
+from bellport.protocol import _teleports, teleport
 from bellport.qudit import (
     _bell_bra,
     _gate_table,
-    _stack_teleports,
+    _walked,
     apply_qudit_upsilon,
     generalized_pauli,
     omega_root,
@@ -307,12 +307,14 @@ def test_mean_branch_fidelity_is_the_class_weight_law(d, seed):
     weights = qudit_decompose(channel)
     clients = mub_states(d)
     for label in product(range(d), repeat=2):
-        gates = _gate_table(d, *label)[None]  # one channel's stack
+        tables = _gate_table(d, *label)[None, None]  # one channel, one class
+        channels = channel.amplitudes[None]
+        levels = [((0, 1), _bell_bra(d))]
         mean = np.mean(
             [
-                np.dot(branches.probs, branches.fidelities)
-                for _, branches in (
-                    _stack_teleports(v.amplitudes, channel.amplitudes[None], gates, _possible)
+                np.dot(branches.probs[:, 0], branches.fidelities)
+                for *_, branches in (
+                    _teleports(v.amplitudes[None], channels, levels, tables, _walked)
                     for v in clients
                 )
             ]

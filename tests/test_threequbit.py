@@ -184,6 +184,13 @@ def test_teleport3_validates_inputs():
         teleport3(v, random_state(4, 2, 98), (1, 1))
     with pytest.raises(ValueError):
         teleport3(v, bell3_state((1, 1, 1)), (1, 1), mode="partial")
+    channel = bell3_state((1, 1, 1))
+    for mode, signs in [("full", 3), ("reduced", 2)]:
+        # a value without a length reaches the labels; a wrong length is counted
+        with pytest.raises(ValueError, match="forced outcome 5 is none of "):
+            teleport3(v, channel, (1, 1), mode, forced=5)
+        with pytest.raises(ValueError, match=f"{mode}-mode forced outcome has {signs} signs, got "):
+            teleport3(v, channel, (1, 1), mode, forced=(1,) * (5 - signs))
 
 
 # +-x, +-y, +-z: a qubit 3-design, so their mean of a degree-2 quantity is the Haar mean
