@@ -161,7 +161,12 @@ def upsilon_expectations(state: PureState) -> tuple[float, float, float]:
     if state.local_dim != 2:
         raise ValueError("Upsilon operators are defined for qubit states")
     amps = state.amplitudes
-    return tuple(float(np.vdot(amps, y).real) for y in _upsilons(amps))  # string_order's form
+    flip = amps[::-1]
+    # the images of ``_upsilons``, each formed just before its vdot so that
+    # one is held at a time; Upsilon^3 is the flipped sign times the flipped
+    # amplitudes, Upsilon^2's products reversed, in a C-ordered array
+    images = (flip.copy, lambda: _upsilon2(amps), lambda: _parity(amps.size)[::-1] * flip)
+    return tuple(float(np.vdot(amps, image()).real) for image in images)  # string_order's form
 
 
 def _require_even_qubits(state: PureState) -> None:

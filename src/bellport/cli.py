@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain, islice, product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -78,7 +78,7 @@ _EIGEN_TOL = 1e-8
 # appendix-a's, tighter: each probability is a few products of O(1)
 # amplitudes, a few ulps from its closed form
 _CLOSED_FORM_TOL = 1e-12
-_CHUNK_ROWS = 4096  # rows write_table formats and writes at a time
+_CHUNK_ROWS = 4096  # rows of each chunk that teleport and fig2 hand write_table
 # the text of each Bell label, and of each class, in BELL_LABELS order; an
 # object array, so that indexing it shares these strings instead of copying
 _SIGNS = np.array([format_sign_pair(lab) for lab in BELL_LABELS], dtype=object)
@@ -173,47 +173,53 @@ def write_table(
     stream,
     meta: dict,
     columns: Sequence[str],
-    rows: Iterable[Sequence],
+    chunks: Iterable[Sequence],
     deterministic: bool,
 ) -> None:
-    """Write ``meta`` as '#' lines, the ``columns`` header and the ``rows``,
-    which may be any iterable, read and written ``_CHUNK_ROWS`` rows at a
-    time; no more than one chunk of them is held.
+    """Write ``meta`` as '#' lines, the ``columns`` header and the rows of
+    ``chunks``, each a sequence of equal-length columns, one per header
+    name; no more than one chunk is held.
 
-    Each chunk is transposed once and each of its columns gets one format:
-    %.12g when all its values are floats, %s when none is, and ``_fmt``
-    first when it mixes them, so each row is one ``line % row``.  A cell's
-    text depends only on its own type, so the chunks do not change the
-    bytes.  A row whose length differs from the header's raises ValueError
-    before its chunk is written; the metadata and header go out with the
-    first chunk, so a bad row there leaves the stream empty.
+    Each column of a chunk gets one format (``_column``), so each row is
+    one ``line % row``.  A cell's text depends only on its own type, so
+    the chunks do not change the bytes.  A chunk with another column count
+    or with columns of unequal lengths raises ValueError before it is
+    written; the metadata and header go out with the first chunk, so a bad
+    first chunk leaves the stream empty.
     """
     head = [f"# version={__version__}\n", *(f"# {k}={v}\n" for k, v in meta.items())]
     if not deterministic:
         head.append(f"# generated={datetime.now(timezone.utc).isoformat()}\n")
     head.append(",".join(columns) + "\n")
-    rows = iter(rows)
-    done = 0
-    while True:
-        chunk = list(islice(rows, _CHUNK_ROWS))
-        if set(map(len, chunk)) - {len(columns)}:
-            bad = next(i for i, row in enumerate(chunk) if len(row) != len(columns))
-            raise ValueError(
-                f"row {done + bad} has {len(chunk[bad])} cells for {len(columns)} columns"
-            )
-        table = list(zip(*chunk))
-        formats = []
-        for i, column in enumerate(table):
-            floats = {issubclass(kind, float) for kind in set(map(type, column))}
-            if floats == {True, False}:
-                table[i] = list(map(_fmt, column))
-            formats.append("%.12g" if floats == {True} else "%s")
+    for chunk in chunks:
+        if len(chunk) != len(columns):
+            raise ValueError(f"a chunk has {len(chunk)} columns for {len(columns)} names")
+        if len(set(map(len, chunk))) > 1:
+            raise ValueError(f"a chunk has columns of lengths {[len(c) for c in chunk]}")
+        formats, cells = zip(*map(_column, chunk))
         line = ",".join(formats) + "\n"
-        stream.write("".join(head) + "".join(map(line.__mod__, zip(*table))))
-        if len(chunk) < _CHUNK_ROWS:
-            return
+        stream.write("".join(head) + "".join(map(line.__mod__, zip(*cells))))
         head = []
-        done += len(chunk)
+    if head:  # no chunk: the header alone
+        stream.write("".join(head))
+
+
+def _column(values: Sequence) -> tuple[str, list]:
+    """The format of a column of a table and its cells as Python values.
+
+    A numpy float column is %.12g and an integer or bool one %s, from its
+    dtype, and it is converted with one ``tolist``.  Any other column (a
+    list, an object or text array) is %.12g when all its values are
+    floats, %s when none is, and ``_fmt``'s text first when it mixes them.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "fiub":
+            return "%.12g" if values.dtype.kind == "f" else "%s", values.tolist()
+        values = values.tolist()
+    floats = {issubclass(kind, float) for kind in set(map(type, values))}
+    if floats == {True, False}:
+        return "%s", list(map(_fmt, values))
+    return "%.12g" if floats == {True} else "%s", values
 
 
 def _chunks(n: int) -> Iterator[slice]:
@@ -221,10 +227,11 @@ def _chunks(n: int) -> Iterator[slice]:
     return (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))
 
 
-def _one_row(cells: Sequence[tuple[str, object]]) -> tuple[tuple[str, ...], list[tuple]]:
-    """The columns and the one row of a table given as (column, value) pairs."""
+def _one_row(cells: Sequence[tuple[str, object]]) -> tuple[tuple[str, ...], list[list]]:
+    """The columns and the one chunk of a one-row table given as (column,
+    value) pairs."""
     columns, row = zip(*cells)
-    return columns, [row]
+    return columns, [[[value] for value in row]]
 
 
 class EmptyDataError(ValueError):
@@ -272,9 +279,10 @@ def _outcome_texts(codes: np.ndarray, pairs: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (meta, columns, rows, violations), and
-# main puts the subcommand's name first in meta and, unless violations is
-# None (a subcommand that checks no claim), the violations last
+# subcommand handlers: each returns (meta, columns, chunks, violations), the
+# chunks as write_table takes them, and main puts the subcommand's name first
+# in meta and, unless violations is None (a subcommand that checks no claim),
+# the violations last
 
 
 def _cmd_teleport(args):
@@ -300,15 +308,16 @@ def _cmd_teleport(args):
     # run: the branch's code, or the number of the sampled run
     runs = codes if args.enumerate_branches else np.arange(args.trials)
 
-    def chunks():  # the rows of one chunk at a time
+    def chunks():  # the columns of one chunk at a time
         for chunk in _chunks(len(runs)):
-            branch = leaves[chunk]
-            yield zip(
-                runs[chunk].tolist(),
+            # enumerated, the teleports are the leaves in order
+            branch = chunk if args.enumerate_branches else leaves[chunk]
+            yield (
+                runs[chunk],
                 _outcome_texts(codes[branch], pairs),
-                _SIGNS[measured[branch]].tolist(),
-                probs[branch].tolist(),
-                branches.fidelities[chunk].tolist(),
+                _SIGNS[measured[branch]],
+                probs[branch],
+                branches.fidelities[chunk],
             )
 
     meta = {
@@ -319,7 +328,7 @@ def _cmd_teleport(args):
         "pairing": args.pairing or "default",
         "enumerate_branches": args.enumerate_branches,
     }
-    return meta, columns, chain.from_iterable(chunks()), None
+    return meta, columns, chunks(), None
 
 
 def _cmd_fig2(args):
@@ -337,20 +346,20 @@ def _cmd_fig2(args):
         points = (zip(b.omega.tolist(), b.fidelity.tolist()) for b in blocks)
         _write_plotdata(args.plot_out, chain.from_iterable(points))
 
-    def chunks():  # the rows of one chunk at a time
+    def chunks():  # the columns of one chunk at a time
         for b in blocks:
             for chunk in _chunks(len(b.trial)):
-                yield zip(
-                    b.trial[chunk].tolist(),
-                    _SIGNS[b.assumed[chunk]].tolist(),
-                    b.omega[chunk].tolist(),
-                    _SIGNS[b.measured[chunk]].tolist(),
-                    b.fidelity[chunk].tolist(),
-                    _KINDS[b.kind[chunk]].tolist(),
+                yield (
+                    b.trial[chunk],
+                    _SIGNS[b.assumed[chunk]],
+                    b.omega[chunk],
+                    _SIGNS[b.measured[chunk]],
+                    b.fidelity[chunk],
+                    _KINDS[b.kind[chunk]],
                 )
 
     columns = ["trial", "assumed_class", "omega", "measured_class", "fidelity", "channel_kind"]
-    return meta, columns, chain.from_iterable(chunks()), violations
+    return meta, columns, chunks(), violations
 
 
 def _cmd_appendix_a(args):
@@ -370,9 +379,7 @@ def _cmd_appendix_a(args):
     class_prob = np.bincount(agg, weights=prob, minlength=4)  # summed in branch order
     violations = int((~(abs(prob - expected) <= _CLOSED_FORM_TOL)).sum())  # NaN is a violation too
     violations += int((~(abs(class_prob - 0.25) <= _CLOSED_FORM_TOL)).sum())
-    p1, q1 = labels[first].T.tolist()
-    p2, q2 = labels[second].T.tolist()
-    rows = list(zip(p1, q1, p2, q2, prob.tolist(), expected.tolist(), _SIGNS[agg].tolist()))
+    chunk = (*labels[first].T, *labels[second].T, prob, expected, _SIGNS[agg])
     meta = {
         "seed": args.seed,
         "phi": phi,
@@ -380,7 +387,7 @@ def _cmd_appendix_a(args):
             f"{sign}={p:.12g}" for sign, p in zip(_SIGNS.tolist(), class_prob.tolist())
         ),
     }
-    return meta, columns, rows, violations
+    return meta, columns, [chunk], violations
 
 
 def _cmd_order_param(args):
@@ -415,7 +422,7 @@ def _cmd_cluster_check(args):
     violations += not ok
     rows.append(["max_class_weight", top, 0.0, int(ok)])
     meta = {"qubits": L}
-    return meta, columns, rows, violations
+    return meta, columns, [list(zip(*rows))], violations
 
 
 def _cmd_aklt_check(args):
@@ -443,7 +450,7 @@ def _cmd_aklt_check(args):
         violations += not ok
         rows.append([name, value, expected, int(ok)])
     meta = {"qubits": L}
-    return meta, columns, rows, violations
+    return meta, columns, [list(zip(*rows))], violations
 
 
 def _cmd_bound_scan(args):
@@ -484,8 +491,7 @@ def _cmd_three_qubit(args):
         parts.append((roots, modes, outcomes, branches.probs[:, 0], branches.fidelities))
     roots, *cells = map(np.concatenate, zip(*parts))
     order = np.argsort(roots, kind="stable")  # by channel, each in mode order
-    labels = np.array(BELL3_LABELS)[roots[order]].T.tolist()
-    rows = list(zip(*labels, *(cell[order].tolist() for cell in cells)))
+    chunk = (*np.array(BELL3_LABELS)[roots[order]].T, *(cell[order] for cell in cells))
     violations = int((~(cells[-1] >= 1.0 - _CLAIM_TOL)).sum())
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
@@ -496,7 +502,7 @@ def _cmd_three_qubit(args):
         "theta_rank_kappa_minus": rank_m,
         "theta_det_kappa_minus": f"{abs(det_m):.3e}",
     }
-    return meta, columns, rows, violations
+    return meta, columns, [chunk], violations
 
 
 def _cmd_qudit_demo(args):
@@ -512,17 +518,12 @@ def _cmd_qudit_demo(args):
     columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # distinct for d >= 2
     roots, _, _, branches = _teleports(client[None], *_label_stack(d, labels))
-    j, k = np.array(labels)[roots].T.tolist()
+    j, k = np.array(labels)[roots].T
     p, q = np.divmod(branches.rows[:, 0], d)
-    rows = list(
-        zip(
-            [d] * len(roots), j, k, p.tolist(), q.tolist(),
-            branches.probs[:, 0].tolist(), branches.fidelities.tolist(),
-        )
-    )
+    chunk = (np.full(len(roots), d), j, k, p, q, branches.probs[:, 0], branches.fidelities)
     violations = int((~(branches.fidelities >= 1.0 - _CLAIM_TOL)).sum())
     meta = {"seed": args.seed, "dim": d}
-    return meta, columns, rows, violations
+    return meta, columns, [chunk], violations
 
 
 def _cmd_heisenberg_check(args):
@@ -694,7 +695,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.subcommand]
     try:
-        meta, columns, rows, violations = handler(args)
+        meta, columns, chunks, violations = handler(args)
     except UsageError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     meta = {"subcommand": args.subcommand, **meta}
@@ -702,10 +703,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         meta["violations"] = violations
     if args.out:
         with open(args.out, "w") as fh:
-            write_table(fh, meta, columns, rows, args.deterministic)
+            write_table(fh, meta, columns, chunks, args.deterministic)
     else:
         try:
-            write_table(sys.stdout, meta, columns, rows, args.deterministic)
+            write_table(sys.stdout, meta, columns, chunks, args.deterministic)
         except BrokenPipeError:  # reader (head, less, ...) went away
             sys.stderr.close()
             return 0

@@ -189,9 +189,7 @@ def _walk(
     """
     d = stack.shape[-1]
     sites = list(range(stack.ndim - 1))  # sites[i] is the original site of axis i + 1
-    roots = np.arange(len(stack))
-    rows = np.zeros((len(stack), 0), dtype=int)
-    probs = np.zeros((len(stack), 0))
+    steps = []  # per level: each node's parent node, outcome row and probability
     amps = stack.reshape(len(stack), d ** len(sites))
     for i, (measured, bra) in enumerate(levels):
         stack = amps.reshape(len(amps), *(d,) * len(sites))
@@ -200,11 +198,19 @@ def _walk(
         node, row = np.divmod(pick, len(bra))
         prob = level.reshape(-1)[pick]
         sites = [s for s in sites if s not in measured]
-        amps = comps.reshape(-1, comps.shape[2])[pick] / np.sqrt(prob)[:, None]
-        roots = roots[node]
-        rows = np.concatenate([rows[node], row[:, None]], axis=1)
-        probs = np.concatenate([probs[node], prob[:, None]], axis=1)
-    return roots, rows, probs, amps
+        amps = comps.reshape(-1, comps.shape[2])[pick]
+        amps /= np.sqrt(prob)[:, None]
+        steps.append((node, row, prob))
+        del stack, comps  # no state-sized array but amps outlives its level
+    # each leaf's rows and probs, read up its path once, from the last level
+    rows = np.empty((len(amps), len(levels)), dtype=int)
+    probs = np.empty((len(amps), len(levels)))
+    at = np.arange(len(amps))  # each leaf's node at level i, then its root
+    for i in reversed(range(len(levels))):
+        node, row, prob = steps.pop()
+        rows[:, i], probs[:, i] = row[at], prob[at]
+        at = node[at]
+    return at, rows, probs, amps
 
 
 def _norms(amps: np.ndarray) -> np.ndarray:

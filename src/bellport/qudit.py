@@ -19,12 +19,13 @@ to the qubit Upsilon operators).
 Teleporting a qudit measures one pair with the d^2-row bra of the |j:k}:
 one call to the teleport pass of every family, ``protocol._teleports``,
 with one walk level of that bra.  Bob's gates (Xtilde^{jk}_{pq})^dagger
-are a C-ordered d^2-row table built once per (d, assumed label) and read
-at the outcome row p d + q; the residuals stay as the walk divides them
-(``_walked``).  The bra and the tables are kept for four dimensions at a
+are a C-ordered d^2-row table per (d, assumed label), read at the outcome
+row p d + q; the residuals stay as the walk divides them (``_walked``).
+The bra and the single calls' tables are kept for four dimensions at a
 time.  ``qudit_teleport`` is that pass over one channel following one run
 (``measure._run``), ``qudit_bell_measure`` one level of such a run, and
-``qudit-demo`` the pass over the stack ``_label_stack`` builds.
+``qudit-demo`` the pass over the stack ``_label_stack`` builds, whose
+tables are filled in place and not kept.
 """
 
 from __future__ import annotations
@@ -82,18 +83,35 @@ def qudit_x_tilde(d: int, j: int, k: int, p: int, q: int) -> np.ndarray:
     return generalized_pauli(d, k, j) @ generalized_pauli(d, q, -p)
 
 
+@lru_cache(maxsize=4)  # 32 d^3 B each
+def _weyl_powers(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """P^n and Q^n for n < d, each as ``np.linalg.matrix_power`` forms it,
+    shape (d, d, d) each (read-only)."""
+    powers = []
+    for m in (permutation_matrix(d), phase_matrix(d)):
+        powers.append(np.array([np.linalg.matrix_power(m, n) for n in range(d)]))
+        powers[-1].flags.writeable = False
+    return tuple(powers)
+
+
+def _fill_gates(tables: np.ndarray, d: int, labels: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Fill each C-ordered table of ``tables`` (labels, d^2, d, d) with Bob's
+    gates (Xtilde^{jk}_{pq})^dagger for its label (j, k) and every outcome,
+    row p d + q, each the product ``qudit_x_tilde`` forms, so the entries
+    are the same; C-ordered, so that no gate product depends on a view's
+    layout."""
+    shift, phase = _weyl_powers(d)
+    tail = shift[None] @ phase[-np.arange(d) % d][:, None]  # R^{q,-p}
+    for (j, k), table in zip(labels, tables):
+        gates = (shift[k % d] @ phase[j % d]) @ tail  # generalized_pauli(d, k, j) @ tail
+        np.conjugate(gates.swapaxes(-1, -2), out=table.reshape(d, d, d, d))
+    return tables
+
+
 @lru_cache(maxsize=16)  # four labels of each of four dimensions; 16 d^4 B each
 def _gate_table(d: int, j: int, k: int) -> np.ndarray:
-    """Bob's gates (Xtilde^{jk}_{pq})^dagger for every outcome, row p d + q,
-    each the product ``qudit_x_tilde`` forms, so the entries are the same
-    (C-ordered, so that no gate product depends on a view's layout, and
-    read-only)."""
-    shift, phase = permutation_matrix(d), phase_matrix(d)
-    powers_p = [np.linalg.matrix_power(shift, q) for q in range(d)]
-    powers_q = [np.linalg.matrix_power(phase, -p % d) for p in range(d)]
-    tail = np.array(powers_p)[None] @ np.array(powers_q)[:, None]  # R^{q,-p}
-    gates = generalized_pauli(d, k, j) @ tail
-    table = np.ascontiguousarray(gates.conj().swapaxes(-1, -2).reshape(d * d, d, d))
+    """``_fill_gates``' table of the label (j, k), read-only."""
+    (table,) = _fill_gates(np.empty((1, d * d, d, d), dtype=complex), d, [(j, k)])
     table.flags.writeable = False
     return table
 
@@ -150,7 +168,8 @@ def _label_stack(d: int, labels: Sequence[tuple[int, int]]) -> tuple:
     shape (labels, d^2), with the levels, Bob's gate table for each, shape
     (labels, 1, d^2, d, d), and the residual step, as ``_teleports`` takes them."""
     channels = _bell_bra(d)[[j % d * d + k % d for j, k in labels], 0].conj()
-    tables = np.array([_gate_table(d, j, k) for j, k in labels])[:, None]
+    tables = np.empty((len(labels), 1, d * d, d, d), dtype=complex)
+    _fill_gates(tables[:, 0], d, labels)  # each held once, not cached
     return channels, [((0, 1), _bell_bra(d))], tables, _walked
 
 

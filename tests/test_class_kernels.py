@@ -18,6 +18,7 @@ forms must stay ``==`` on every channel family, on every BLAS the tests
 run on.
 """
 
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -129,6 +130,19 @@ def test_vdot_expectations_equal_the_stacked_form(state):
     stacked = _expectations(state.amplitudes[None])[0].tolist()
     assert upsilon_expectations(state) == tuple(stacked)
     assert order_parameter(state).omega == _omega(*stacked)
+
+
+def test_upsilon_expectations_hold_one_image_at_a_time():
+    # 16 qubits, 1 MiB of amplitudes; all three images at once peaked at 3 MiB
+    state = random_state(16, 2, np.random.default_rng(5))
+    expected = upsilon_expectations(state)  # and the cached parity sign
+    tracemalloc.start()
+    try:
+        assert upsilon_expectations(state) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * state.amplitudes.nbytes
 
 
 @PROPERTY

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,61 +532,96 @@ cells = {
 cells["mixed"] = st.one_of(cells["float"], cells["other"])
 
 
+def int_array(dtype):
+    """A strategy for an array of n values of an integer or bool ``dtype``."""
+    if dtype == np.bool_:
+        values = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        values = st.integers(int(info.min), int(info.max))
+    return lambda n: st.lists(values, min_size=n, max_size=n).map(lambda v: np.array(v, dtype))
+
+
+# each kind of column a handler may give, as a strategy for n values
+column_kinds = {
+    "list-float": lambda n: st.lists(cells["float"], min_size=n, max_size=n),
+    "list-other": lambda n: st.lists(cells["other"], min_size=n, max_size=n),
+    "list-mixed": lambda n: st.lists(cells["mixed"], min_size=n, max_size=n),
+    "float64": lambda n: st.lists(floats, min_size=n, max_size=n).map(
+        lambda v: np.array(v, np.float64)
+    ),
+    "int8": int_array(np.int8),
+    "int32": int_array(np.int32),
+    "int64": int_array(np.int64),
+    "bool": int_array(np.bool_),
+    "object-str": lambda n: st.lists(st.text(max_size=6), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=object)
+    ),
+}
+
+
 @st.composite
 def tables(draw):
-    """(columns, rows): 1 to 5 columns, each all floats, without floats or
-    mixed, and up to 12 rows."""
-    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=5))
+    """(columns, chunks, rows): 1 to 5 columns of any kind in ``column_kinds``
+    and up to 12 rows, split into chunks at random cuts (an empty table has
+    no chunk or one empty chunk), and the rows those chunks hold."""
+    kinds = draw(st.lists(st.sampled_from(sorted(column_kinds)), min_size=1, max_size=5))
     n = draw(st.integers(0, 12))
-    column_values = [draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
-    rows = [list(row) for row in zip(*column_values)]
-    return [f"c{i}" for i in range(len(kinds))], rows
+    values = [draw(column_kinds[kind](n)) for kind in kinds]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n] if n or draw(st.booleans()) else []
+    chunks = [tuple(v[a:b] for v in values) for a, b in zip(bounds, bounds[1:])]
+    rows = [list(row) for row in zip(*values)]  # numpy columns give numpy scalars
+    return [f"c{i}" for i in range(len(kinds))], chunks, rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), st.integers(1, 5))
-def test_write_table_matches_the_per_cell_writer(table, chunk):
-    columns, rows = table
+@given(tables())
+def test_write_table_matches_the_per_cell_writer(table):
+    columns, chunks, rows = table
     meta = {"subcommand": "test", "seed": 3}
     new, once, old = io.StringIO(), io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "_CHUNK_ROWS", chunk):  # most tables span chunks
-        cli.write_table(new, meta, columns, rows, True)
-        cli.write_table(once, meta, columns, (tuple(row) for row in rows), True)
+    cli.write_table(new, meta, columns, chunks, True)
+    cli.write_table(once, meta, columns, iter(chunks), True)  # read once
     old_write_table(old, meta, columns, rows)
     assert new.getvalue() == once.getvalue() == old.getvalue()
 
 
 def test_write_table_writes_tables_longer_than_a_chunk():
-    rows = [[i, i / 7, "x" if i % 3 else 0.5, np.float64(-i) / 3] for i in range(10_000)]
+    i = np.arange(10_000)
+    mixed = ["x" if k % 3 else 0.5 for k in range(len(i))]
+    values = (i, i / 7, mixed, (-i).astype(np.int8), i % 2 == 0)
+    chunks = (tuple(v[chunk] for v in values) for chunk in cli._chunks(len(i)))
     new, old = io.StringIO(), io.StringIO()
-    cli.write_table(new, {}, ["i", "f", "mixed", "g"], rows, True)
-    old_write_table(old, {}, ["i", "f", "mixed", "g"], rows)
-    assert len(rows) > 2 * cli._CHUNK_ROWS
+    cli.write_table(new, {}, ["i", "f", "mixed", "small", "even"], chunks, True)
+    old_write_table(old, {}, ["i", "f", "mixed", "small", "even"], zip(*values))
+    assert len(i) > 2 * cli._CHUNK_ROWS
     assert new.getvalue() == old.getvalue()
 
 
+# malformed chunks of a two-column table, given as their columns: columns of
+# unequal lengths (so some row has another length), and one column only
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1, 2], [3, 4, 5]], [[]]])
 def test_write_table_refuses_a_row_of_another_length(rows, monkeypatch, tmp_path):
     out = io.StringIO()
-    with pytest.raises(ValueError, match="cells for 2 columns"):
-        cli.write_table(out, {}, ["a", "b"], rows, True)
+    with pytest.raises(ValueError, match="a chunk has"):
+        cli.write_table(out, {}, ["a", "b"], [rows], True)
     assert out.getvalue() == ""
     # a fault of the program, not a usage error: it ends in a traceback
-    monkeypatch.setitem(cli._HANDLERS, "appendix-a", lambda args: ({}, ["a", "b"], rows, 0))
-    with pytest.raises(ValueError, match="cells for 2 columns"):
+    monkeypatch.setitem(cli._HANDLERS, "appendix-a", lambda args: ({}, ["a", "b"], [rows], 0))
+    with pytest.raises(ValueError, match="a chunk has"):
         cli.main(["appendix-a", "--out", str(tmp_path / "x.csv")])
 
 
 def test_write_table_refuses_a_bad_row_before_writing_its_chunk():
-    def rows():
-        yield from ([i, i / 2] for i in range(9))
-        yield [9]
-        yield from ([i, i / 2] for i in range(10, 14))
+    def chunks():
+        yield from ((np.arange(i, i + 4), np.arange(i, i + 4) / 2) for i in (0, 4))
+        yield [8, 9], [4.0]  # the cell of row 9 is missing
+        yield np.arange(10, 14), np.arange(10, 14) / 2
 
     out = io.StringIO()
-    with mock.patch.object(cli, "_CHUNK_ROWS", 4):
-        with pytest.raises(ValueError, match="row 9 has 1 cells for 2 columns"):
-            cli.write_table(out, {"seed": 1}, ["a", "b"], rows(), True)
+    with pytest.raises(ValueError, match=r"columns of lengths \[2, 1\]"):
+        cli.write_table(out, {"seed": 1}, ["a", "b"], chunks(), True)
     old = io.StringIO()
     old_write_table(old, {"seed": 1}, ["a", "b"], [[i, i / 2] for i in range(8)])
     assert out.getvalue() == old.getvalue()  # the two whole chunks before it

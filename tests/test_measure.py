@@ -1,6 +1,7 @@
 """Bell measurements: distributions, collapse, sequences, Appendix-A probabilities."""
 
 import re
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -15,8 +16,13 @@ from bellport.bell import (
     class_projector_apply,
     labels_class,
 )
+from bellport.channels import build, parse_channel_spec
 from bellport.measure import (
+    _BELL_BRA,
     ImpossibleOutcomeError,
+    _possible,
+    _Sampled,
+    _walk,
     bell_measure,
     measure_sequence,
     outcome_distribution,
@@ -279,3 +285,72 @@ def test_localisable_entanglement_bell_class_states():
             overlap_fidelity(residual, bell_state(lab)) for lab in BELL_LABELS
         )
         assert abs(best - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the walk's bookkeeping: one (parent, row, prob) array per level
+
+
+def old_walk(stack, levels, follow):
+    """``_walk`` as it was: ``rows`` and ``probs`` regathered and extended by
+    a concatenate at every level."""
+    d = stack.shape[-1]
+    sites = list(range(stack.ndim - 1))
+    roots = np.arange(len(stack))
+    rows = np.zeros((len(stack), 0), dtype=int)
+    probs = np.zeros((len(stack), 0))
+    amps = stack.reshape(len(stack), d ** len(sites))
+    for i, (measured, bra) in enumerate(levels):
+        stack = amps.reshape(len(amps), *(d,) * len(sites))
+        comps, level = measure._components(stack, [sites.index(s) for s in measured], bra)
+        pick = np.asarray(follow(i, level), dtype=int)
+        node, row = np.divmod(pick, len(bra))
+        prob = level.reshape(-1)[pick]
+        sites = [s for s in sites if s not in measured]
+        amps = comps.reshape(-1, comps.shape[2])[pick] / np.sqrt(prob)[:, None]
+        roots = roots[node]
+        rows = np.concatenate([rows[node], row[:, None]], axis=1)
+        probs = np.concatenate([probs[node], prob[:, None]], axis=1)
+    return roots, rows, probs, amps
+
+
+def walk_case(spec, roots):
+    """A stack of ``roots`` random clients times the channel of ``spec``, and
+    its default Bell levels."""
+    channel = build(parse_channel_spec(spec)).amplitudes
+    clients = random_state(1, 2, 3).amplitudes * np.arange(1, roots + 1)[:, None] / roots
+    sites = 1 + int(np.log2(channel.size))
+    stack = (clients[:, :, None] * channel).reshape(roots, *(2,) * sites)
+    return stack, [((i, i + 1), _BELL_BRA) for i in range(0, sites - 1, 2)]
+
+
+@pytest.mark.parametrize("spec", ["random:8:1", "ghz:8", "aklt:6", "mg-dimers:8", "cluster1d:6"])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_walk_matches_the_concatenating_walk(spec, sampled):
+    stack, levels = walk_case(spec, 3)
+    follows = [_possible, _possible]
+    if sampled:  # 50 runs of each root, on the same uniforms
+        u = np.random.default_rng(4).random((150, len(levels)))
+        follows = [_Sampled(np.repeat(np.arange(3), 50), u) for _ in range(2)]
+    new, old = _walk(stack, levels, follows[0]), old_walk(stack, levels, follows[1])
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    if sampled:
+        assert np.array_equal(follows[0].at, follows[1].at)
+
+
+def test_walk_peak_is_bounded_by_its_returned_arrays():
+    # random:16:1 enumerated: 65,536 leaves over 8 levels, 10.5 MiB returned;
+    # regathering rows and probs at every level peaked at 2.0x that
+    stack, levels = walk_case("random:16:1", 1)
+    _walk(stack, levels[:1], _possible)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        out = _walk(stack, levels, _possible)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in out)
+    assert len(out[1]) == 4**8
+    assert peak <= 1.6 * returned

@@ -12,6 +12,7 @@ from bellport.protocol import _teleports, teleport
 from bellport.qudit import (
     _bell_bra,
     _gate_table,
+    _label_stack,
     _walked,
     apply_qudit_upsilon,
     generalized_pauli,
@@ -170,6 +171,17 @@ def test_gate_table_is_c_ordered_read_only_and_the_transposed_build(d):
         assert np.array_equal(table.view(np.uint64), np.ascontiguousarray(old).view(np.uint64))
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_label_stack_holds_each_gate_table_once(d):
+    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # qudit-demo's
+    _gate_table.cache_clear()
+    _, _, tables, _ = _label_stack(d, labels)
+    assert _gate_table.cache_info().currsize == 0  # none kept besides the stack
+    assert tables.shape == (4, 1, d * d, d, d) and tables.flags.c_contiguous
+    for (j, k), table in zip(labels, tables[:, 0]):
+        assert np.array_equal(table.view(np.uint64), _gate_table(d, j, k).view(np.uint64))
 
 
 def test_qudit_bell_bra_built_once_and_read_only():
