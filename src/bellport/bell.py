@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import SIGNS
-from .states import PureState, _adopt, _norm, tensor
+from .states import PureState, _adopt, _norm, _wrap
 
 # A state is reported as lying in a single class when its top class
 # weight exceeds 1 - PURE_CLASS_TOL.
@@ -59,23 +59,40 @@ def parse_sign_pair(text: str) -> tuple[int, ...]:
 
 def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
     """Two-qubit Bell state |j:k} = (|+,k> + j |-,kbar>) / sqrt(2)."""
+    return PureState(_bell_vector(label))
+
+
+def _bell_vector(label: BellLabel | tuple[int, int]) -> np.ndarray:
+    """The amplitudes of ``bell_state(label)``, shared and read-only."""
     j, k = label
     if j not in SIGNS or k not in SIGNS:
         raise ValueError(f"bad Bell label {label!r}")
+    return _bell_amplitudes(j, k)
+
+
+@cache
+def _bell_amplitudes(j: int, k: int) -> np.ndarray:
     amps = np.zeros(4, dtype=complex)
     amps[0 * 2 + (0 if k == 1 else 1)] = 1.0
     amps[1 * 2 + (0 if k == -1 else 1)] = j
-    return PureState(amps / np.sqrt(2.0))
+    amps /= np.sqrt(2.0)
+    amps.flags.writeable = False  # shared by every caller
+    return amps
 
 
 def bell_basis_state(labels: Sequence[BellLabel | tuple[int, int]]) -> PureState:
-    """Tensor product of Bell pairs: |j1:k1} (x) ... (x) |jn:kn}."""
+    """Tensor product of Bell pairs: |j1:k1} (x) ... (x) |jn:kn}.
+
+    One fold over the pair vectors, each step the outer product that
+    ``np.kron`` forms, so the amplitudes are the kron chain's bits.
+    """
     if not labels:
         raise ValueError("need at least one Bell label")
-    out = bell_state(labels[0])
-    for lab in labels[1:]:
-        out = tensor(out, bell_state(lab))
-    return out
+    vectors = [_bell_vector(lab) for lab in labels]
+    out = vectors[0].copy()  # the cached vectors are shared
+    for v in vectors[1:]:
+        out = (out[:, None] * v).reshape(-1)
+    return _wrap(out, 2)
 
 
 def labels_class(labels: Sequence[BellLabel | tuple[int, int]]) -> BellClass:
@@ -224,6 +241,13 @@ class ClassDecomposition:
         if self.coefficients[best] ** 2 > 1.0 - tol:
             return best
         return None
+
+
+def _class_weights(state: PureState) -> dict[BellClass, float]:
+    """``decompose_classes(state).coefficients`` without the components: each
+    class component is formed, normed and dropped in turn."""
+    _require_even_qubits(state)
+    return {cls: _norm(_class_component(state.amplitudes, *cls)) for cls in BELL_CLASSES}
 
 
 def decompose_classes(state: PureState) -> ClassDecomposition:

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bell import BellLabel, _parity, _u_string, _upsilon2, bell_basis_state
-from .states import PureState, _as_rng, _norm, _normalize_own, inner_product, random_state
+from .bell import BellLabel, _bell_amplitudes, _parity, _u_string, _upsilon2, bell_basis_state
+from .states import PureState, _as_rng, _norm, _normalize_own, random_state
 
 # 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
 MAX_QUBITS = 20
@@ -211,7 +211,10 @@ def singlet_random(
     product is the Majumdar-Ghosh product with the bit of slot s moved
     to the site that the matching lists in slot s; blocks of products
     are scatter-added in matching order, so each amplitude sums its
-    terms in the same order as one product at a time would.
+    terms in the same order as one product at a time would.  The
+    product's nonzero entries are folded pair by pair from each singlet's
+    two, |+-> and |-+> (indices 4 i + 1 and 4 i + 2, ascending), as the
+    products ``bell_basis_state`` forms.
     """
     L = 2 * n_pairs
     _check_size(L)
@@ -219,10 +222,12 @@ def singlet_random(
     rng = _as_rng(seed)
     sites = _matching_sites(L)
     coeffs = rng.standard_normal(len(sites)) + 1j * rng.standard_normal(len(sites))
-    mg = majumdar_ghosh_dimers(n_pairs).amplitudes
-    nz = np.flatnonzero(mg)
-    values = mg[nz]
-    del mg  # 4^n_pairs entries; only its 2^n_pairs nonzero ones are needed
+    pair = np.array([1, 2], dtype=np.intp)
+    singlet = _bell_amplitudes(-1, -1)[pair]
+    nz, values = pair, singlet
+    for _ in range(n_pairs - 1):
+        nz = (4 * nz[:, None] + pair).reshape(-1)
+        values = (values[:, None] * singlet).reshape(-1)
     bits = (nz >> np.arange(L - 1, -1, -1)[:, None]) & 1  # bits[s] is slot s
     weights = 1 << (L - 1 - sites)  # the bit of slot s lands on site sites[r, s]
     amps = np.zeros(2**L, dtype=complex)
@@ -253,14 +258,17 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     _require_even(L)
     if L > 12:
         raise ValueError("the Heisenberg ring ground state is limited to L <= 12")
-    weights = 2 ** np.arange(L - 1, -1, -1)  # site s is bit L-1-s
-    bits = np.arange(2**L)[:, None] // weights % 2
+    place = np.arange(L - 1, -1, -1)  # site s is bit L-1-s
+    weights = 1 << place
+    bits = np.arange(2**L)[:, None] >> place & 1
     basis = np.flatnonzero(bits.sum(1) == L // 2)
     # images[:, j - 1] is T^j x for j = 1..L, where T moves site s to s + 1
     j = np.arange(1, L + 1)
     images = (basis[:, None] >> j | basis[:, None] << L - j) & (2**L - 1)
     first = images.argmin(1)
-    reps, orbit = np.unique(images[np.arange(len(basis)), first], return_inverse=True)
+    least = images[np.arange(len(basis)), first]  # T^L x = x, so least <= x
+    reps = basis[least == basis]
+    orbit = np.searchsorted(reps, least)
     shift = L - 1 - first  # x = T^shift r for the representative r of its orbit
     period = (images[np.searchsorted(basis, reps)] == reps[:, None]).argmax(1) + 1
     # bond b of representative a swaps it into T^t r for the representative r
@@ -328,10 +336,13 @@ class UProduct:
     factors: tuple[int, ...]
 
     def apply(self, state: PureState) -> PureState:
+        return PureState(self._image(state), normalized=state.normalized)
+
+    def _image(self, state: PureState) -> np.ndarray:
+        """The amplitudes of ``apply(state)``."""
         if state.local_dim != 2 or state.num_sites != len(self.factors):
             raise ValueError(f"{len(self.factors)} U factors need as many qubit sites")
-        amps = self.sign * _u_string(state.amplitudes, self.factors)
-        return PureState(amps, normalized=state.normalized)
+        return self.sign * _u_string(state.amplitudes, self.factors)
 
 
 @dataclass(frozen=True)
@@ -395,9 +406,10 @@ def cluster_g_operators(L: int) -> tuple[UProduct, UProduct]:
 
 def stabilizer_report(state: PureState, op: UProduct, name: str) -> StabilizerReport:
     """Eigenvalue estimate <s|Op|s> and the residual ||Op s - ev s||."""
-    applied = op.apply(state)
-    ev = float(np.real(inner_product(state, applied)))
-    deviation = _norm(applied.amplitudes - ev * state.amplitudes)
+    applied = op._image(state)
+    ev = float(np.vdot(state.amplitudes, applied).real)  # as inner_product takes it
+    residual = ev * state.amplitudes
+    deviation = _norm(np.subtract(applied, residual, out=residual))
     return StabilizerReport(name=name, eigenvalue=ev, deviation=deviation)
 
 

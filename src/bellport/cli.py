@@ -31,6 +31,7 @@ from . import __version__
 from .bell import (
     BELL_CLASSES,
     BELL_LABELS,
+    _class_weights,
     bell_basis_state,
     decompose_classes,
     format_sign_pair,
@@ -393,7 +394,7 @@ def _cmd_appendix_a(args):
 def _cmd_order_param(args):
     state = _channel(args.channel, args.seed)
     op = order_parameter(state)
-    weights = decompose_classes(state).coefficients
+    weights = _class_weights(state)
     cells = [*zip(("t1", "t2", "t3"), op.t_vector), ("efficiency", op.efficiency)]
     cells += [(f"omega_{format_sign_pair(c)}", op.omega[c]) for c in BELL_CLASSES]
     cells += [(f"weight_{format_sign_pair(c)}", weights[c] ** 2) for c in BELL_CLASSES]
@@ -417,7 +418,7 @@ def _cmd_cluster_check(args):
         ok = abs(rep.eigenvalue - 1.0) <= _CLAIM_TOL and rep.deviation <= _CLAIM_TOL
         violations += not ok
         rows.append([name, rep.eigenvalue, rep.deviation, int(ok)])
-    top = max(decompose_classes(state).coefficients.values()) ** 2
+    top = max(_class_weights(state).values()) ** 2
     ok = top < 1.0 - 1e-6  # cluster states must straddle classes
     violations += not ok
     rows.append(["max_class_weight", top, 0.0, int(ok)])

@@ -291,9 +291,11 @@ class _Sampled:
     u: np.ndarray
 
     def __call__(self, i: int, probs: np.ndarray) -> np.ndarray:
-        row = _choose(probs[self.at], self.u[:, i])
-        pick, self.at = np.unique(self.at * probs.shape[1] + row, return_inverse=True)
-        return pick  # sorted, so nodes stay in ascending order
+        key = self.at * probs.shape[1] + _choose(probs[self.at], self.u[:, i])
+        seen = np.zeros(probs.size, dtype=bool)
+        seen[key] = True
+        self.at = np.cumsum(seen)[key] - 1  # each key's rank among the distinct ones
+        return np.flatnonzero(seen)  # sorted, so nodes stay in ascending order
 
 
 def bell_measure(

@@ -4,12 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellport.algebra import u_matrix
 from bellport.bell import (
     BELL_CLASSES,
     BELL_LABELS,
     BellLabel,
+    _class_weights,
     bell_basis_state,
     bell_state,
     class_projector_apply,
@@ -19,7 +22,7 @@ from bellport.bell import (
     parse_sign_pair,
     upsilon_expectations,
 )
-from bellport.channels import ghz_state
+from bellport.channels import aklt_state, cluster_state, ghz_state, singlet_random
 from bellport.states import (
     PureState,
     apply_local,
@@ -27,6 +30,7 @@ from bellport.states import (
     normalize,
     qubit_ket,
     random_state,
+    tensor,
 )
 
 RT2 = np.sqrt(2.0)
@@ -65,6 +69,46 @@ def test_bell_basis_state_class():
         labels = [(-1, -1)] * n
         assert labels_class(labels) == ((-1) ** n, (-1) ** n)
     single = bell_basis_state([(1, -1)])
+    assert np.array_equal(single.amplitudes, bell_state((1, -1)).amplitudes)
+
+
+def kron_chain_basis_state(labels):
+    """bell_basis_state before the fold: one tensor product per pair."""
+    out = bell_state(labels[0])
+    for lab in labels[1:]:
+        out = tensor(out, bell_state(lab))
+    return out
+
+
+# Bell labels as BellLabels and as plain tuples, mixed
+label_lists = st.lists(
+    st.sampled_from(BELL_LABELS).flatmap(lambda lab: st.sampled_from([lab, tuple(lab)])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_lists)
+def test_bell_basis_state_is_the_kron_chain(labels):
+    new, old = bell_basis_state(labels), kron_chain_basis_state(labels)
+    assert new.amplitudes.tobytes() == old.amplitudes.tobytes()  # signed zeros too
+    assert new.normalized and old.normalized
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (2, -1), (-1, 1.5), (1, -1, 1)])
+def test_bell_basis_state_refuses_a_bad_label_as_bell_state_does(bad):
+    with pytest.raises(ValueError) as old:
+        bell_state(bad)
+    with pytest.raises(ValueError) as new:
+        bell_basis_state([(1, 1), bad])
+    assert str(new.value) == str(old.value)
+
+
+def test_bell_basis_state_leaves_the_shared_vectors_alone():
+    single = bell_basis_state([(1, -1)])
+    again = bell_basis_state([BellLabel(1, -1)])
+    assert not np.shares_memory(single.amplitudes, again.amplitudes)
     assert np.array_equal(single.amplitudes, bell_state((1, -1)).amplitudes)
 
 
@@ -230,9 +274,26 @@ def test_sign_pair_formatting_roundtrip():
         parse_sign_pair("+x")
 
 
+@pytest.mark.parametrize(
+    "state",
+    [random_state(L, 2, 50 + L) for L in (2, 4, 8, 12)]
+    + [ghz_state(6), cluster_state(8), aklt_state(10), singlet_random(5, 3)]
+    + [bell_basis_state([(1, -1), (-1, -1), (1, 1)])],
+    ids=[f"random-{L}" for L in (2, 4, 8, 12)] + ["ghz", "cluster", "aklt", "singlet", "bell"],
+)
+def test_class_weights_are_the_decomposition_coefficients(state):
+    weights, coefficients = _class_weights(state), decompose_classes(state).coefficients
+    assert list(weights) == list(coefficients) == list(BELL_CLASSES)
+    assert np.array([*weights.values()]).tobytes() == np.array([*coefficients.values()]).tobytes()
+
+
 def test_class_ops_reject_odd_or_qudit_states():
     rng = np.random.default_rng(30)
     with pytest.raises(ValueError):
         decompose_classes(random_state(3, 2, rng))
+    with pytest.raises(ValueError):
+        _class_weights(random_state(3, 2, rng))
+    with pytest.raises(ValueError):
+        _class_weights(random_state(2, 3, rng))
     with pytest.raises(ValueError):
         class_projector_apply(random_state(2, 3, rng), (1, 1))

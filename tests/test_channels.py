@@ -47,6 +47,8 @@ from bellport.channels import (
 from bellport.algebra import u_matrix
 from bellport.states import (
     PureState,
+    _norm,
+    _normalize_own,
     apply_local,
     apply_two_site,
     inner_product,
@@ -596,3 +598,113 @@ def test_builders_accept_max_qubits():
 def test_ghz_class():
     assert decompose_classes(ghz_state(4)).pure_class() == (1, 1)
     assert decompose_classes(ghz_state(6)).pure_class() == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the builders and the stabilizer check before they stopped
+# building states no output reads
+
+
+def kron_mg_singlet_random(n_pairs, seed):
+    """singlet_random before it folded the dimers' nonzero entries: the full
+    Majumdar-Ghosh product as a kron chain, read at its nonzero entries."""
+    L = 2 * n_pairs
+    rng = np.random.default_rng(seed)
+    sites = channels._matching_sites(L)
+    coeffs = rng.standard_normal(len(sites)) + 1j * rng.standard_normal(len(sites))
+    mg = bell_state((-1, -1)).amplitudes
+    for _ in range(n_pairs - 1):
+        mg = np.kron(mg, bell_state((-1, -1)).amplitudes)
+    nz = np.flatnonzero(mg)
+    values = mg[nz]
+    bits = (nz >> np.arange(L - 1, -1, -1)[:, None]) & 1
+    weights = 1 << (L - 1 - sites)
+    amps = np.zeros(2**L, dtype=complex)
+    block = max(1, channels._SCATTER_BLOCK // len(nz))
+    for lo in range(0, len(sites), block):
+        rows = slice(lo, lo + block)
+        np.add.at(amps, weights[rows] @ bits, coeffs[rows, None] * values)
+    return _normalize_own(amps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 41, 2**31 - 1])
+@pytest.mark.parametrize("n_pairs", range(1, 9))
+def test_singlet_random_matches_the_full_dimer_product_build(n_pairs, seed):
+    new, old = singlet_random(n_pairs, seed), kron_mg_singlet_random(n_pairs, seed)
+    assert new.amplitudes.tobytes() == old.amplitudes.tobytes()
+
+
+def unique_heisenberg_ring_ground(L, degeneracy_tol=1e-8):
+    """heisenberg_ring_ground before it read its orbit representatives off
+    the basis: bits by // and %, and the orbits by np.unique."""
+    weights = 2 ** np.arange(L - 1, -1, -1)
+    bits = np.arange(2**L)[:, None] // weights % 2
+    basis = np.flatnonzero(bits.sum(1) == L // 2)
+    j = np.arange(1, L + 1)
+    images = (basis[:, None] >> j | basis[:, None] << L - j) & (2**L - 1)
+    first = images.argmin(1)
+    reps, orbit = np.unique(images[np.arange(len(basis)), first], return_inverse=True)
+    shift = L - 1 - first
+    period = (images[np.searchsorted(basis, reps)] == reps[:, None]).argmax(1) + 1
+    nxt = np.roll(np.arange(L), -1)
+    swapped = reps[:, None] + (bits[reps][:, nxt] - bits[reps]) * (weights - weights[nxt])
+    col = np.searchsorted(basis, swapped).ravel()
+    source, target, t = np.repeat(np.arange(len(reps)), L), orbit[col], shift[col]
+    weight = 0.5 * np.sqrt(period[source] / period[target])
+    root = np.exp(2j * np.pi * np.arange(L) / L)
+    root[L // 2] = -1
+    spectra, sectors = [], []
+    for m in range(L // 2 + 1):
+        live = m * period % L == 0
+        row = np.cumsum(live) - 1
+        use = live[source] & live[target]
+        H = np.diag(np.full(row[-1] + 1, -L / 4 + 0j))
+        phase = root[m * t[use] % L]
+        np.add.at(H, (row[target[use]], row[source[use]]), phase * weight[use])
+        if 2 * m % L == 0:
+            H = H.real
+            spectra.append(np.linalg.eigvalsh(H))
+        else:
+            spectra.append(np.repeat(np.linalg.eigvalsh(H), 2))
+        sectors.append((m, H, live, row))
+    union = np.sort(np.concatenate(spectra))
+    gap = float(union[1] - union[0])
+    if not gap >= degeneracy_tol:
+        raise DegenerateGroundStateError(gap, degeneracy_tol)
+    m, H, live, row = sectors[int(np.argmin([e[0] for e in spectra]))]
+    vector = np.linalg.eigh(H)[1][:, 0]
+    keep = live[orbit]
+    ground = np.zeros(2**L, dtype=complex)
+    ground[basis[keep]] = (
+        vector[row[orbit[keep]]] * root[-m * shift[keep] % L] / np.sqrt(period[orbit[keep]])
+    )
+    return _normalize_own(ground)
+
+
+@pytest.mark.parametrize("L", range(4, 13, 2))
+def test_heisenberg_matches_its_unique_orbit_build(L):
+    new, old = heisenberg_ring_ground(L), unique_heisenberg_ring_ground(L)
+    assert new.amplitudes.tobytes() == old.amplitudes.tobytes()
+
+
+def pure_state_stabilizer_report(state, op, name):
+    """stabilizer_report before it worked on amplitudes: the image as a state."""
+    applied = op.apply(state)
+    ev = float(np.real(inner_product(state, applied)))
+    deviation = _norm(applied.amplitudes - ev * state.amplitudes)
+    return channels.StabilizerReport(name=name, eigenvalue=ev, deviation=deviation)
+
+
+def report_bits(rep):
+    return rep.name, np.array([rep.eigenvalue, rep.deviation]).tobytes()
+
+
+@pytest.mark.parametrize("L", range(4, 15, 2))
+def test_stabilizer_report_matches_its_pure_state_path(L):
+    ops = [(f"K{j}", cluster_stabilizer(j, L)) for j in range(1, L + 1)]
+    ops += list(zip(("G1", "G2"), cluster_g_operators(L)))
+    # the cluster state is an eigenstate of each; a random state of none
+    for state in (cluster_state(L), random_state(L, 2, L)):
+        for name, op in ops:
+            new = stabilizer_report(state, op, name)
+            assert report_bits(new) == report_bits(pure_state_stabilizer_report(state, op, name))

@@ -9,14 +9,23 @@ address space it replaced at exec, which is the test process's own.
 The growth of the peak per extra row bounds what a row costs until it
 is written: the tables go out a chunk at a time from column arrays, so
 a row holds a few numbers, not a Python row object.
+
+The channel builders and checks are measured in-process with
+``tracemalloc``, in units of the 1 MiB state of 16 qubits: each is run
+once first, so that cached tables such as the parity sign are not
+counted.
 """
 
+import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from bellport import channels, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = (
@@ -60,3 +69,44 @@ def test_peak_memory_per_row(tmp_path, large, small, bound):
     base, base_rows = peak_and_rows(small.split(), tmp_path / "small.csv")
     assert big_rows >= 4 * base_rows
     assert (big - base) / (big_rows - base_rows) <= bound
+
+
+STATE = 16 * 2**16  # bytes of one 16-qubit state
+
+
+def traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees during ``call()``, after a first call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_singlet_random_builds_no_dimer_product_state():
+    # the output state, its matching tables and the scatter-add blocks:
+    # 1.47 states; building the full Majumdar-Ghosh product of 4^8
+    # entries to read its 2^8 nonzero ones peaked at 1.70
+    assert traced_peak(lambda: channels.singlet_random(8, 5)) < 1.6 * STATE
+
+
+def test_order_param_class_weights_hold_no_component(monkeypatch):
+    # one class component at a time and its Upsilon^2 image: 2.0 states;
+    # a decomposition of a random channel holds all four components, 5.0
+    state = channels.build(channels.parse_channel_spec("random:16:1"))
+    monkeypatch.setattr(cli, "_channel", lambda text, seed: state)
+    args = argparse.Namespace(channel="random:16:1", seed=None)
+    assert traced_peak(lambda: cli._cmd_order_param(args)) < 2.5 * STATE
+
+
+@pytest.mark.parametrize("which", ["K1", "K7", "G1", "G2"])
+def test_stabilizer_report_holds_no_copy_of_the_state(which):
+    # the U-string's sign vector, signed amplitudes and flip: 2.5 states;
+    # a PureState of the image and a fresh residual peaked at 3.0
+    state = channels.cluster_state(16)
+    ops = {f"K{j}": channels.cluster_stabilizer(j, 16) for j in (1, 7)}
+    ops.update(zip(("G1", "G2"), channels.cluster_g_operators(16)))
+    op = ops[which]
+    assert traced_peak(lambda: channels.stabilizer_report(state, op, which)) < 2.75 * STATE

@@ -2,10 +2,13 @@
 
 import re
 import tracemalloc
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellport import measure
 from bellport.bell import (
@@ -338,6 +341,36 @@ def test_walk_matches_the_concatenating_walk(spec, sampled):
         assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
     if sampled:
         assert np.array_equal(follows[0].at, follows[1].at)
+
+
+@dataclass
+class UniqueSampled:
+    """_Sampled before its boolean table: np.unique over the (node, row) keys."""
+
+    at: np.ndarray
+    u: np.ndarray
+
+    def __call__(self, i, probs):
+        row = measure._choose(probs[self.at], self.u[:, i])
+        pick, self.at = np.unique(self.at * probs.shape[1] + row, return_inverse=True)
+        return pick
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_sampled_dedupe_matches_np_unique(roots, runs, seed):
+    rng = np.random.default_rng(seed)
+    at = np.sort(rng.integers(roots, size=runs))  # each run's root, sorted
+    u = rng.random((runs, 3))
+    new, old = measure._Sampled(at.copy(), u), UniqueSampled(at.copy(), u)
+    nodes = roots
+    for i in range(3):  # every level's probabilities, some rows impossible
+        probs = rng.random((nodes, 4)) * (rng.random((nodes, 4)) < 0.8)
+        probs[:, rng.integers(4)] += 0.01  # no node without a possible row
+        pick, expected = new(i, probs), old(i, probs)
+        assert np.array_equal(pick, expected) and pick.dtype == expected.dtype
+        assert np.array_equal(new.at, old.at) and new.at.dtype == old.at.dtype
+        nodes = len(pick)
 
 
 def test_walk_peak_is_bounded_by_its_returned_arrays():
