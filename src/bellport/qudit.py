@@ -25,8 +25,7 @@ The bra and the single calls' tables are kept for four dimensions at a
 time.  ``qudit_teleport`` is that pass over one channel following one run
 (``measure._run``), ``qudit_bell_measure`` one level of such a run, and
 ``qudit-demo`` the pass over the stack ``_label_stack`` builds, whose
-tables are filled in place, apart from ``_gate_table``'s, and kept for
-four label lists.
+tables are filled in place and not kept.
 """
 
 from __future__ import annotations
@@ -167,17 +166,10 @@ def _walked(amps: np.ndarray) -> np.ndarray:
 def _label_stack(d: int, labels: Sequence[tuple[int, int]]) -> tuple:
     """The channels |j:k} of ``labels`` (the Bell bra's rows conjugated back),
     shape (labels, d^2), with the levels, Bob's gate table for each, shape
-    (labels, 1, d^2, d, d), and the residual step, as ``_teleports`` takes them
-    (read-only, and kept for four label lists)."""
-    return _stack_of(d, tuple(map(tuple, labels)))
-
-
-@lru_cache(maxsize=4)  # qudit-demo's labels in four dimensions; 64 d^4 B each
-def _stack_of(d: int, labels: tuple[tuple[int, int], ...]) -> tuple:
+    (labels, 1, d^2, d, d), and the residual step, as ``_teleports`` takes them."""
     channels = _bell_bra(d)[[j % d * d + k % d for j, k in labels], 0].conj()
     tables = np.empty((len(labels), 1, d * d, d, d), dtype=complex)
-    _fill_gates(tables[:, 0], d, labels)  # filled in place, not from _gate_table
-    channels.flags.writeable = tables.flags.writeable = False
+    _fill_gates(tables[:, 0], d, labels)  # each held once, not cached
     return channels, [((0, 1), _bell_bra(d))], tables, _walked
 
 

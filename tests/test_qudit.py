@@ -11,7 +11,6 @@ from bellport.measure import bell_measure
 from bellport.protocol import _teleports, teleport
 from bellport.qudit import (
     _bell_bra,
-    _fill_gates,
     _gate_table,
     _label_stack,
     _walked,
@@ -183,20 +182,6 @@ def test_label_stack_holds_each_gate_table_once(d):
     assert tables.shape == (4, 1, d * d, d, d) and tables.flags.c_contiguous
     for (j, k), table in zip(labels, tables[:, 0]):
         assert np.array_equal(table.view(np.uint64), _gate_table(d, j, k).view(np.uint64))
-
-
-@pytest.mark.parametrize("d", range(2, 8))
-def test_label_stack_is_kept_read_only_and_filled_as_fill_gates(d):
-    labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # qudit-demo's
-    stack = _label_stack(d, labels)
-    assert _label_stack(d, tuple(labels)) is stack  # kept, not refilled
-    channels, _, tables, _ = stack
-    expected = _fill_gates(np.empty((4, d * d, d, d), dtype=complex), d, labels)
-    assert tables[:, 0].tobytes() == expected.tobytes()
-    for array in (channels, tables):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array.reshape(-1)[0] = 0.0
 
 
 def test_qudit_bell_bra_built_once_and_read_only():
