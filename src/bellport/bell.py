@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,15 +196,25 @@ def _require_even_qubits(state: PureState) -> None:
 _SIGNED_ADD = {1: np.add, -1: np.subtract}  # adding the product by each sign
 
 
-def _class_component(amps: np.ndarray, j: int, k: int) -> np.ndarray:
-    """P_[j:k] a = (((a + j Y1 a) + k Y2 a) + jk Y3 a) / 4 of a stack ``amps``
-    (..., 2^n), unnormalized: each sign picks an add or a subtract, which
-    round as adding the product by +-1 would (an exact zero may come out
-    with the other sign)."""
-    y2 = _upsilon2(amps)
+def _class_sum(amps: np.ndarray, y2: np.ndarray, j: int, k: int) -> np.ndarray:
+    """((a + j Y1 a) + k Y2 a) + jk Y3 a of a stack ``amps`` (..., 2^n), given
+    its Upsilon^2 image ``y2``: four times the [j:k] component, unscaled.
+
+    Each sign picks an add or a subtract, which round as adding the product
+    by +-1 would (an exact zero may come out with the other sign).  Y1 and
+    Y3 are the reversals of ``amps`` and ``y2``, so an analysis of all four
+    classes forms ``y2`` once and passes it to each.
+    """
     out = _SIGNED_ADD[j](amps, amps[..., ::-1])
     _SIGNED_ADD[k](out, y2, out=out)
     _SIGNED_ADD[j * k](out, y2[..., ::-1], out=out)
+    return out
+
+
+def _class_component(amps: np.ndarray, j: int, k: int) -> np.ndarray:
+    """P_[j:k] a = ``_class_sum(...) / 4`` of a stack ``amps`` (..., 2^n),
+    unnormalized."""
+    out = _class_sum(amps, _upsilon2(amps), j, k)
     out *= 0.25
     return out
 
@@ -233,21 +243,36 @@ class ClassDecomposition:
     components: dict[BellClass, PureState]
 
     def dominant_class(self) -> BellClass:
-        return max(self.coefficients, key=lambda c: self.coefficients[c])
+        return _dominant_class(self.coefficients)
 
     def pure_class(self, tol: float = PURE_CLASS_TOL) -> BellClass | None:
         """The single occupied class, or None if the state straddles classes."""
-        best = self.dominant_class()
-        if self.coefficients[best] ** 2 > 1.0 - tol:
-            return best
-        return None
+        return _pure_class(self.coefficients, tol)
+
+
+def _dominant_class(weights: Mapping[BellClass, float]) -> BellClass:
+    """The class of the largest weight, the first such in ``weights``' order."""
+    return max(weights, key=weights.__getitem__)
+
+
+def _pure_class(
+    weights: Mapping[BellClass, float], tol: float = PURE_CLASS_TOL
+) -> BellClass | None:
+    """The class holding all but ``tol`` of the squared weights, or None."""
+    best = _dominant_class(weights)
+    if weights[best] ** 2 > 1.0 - tol:
+        return best
+    return None
 
 
 def _class_weights(state: PureState) -> dict[BellClass, float]:
     """``decompose_classes(state).coefficients`` without the components: each
-    class component is formed, normed and dropped in turn."""
+    class sum is formed over one Upsilon^2 image, normed, scaled by 1/4 and
+    dropped in turn, so two states are held at a time."""
     _require_even_qubits(state)
-    return {cls: _norm(_class_component(state.amplitudes, *cls)) for cls in BELL_CLASSES}
+    amps = state.amplitudes
+    y2 = _upsilon2(amps)
+    return {cls: 0.25 * _norm(_class_sum(amps, y2, *cls)) for cls in BELL_CLASSES}
 
 
 def decompose_classes(state: PureState) -> ClassDecomposition:
@@ -255,19 +280,29 @@ def decompose_classes(state: PureState) -> ClassDecomposition:
 
     The weights satisfy |c_[j:k]|^2 = (1 + Omega_[j:k]) / 4 with Omega
     the signed combination of Upsilon expectations.
+
+    The Upsilon^2 image is formed once and every class sum reads it; only
+    it is shared, since keeping the first sums a +- Y1 a for two classes
+    each would hold one more state at the peak.  The 1/4 of the projector is folded into the norm, c = ||s|| / 4, and a kept
+    component is scaled once, s * (1/4 * (1 / c)).  A power-of-two scale
+    commutes with rounding, so both give the bits of scaling s by 1/4 first
+    while no squared amplitude of s / 4 underflows.
     """
     _require_even_qubits(state)
+    amps = state.amplitudes
+    y2 = _upsilon2(amps)
     coefficients: dict[BellClass, float] = {}
     components: dict[BellClass, PureState] = {}
     for cls in BELL_CLASSES:
-        amps = _class_component(state.amplitudes, *cls)
-        c = _norm(amps)
+        s = _class_sum(amps, y2, *cls)
+        c = 0.25 * _norm(s)
         coefficients[cls] = c
         if c >= COMPONENT_ATOL:
-            # amps / c, which numpy forms as (re + im * 0) * (1 / c): the same
-            # bits, up to the sign of a zero
-            f = amps.view(np.float64)
-            f *= 1.0 / c
-            components[cls] = _adopt(amps)
-        del amps  # a dropped component is freed before the next one is formed
+            # (s / 4) / c, which numpy forms as (re + im * 0) * (1 / c), with
+            # the 1/4 folded into the scale: the same bits, up to the sign
+            # of a zero
+            f = s.view(np.float64)
+            f *= 0.25 * (1.0 / c)
+            components[cls] = _adopt(s)
+        del s  # a dropped class sum is freed before the next one is formed
     return ClassDecomposition(coefficients=coefficients, components=components)

@@ -32,8 +32,9 @@ from .bell import (
     BELL_CLASSES,
     BELL_LABELS,
     _class_weights,
+    _dominant_class,
+    _pure_class,
     bell_basis_state,
-    decompose_classes,
     format_sign_pair,
     parse_sign_pair,
     upsilon_expectations,
@@ -432,8 +433,7 @@ def _cmd_aklt_check(args):
     s_order = string_order(state)
     e2 = upsilon_expectations(state)[1]
     relation = -((-1.0) ** (L // 2)) * s_order
-    dec = decompose_classes(state)
-    pure = dec.pure_class()
+    pure = _pure_class(_class_weights(state))
     columns = ["check", "value", "expected", "ok"]
     rows = []
     checks = [
@@ -531,11 +531,11 @@ def _cmd_heisenberg_check(args):
     L = args.qubits
     ground = _built(heisenberg_ring_ground, L, "heisenberg-check")
     op = order_parameter(ground)
-    dec = decompose_classes(ground)
-    pure = dec.pure_class(_EIGEN_TOL)
+    weights = _class_weights(ground)
+    pure = _pure_class(weights, _EIGEN_TOL)
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
-    assumed = dec.dominant_class()
+    assumed = _dominant_class(weights)
     _, _, branches = _channel_teleports(client, ground, [assumed], None, args.trials, rng)
     min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
     violations = int(abs(op.efficiency - 1.0) > _EIGEN_TOL) + int(min_f < 1.0 - _EIGEN_TOL)

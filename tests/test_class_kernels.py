@@ -3,13 +3,15 @@
 A class component is now ((a +- Y1 a) +- Y2 a) +- Y3 a over 4, as adds
 and subtracts chosen by the class signs; ``apply_upsilon`` and
 ``string_order`` form only the Upsilon image they use; and the analyses
-adopt the arrays they compute instead of copying them into a state.  The
+adopt the arrays they compute instead of copying them into a state.
+``decompose_classes`` and ``_class_weights`` form the Upsilon^2 image
+once for all four classes and take the 1/4 through the norm.  The
 oracles below are the earlier forms: all three images, the products by
 the signs, and a ``PureState`` copy of each quotient.  On every channel
-family the coefficients and the string order must be ``==`` and the
-components ``array_equal``: a product by -1 and a subtract round every
-nonzero amplitude alike, though an exact zero may come out with the
-other sign.
+family the coefficients, the class weights and the string order must
+be ``==`` and the components ``array_equal``: a product by -1 and a
+subtract round every nonzero amplitude alike, though an exact zero may
+come out with the other sign.
 
 ``upsilon_expectations`` (and so ``order_parameter``) takes each
 expectation as ``np.vdot(a, Y a)``, ``string_order``'s form, while
@@ -30,6 +32,7 @@ from bellport.bell import (
     BELL_CLASSES,
     BELL_LABELS,
     COMPONENT_ATOL,
+    _class_weights,
     _expectations,
     apply_upsilon,
     bell_basis_state,
@@ -146,11 +149,12 @@ def test_upsilon_expectations_hold_one_image_at_a_time():
 
 
 @PROPERTY
-@given(channels)
+@given(every_family.filter(lambda state: state.num_sites % 2 == 0))
 def test_decomposition_matches_products_by_the_signs(state):
     coefficients, components = old_decompose_classes(state)
     dec = decompose_classes(state)
     assert dec.coefficients == coefficients
+    assert _class_weights(state) == coefficients
     assert dec.components.keys() == components.keys()
     for cls, old in components.items():
         new = dec.components[cls].amplitudes

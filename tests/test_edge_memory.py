@@ -10,10 +10,10 @@ The growth of the peak per extra row bounds what a row costs until it
 is written: the tables go out a chunk at a time from column arrays, so
 a row holds a few numbers, not a Python row object.
 
-The channel builders and checks are measured in-process with
-``tracemalloc``, in units of the 1 MiB state of 16 qubits: each is run
-once first, so that cached tables such as the parity sign are not
-counted.
+The channel builders, checks and class analyses are measured
+in-process with ``tracemalloc``, in units of the 1 MiB state of 16
+qubits: each is run once first, so that cached tables such as the
+parity sign are not counted.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from bellport import channels, cli
+from bellport import bell, channels, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = (
@@ -99,6 +99,16 @@ def test_order_param_class_weights_hold_no_component(monkeypatch):
     monkeypatch.setattr(cli, "_channel", lambda text, seed: state)
     args = argparse.Namespace(channel="random:16:1", seed=None)
     assert traced_peak(lambda: cli._cmd_order_param(args)) < 2.5 * STATE
+
+
+@pytest.mark.parametrize("spec, bound", [("random:16:1", 5.25), ("aklt:16", 3.25)])
+def test_decompose_classes_shares_only_the_upsilon2_image(spec, bound):
+    # the Upsilon^2 image, the class sum being formed and the components
+    # kept: 5.0 states for a random channel, whose four components are all
+    # kept, and 3.0 for the pure-class AKLT state; keeping a first sum
+    # a +- Upsilon^1 a alive for two classes adds a state to each
+    state = channels.build(channels.parse_channel_spec(spec))
+    assert traced_peak(lambda: bell.decompose_classes(state)) <= bound * STATE
 
 
 @pytest.mark.parametrize("which", ["K1", "K7", "G1", "G2"])
