@@ -9,7 +9,7 @@ Every state inside one class is a perfect teleportation channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -120,7 +120,7 @@ def _u_string(amps: np.ndarray, factors: Sequence[int]) -> np.ndarray:
     return np.flip((sign * amps).reshape((2,) * len(factors)), flips).reshape(-1)
 
 
-@cache
+@lru_cache(maxsize=4)  # a 20-qubit sign vector is 16 MiB; no workload meets more sizes
 def _parity(size: int) -> np.ndarray:
     """(-1)^(number of 1 bits of i) for i < size, by the U-string doubling rule,
     cast once to complex: numpy multiplies a float sign by complex amplitudes
@@ -247,22 +247,34 @@ class ClassDecomposition:
 
     def pure_class(self, tol: float = PURE_CLASS_TOL) -> BellClass | None:
         """The single occupied class, or None if the state straddles classes."""
-        return _pure_class(self.coefficients, tol)
+        return _pure_class({c: w**2 for c, w in self.coefficients.items()}, tol)
 
 
 def _dominant_class(weights: Mapping[BellClass, float]) -> BellClass:
-    """The class of the largest weight, the first such in ``weights``' order."""
+    """The class of the largest weight, the first such in ``weights``' order;
+    squared weights give the same class."""
     return max(weights, key=weights.__getitem__)
 
 
 def _pure_class(
-    weights: Mapping[BellClass, float], tol: float = PURE_CLASS_TOL
+    squares: Mapping[BellClass, float], tol: float = PURE_CLASS_TOL
 ) -> BellClass | None:
-    """The class holding all but ``tol`` of the squared weights, or None."""
-    best = _dominant_class(weights)
-    if weights[best] ** 2 > 1.0 - tol:
+    """The class holding all but ``tol`` of the squared weights ``squares``,
+    or None."""
+    best = _dominant_class(squares)
+    if squares[best] > 1.0 - tol:
         return best
     return None
+
+
+def _omega_squares(omega: Mapping[BellClass, float]) -> dict[BellClass, float]:
+    """The squared class weights |c_[j:k]|^2 = (1 + Omega_[j:k]) / 4, read off
+    the Upsilon expectations that give ``omega`` instead of four class sums.
+
+    Their last bits differ from the squared norms', well inside any purity
+    tolerance of ``_pure_class``.
+    """
+    return {c: (1.0 + o) / 4 for c, o in omega.items()}
 
 
 def _class_weights(state: PureState) -> dict[BellClass, float]:

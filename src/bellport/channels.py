@@ -9,8 +9,8 @@ stabilizers and the derived G1/G2 string operators; the AKLT ground
 state is built in the virtual-qubit picture together with its string
 order parameter.  These builders are index maps: a dimer product moves
 the bits of the Majumdar-Ghosh product, the Heisenberg ring uses
-S_i . S_j = SWAP_ij / 2 - 1/4 in its S^z = 0 sector, one translation
-momentum at a time (conjugate momenta share a spectrum, and the gap is
+S_i . S_j = SWAP_ij / 2 - 1/4 in its S^z = 0 sector, split by
+translation momentum (conjugate momenta share a spectrum, and the gap is
 taken over the union of all of them), and an AKLT junction is
 (1 + SWAP) / 2.  No builder exceeds MAX_QUBITS qubits.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .bell import BellLabel, _bell_amplitudes, _parity, _u_string, _upsilon2, bell_basis_state
 from .states import PureState, _as_rng, _norm, _normalize_own, random_state
 
-# 16 MiB per dense state vector, and about 1 s of singlet scatter-adds
+# 16 MiB per dense state vector, and about 0.2 s of singlet scatter-adds
 MAX_QUBITS = 20
 
 class DegenerateGroundStateError(RuntimeError):
@@ -214,7 +214,10 @@ def singlet_random(
     terms in the same order as one product at a time would.  The
     product's nonzero entries are folded pair by pair from each singlet's
     two, |+-> and |-+> (indices 4 i + 1 and 4 i + 2, ascending), as the
-    products ``bell_basis_state`` forms.
+    products ``bell_basis_state`` forms.  A block's indices, sums of
+    distinct powers of two below 2^20, are one float matrix product, which
+    is exact, and its scatter-add takes flat 1-D index and value arrays,
+    the form numpy's ``ufunc.at`` runs fastest.
     """
     L = 2 * n_pairs
     _check_size(L)
@@ -228,13 +231,14 @@ def singlet_random(
     for _ in range(n_pairs - 1):
         nz = (4 * nz[:, None] + pair).reshape(-1)
         values = (values[:, None] * singlet).reshape(-1)
-    bits = (nz >> np.arange(L - 1, -1, -1)[:, None]) & 1  # bits[s] is slot s
-    weights = 1 << (L - 1 - sites)  # the bit of slot s lands on site sites[r, s]
+    bits = ((nz >> np.arange(L - 1, -1, -1)[:, None]) & 1).astype(float)  # bits[s] is slot s
+    weights = (1 << (L - 1 - sites)).astype(float)  # the bit of slot s lands on site sites[r, s]
     amps = np.zeros(2**L, dtype=complex)
     block = max(1, _SCATTER_BLOCK // len(nz))
     for lo in range(0, len(sites), block):
         rows = slice(lo, lo + block)
-        np.add.at(amps, weights[rows] @ bits, coeffs[rows, None] * values)
+        index = (weights[rows] @ bits).astype(np.intp).reshape(-1)
+        np.add.at(amps, index, (coeffs[rows, None] * values).reshape(-1))
     return _normalize_own(amps)
 
 
@@ -243,13 +247,15 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
 
     H = sum_i S_i . S_{i+1} with periodic boundary and S_i . S_j =
     SWAP_ij / 2 - 1/4, diagonalized in the S^z = 0 sector for L <= 12,
-    one translation momentum k = 2 pi m / L at a time.  The sector's
-    states fall into orbits under the cyclic shift T; the momentum
-    state of representative r with period p exists when m p = 0 mod L,
-    and bond swaps give H_k[b, a] = sum e^{ikt} sqrt(p_a / p_b) / 2 over
-    the bonds taking a to T^t b.  H_k and H_{-k} share a spectrum, so
-    only m <= L/2 is diagonalized and 0 < m < L/2 counts twice; H_k is
-    real at k = 0 and k = pi.  The gap is taken over the union of the
+    split by translation momentum k = 2 pi m / L.  The sector's states
+    fall into orbits under the cyclic shift T; the momentum state of
+    representative r with period p exists when m p = 0 mod L, and bond
+    swaps give H_k[b, a] = sum e^{ikt} sqrt(p_a / p_b) / 2 over the bonds
+    taking a to T^t b.  H_k and H_{-k} share a spectrum, so only
+    m <= L/2 is diagonalized and 0 < m < L/2 counts twice; H_k is real
+    at k = 0 and k = pi.  All H_k are filled by one scatter-add into a
+    zero-padded stack, in momentum order, and each is diagonalized as
+    its own block of the stack.  The gap is taken over the union of the
     sector spectra, so it is the S^z = 0 gap, which is the full gap:
     every SU(2) multiplet of an even ring has an S^z = 0 member.
     Raises DegenerateGroundStateError unless the gap is at least
@@ -280,26 +286,36 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     root = np.exp(2j * np.pi * np.arange(L) / L)  # e^{ik} at k = 2 pi m / L
     root[L // 2] = -1  # exactly, so that H_k is real at k = 0 and k = pi
 
-    spectra, sectors = [], []
-    for m in range(L // 2 + 1):
-        live = m * period % L == 0  # orbits with a momentum-m state
-        row = np.cumsum(live) - 1
-        use = live[source] & live[target]
-        H = np.diag(np.full(row[-1] + 1, -L / 4 + 0j))
-        phase = root[m * t[use] % L]
-        np.add.at(H, (row[target[use]], row[source[use]]), phase * weight[use])
+    # every sector's H_k in one zero-padded stack, filled by one scatter-add
+    # in sector order, so each entry sums its bonds as one sector at a time
+    ms = np.arange(L // 2 + 1)
+    live = ms[:, None] * period % L == 0  # live[m]: orbits with a momentum-m state
+    row = np.cumsum(live, axis=1) - 1
+    size = row[:, -1] + 1
+    n = int(size.max())
+    H = np.zeros((len(ms), n, n), dtype=complex)
+    H[:, np.arange(n), np.arange(n)] = -L / 4
+    sector, bond = np.nonzero(live[:, source] & live[:, target])
+    phase = root[sector * t[bond] % L]
+    flat = (sector * n + row[sector, target[bond]]) * n + row[sector, source[bond]]
+    np.add.at(H.reshape(-1), flat, phase * weight[bond])
+
+    spectra, blocks = [], []
+    for m in ms:
+        h = H[m, : size[m], : size[m]]
         if 2 * m % L == 0:
-            H = H.real
-            spectra.append(np.linalg.eigvalsh(H))
+            h = h.real
+            spectra.append(np.linalg.eigvalsh(h))
         else:  # the conjugate momentum -k has the same spectrum
-            spectra.append(np.repeat(np.linalg.eigvalsh(H), 2))
-        sectors.append((m, H, live, row))
+            spectra.append(np.repeat(np.linalg.eigvalsh(h), 2))
+        blocks.append(h)
     union = np.sort(np.concatenate(spectra))
     gap = float(union[1] - union[0])
     if not gap >= degeneracy_tol:
         raise DegenerateGroundStateError(gap, degeneracy_tol)
-    m, H, live, row = sectors[int(np.argmin([e[0] for e in spectra]))]
-    vector = np.linalg.eigh(H)[1][:, 0]
+    m = int(np.argmin([e[0] for e in spectra]))
+    vector = np.linalg.eigh(blocks[m])[1][:, 0]
+    live, row = live[m], row[m]
     keep = live[orbit]  # x = T^shift r holds e^{-ik shift} / sqrt(period) of r's state
     ground = np.zeros(2**L, dtype=complex)
     ground[basis[keep]] = (

@@ -33,6 +33,7 @@ from .bell import (
     BELL_LABELS,
     _class_weights,
     _dominant_class,
+    _omega_squares,
     _pure_class,
     bell_basis_state,
     format_sign_pair,
@@ -59,6 +60,7 @@ from .protocol import (
     _channel_teleports,
     _check_pairing,
     _fig2_blocks,
+    _omega,
     _teleports,
     min_fidelity_scan,
     order_parameter,
@@ -431,9 +433,9 @@ def _cmd_aklt_check(args):
     L = args.qubits
     state = _built(aklt_state, L, "aklt-check")
     s_order = string_order(state)
-    e2 = upsilon_expectations(state)[1]
+    e1, e2, e3 = upsilon_expectations(state)
     relation = -((-1.0) ** (L // 2)) * s_order
-    pure = _pure_class(_class_weights(state))
+    pure = _pure_class(_omega_squares(_omega(e1, e2, e3)))
     columns = ["check", "value", "expected", "ok"]
     rows = []
     checks = [
@@ -531,11 +533,11 @@ def _cmd_heisenberg_check(args):
     L = args.qubits
     ground = _built(heisenberg_ring_ground, L, "heisenberg-check")
     op = order_parameter(ground)
-    weights = _class_weights(ground)
-    pure = _pure_class(weights, _EIGEN_TOL)
+    squares = _omega_squares(op.omega)
+    pure = _pure_class(squares, _EIGEN_TOL)
     rng = np.random.default_rng(args.seed)
     client = random_state(1, 2, rng)
-    assumed = _dominant_class(weights)
+    assumed = _dominant_class(squares)
     _, _, branches = _channel_teleports(client, ground, [assumed], None, args.trials, rng)
     min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
     violations = int(abs(op.efficiency - 1.0) > _EIGEN_TOL) + int(min_f < 1.0 - _EIGEN_TOL)

@@ -4,7 +4,9 @@ The many-body builders are index maps; the dense constructions they
 replaced are kept here as oracles: the non-crossing matchings as a
 recursive list, the dimer product as a permuted Majumdar-Ghosh state, the Heisenberg Hamiltonian as a sum of Kronecker
 strings and as one dense matrix on its S^z = 0 sector, and the AKLT
-junctions as a 4x4 triplet projector.  The builders normalise their own
+junctions as a 4x4 triplet projector.  The Heisenberg builder's loop
+over one momentum sector at a time is kept for the bits of its ground
+state and gap.  The builders normalise their own
 array in place; the wrap-normalise-wrap step they used before, and the
 AKLT build that summed its junctions into fresh arrays, are kept as
 oracles for the bits of the result.
@@ -413,6 +415,68 @@ def test_heisenberg_momentum_sectors_match_sector_oracle(L):
     with pytest.raises(DegenerateGroundStateError) as err:
         heisenberg_ring_ground(L, degeneracy_tol=gap + 1e-6)
     assert abs(err.value.gap - gap) < TOL
+
+
+def old_heisenberg_ring_ground(L, degeneracy_tol=1e-8):
+    """heisenberg_ring_ground before one scatter-add filled every sector: each
+    momentum's H_k built, filled and diagonalized in its own pass."""
+    place = np.arange(L - 1, -1, -1)
+    weights = 1 << place
+    bits = np.arange(2**L)[:, None] >> place & 1
+    basis = np.flatnonzero(bits.sum(1) == L // 2)
+    j = np.arange(1, L + 1)
+    images = (basis[:, None] >> j | basis[:, None] << L - j) & (2**L - 1)
+    first = images.argmin(1)
+    least = images[np.arange(len(basis)), first]
+    reps = basis[least == basis]
+    orbit = np.searchsorted(reps, least)
+    shift = L - 1 - first
+    period = (images[np.searchsorted(basis, reps)] == reps[:, None]).argmax(1) + 1
+    nxt = np.roll(np.arange(L), -1)
+    swapped = reps[:, None] + (bits[reps][:, nxt] - bits[reps]) * (weights - weights[nxt])
+    col = np.searchsorted(basis, swapped).ravel()
+    source, target, t = np.repeat(np.arange(len(reps)), L), orbit[col], shift[col]
+    weight = 0.5 * np.sqrt(period[source] / period[target])
+    root = np.exp(2j * np.pi * np.arange(L) / L)
+    root[L // 2] = -1
+    spectra, sectors = [], []
+    for m in range(L // 2 + 1):
+        live = m * period % L == 0
+        row = np.cumsum(live) - 1
+        use = live[source] & live[target]
+        H = np.diag(np.full(row[-1] + 1, -L / 4 + 0j))
+        phase = root[m * t[use] % L]
+        np.add.at(H, (row[target[use]], row[source[use]]), phase * weight[use])
+        if 2 * m % L == 0:
+            H = H.real
+            spectra.append(np.linalg.eigvalsh(H))
+        else:
+            spectra.append(np.repeat(np.linalg.eigvalsh(H), 2))
+        sectors.append((m, H, live, row))
+    union = np.sort(np.concatenate(spectra))
+    gap = float(union[1] - union[0])
+    if not gap >= degeneracy_tol:
+        raise DegenerateGroundStateError(gap, degeneracy_tol)
+    m, H, live, row = sectors[int(np.argmin([e[0] for e in spectra]))]
+    vector = np.linalg.eigh(H)[1][:, 0]
+    keep = live[orbit]
+    ground = np.zeros(2**L, dtype=complex)
+    ground[basis[keep]] = (
+        vector[row[orbit[keep]]] * root[-m * shift[keep] % L] / np.sqrt(period[orbit[keep]])
+    )
+    return _normalize_own(ground)
+
+
+@pytest.mark.parametrize("L", range(2, 13, 2))
+def test_heisenberg_sector_stack_keeps_the_bits_of_the_sector_loop(L):
+    """The padded stack hands each sector's block to the same eigvalsh and
+    eigh, so the ground state and the gap are the loop's bits."""
+    assert same_bits(heisenberg_ring_ground(L), old_heisenberg_ring_ground(L))
+    with pytest.raises(DegenerateGroundStateError) as new:
+        heisenberg_ring_ground(L, degeneracy_tol=10.0)
+    with pytest.raises(DegenerateGroundStateError) as old:
+        old_heisenberg_ring_ground(L, degeneracy_tol=10.0)
+    assert new.value.gap == old.value.gap
 
 
 def test_heisenberg_nan_tolerance_raises():

@@ -18,6 +18,10 @@ expectation as ``np.vdot(a, Y a)``, ``string_order``'s form, while
 ``_scatter_channels``' stacks keep the batched ``_expectations``; the two
 forms must stay ``==`` on every channel family, on every BLAS the tests
 run on.
+
+``aklt-check`` and ``heisenberg-check`` read class purity off Omega, as
+squared weights (1 + Omega_c) / 4; at both tolerances they use, the pure
+and the dominant class must be those of the class sums' norms.
 """
 
 import tracemalloc
@@ -32,15 +36,28 @@ from bellport.bell import (
     BELL_CLASSES,
     BELL_LABELS,
     COMPONENT_ATOL,
+    PURE_CLASS_TOL,
     _class_weights,
+    _dominant_class,
     _expectations,
+    _omega_squares,
+    _pure_class,
     apply_upsilon,
     bell_basis_state,
     class_projector_apply,
     decompose_classes,
     upsilon_expectations,
 )
-from bellport.channels import CHANNEL_KINDS, ChannelSpec, build, string_order
+from bellport.channels import (
+    CHANNEL_KINDS,
+    ChannelSpec,
+    aklt_state,
+    build,
+    cluster_state,
+    heisenberg_ring_ground,
+    string_order,
+)
+from bellport.cli import _EIGEN_TOL
 from bellport.protocol import _omega, order_parameter
 from bellport.states import PureState, _adopt, inner_product, random_state
 
@@ -74,6 +91,12 @@ def old_decompose_classes(state):
         if c >= COMPONENT_ATOL:
             components[cls] = PureState(amps / c)
     return coefficients, components
+
+
+def old_pure_class(weights, tol):
+    """The purity rule when it took the class weights and squared the top one."""
+    best = max(weights, key=weights.__getitem__)
+    return best if weights[best] ** 2 > 1.0 - tol else None
 
 
 def old_apply_upsilon(state, alpha):
@@ -195,3 +218,39 @@ def test_adopt_takes_the_array_and_checks_it_as_pure_state_does():
     # the public constructor keeps copying
     source = np.ones(4, dtype=complex) / 2
     assert not np.shares_memory(PureState(source).amplitudes, source)
+
+
+def two_class_mix(p):
+    """sqrt(1 - p) of a [+:+] Bell product and sqrt(p) of a [-:+] one, 8 qubits."""
+    a = bell_basis_state([(1, 1)] * 4).amplitudes
+    b = bell_basis_state([(-1, 1)] + [(1, 1)] * 3).amplitudes
+    return PureState(np.sqrt(1.0 - p) * a + np.sqrt(p) * b)
+
+
+PURITY_STATES = (
+    [(f"aklt-{L}", aklt_state, L) for L in range(4, 17, 2)]
+    + [(f"heisenberg-{L}", heisenberg_ring_ground, L) for L in range(4, 13, 2)]
+    + [(f"cluster-{L}", cluster_state, L) for L in (4, 8, 12)]
+    + [(f"random-{L}", lambda L: random_state(L, 2, L), L) for L in (4, 8, 12)]
+    # straddling, and on either side of both tolerances
+    + [(f"mix-{p:g}", two_class_mix, p) for p in (0.5, 0.3, 5e-9, 1.5e-9, 1e-10)]
+)
+
+
+@pytest.mark.parametrize("tol", [PURE_CLASS_TOL, _EIGEN_TOL])
+@pytest.mark.parametrize(
+    "make, arg", [case[1:] for case in PURITY_STATES], ids=[case[0] for case in PURITY_STATES]
+)
+def test_purity_read_off_omega_matches_the_class_sums(make, arg, tol):
+    state = make(arg)
+    weights = _class_weights(state)
+    squares = _omega_squares(order_parameter(state).omega)
+    for cls, w in weights.items():
+        assert abs(squares[cls] - w**2) < 1e-12
+    pure = _pure_class(squares, tol)
+    assert pure == old_pure_class(weights, tol)
+    assert pure == _pure_class({c: w**2 for c, w in weights.items()}, tol)
+    assert pure == decompose_classes(state).pure_class(tol)
+    top, second = sorted(weights.values())[:-3:-1]
+    if top**2 - second**2 > 1e-9:  # tied classes may fall either way
+        assert _dominant_class(squares) == _dominant_class(weights)

@@ -120,3 +120,11 @@ def test_stabilizer_report_holds_no_copy_of_the_state(which):
     ops.update(zip(("G1", "G2"), channels.cluster_g_operators(16)))
     op = ops[which]
     assert traced_peak(lambda: channels.stabilizer_report(state, op, which)) < 2.75 * STATE
+
+
+def test_parity_signs_are_kept_for_at_most_four_sizes():
+    # an unbounded cache kept one sign vector per state size it met, 16 MiB
+    # for 20 qubits, for the rest of the process
+    for L in range(2, 14, 2):
+        bell.upsilon_expectations(channels.build(channels.parse_channel_spec(f"random:{L}:1")))
+    assert bell._parity.cache_info().currsize <= 4
