@@ -417,39 +417,34 @@ def min_fidelity_scan(
     """
     if not 0 <= theta < np.pi:
         raise ValueError("theta must lie in [0, pi)")
+    if grid_points < 3 or refinements < 0:
+        raise ValueError("the scan needs grid_points >= 3 and refinements >= 0")
     c2, s2 = np.cos(theta / 2.0), np.sin(theta / 2.0)
-
-    def evaluate(re_a, im_a, frac):
-        a = re_a + 1j * im_a
-        abs_a2 = np.abs(a) ** 2
-        leftover = 2.0 * np.clip(1.0 - abs_a2, 0.0, None)
-        b2 = leftover * frac
-        num = np.abs(c2 + a * s2) ** 2
-        delta = num / (num + b2 * s2**2)
-        delta = np.where(abs_a2 > 1.0, np.inf, delta)
-        return delta, b2, leftover * (1.0 - frac)
-
     lo = np.array([-1.0, -1.0, 0.0])
     hi = np.array([1.0, 1.0, 1.0])
-    best = None
     for _ in range(refinements + 1):
-        axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(3)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        delta, b2, cc2 = evaluate(*grids)
-        flat = np.argmin(delta)
-        i = np.unravel_index(flat, delta.shape)
-        best = BoundScanResult(
-            theta=float(theta),
-            minimum=float(delta[i]),
-            a=complex(grids[0][i] + 1j * grids[1][i]),
-            b_mag=float(np.sqrt(b2[i])),
-            c_mag=float(np.sqrt(cc2[i])),
-        )
-        center = np.array([grids[0][i], grids[1][i], grids[2][i]])
+        re_a, im_a, frac = np.ix_(*(np.linspace(lo[i], hi[i], grid_points) for i in range(3)))
+        a = (re_a + 1j * im_a)[..., 0]
+        abs_a2 = np.abs(a) ** 2
+        leftover = 2.0 * np.clip(1.0 - abs_a2, 0.0, None)[..., None]
+        num = (np.abs(c2 + a * s2) ** 2)[..., None]
+        delta = leftover * frac  # |b|^2, then Delta in place
+        delta *= s2**2
+        delta += num
+        np.divide(num, delta, out=delta)
+        delta[abs_a2 > 1.0] = np.inf
+        i0, i1, i2 = np.unravel_index(np.argmin(delta), delta.shape)
+        center = np.array([re_a[i0, 0, 0], im_a[0, i1, 0], frac[0, 0, i2]])
         span = (hi - lo) * (2.0 / (grid_points - 1))
         lo = np.maximum(center - span, [-1.0, -1.0, 0.0])
         hi = np.minimum(center + span, [1.0, 1.0, 1.0])
-    return best
+    return BoundScanResult(
+        theta=float(theta),
+        minimum=float(delta[i0, i1, i2]),
+        a=complex(re_a[i0, 0, 0] + 1j * im_a[0, i1, 0]),
+        b_mag=float(np.sqrt(leftover[i0, i1, 0] * frac[0, 0, i2])),
+        c_mag=float(np.sqrt(leftover[i0, i1, 0] * (1.0 - frac[0, 0, i2]))),
+    )
 
 
 # ---------------------------------------------------------------------------

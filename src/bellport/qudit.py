@@ -21,11 +21,11 @@ one call to the teleport pass of every family, ``protocol._teleports``,
 with one walk level of that bra.  Bob's gates (Xtilde^{jk}_{pq})^dagger
 are a C-ordered d^2-row table per (d, assumed label), read at the outcome
 row p d + q; the residuals stay as the walk divides them (``_walked``).
-The bra and the single calls' tables are kept for four dimensions at a
-time.  ``qudit_teleport`` is that pass over one channel following one run
-(``measure._run``), ``qudit_bell_measure`` one level of such a run, and
-``qudit-demo`` the pass over the stack ``_label_stack`` builds, whose
-tables are filled in place and not kept.
+The bra is kept for four dimensions at a time; the gate tables are filled
+in place by ``_label_stack`` for each call and not kept.  ``qudit_teleport``
+is that pass over one channel following one run (``measure._run``),
+``qudit_bell_measure`` one level of such a run, and ``qudit-demo`` the pass
+over the stack of its four labels.
 """
 
 from __future__ import annotations
@@ -108,15 +108,7 @@ def _fill_gates(tables: np.ndarray, d: int, labels: Sequence[tuple[int, int]]) -
     return tables
 
 
-@lru_cache(maxsize=16)  # four labels of each of four dimensions; 16 d^4 B each
-def _gate_table(d: int, j: int, k: int) -> np.ndarray:
-    """``_fill_gates``' table of the label (j, k), read-only."""
-    (table,) = _fill_gates(np.empty((1, d * d, d, d), dtype=complex), d, [(j, k)])
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=4)  # the four dimensions _gate_table's bound assumes; 16 d^4 B each
+@lru_cache(maxsize=4)  # 16 d^4 B each, as much as one gate table; 16 MiB at d = 32
 def _bell_bra(d: int) -> np.ndarray:
     """Conjugated |j:k} rows in (j, k) order, one bra per outcome (read-only)."""
     rows = [[qudit_bell(d, j, k).amplitudes] for j in range(d) for k in range(d)]
@@ -203,10 +195,9 @@ def qudit_teleport(
         raise ValueError("channel must be a two-qudit state of the client dimension")
     if assumed is None:
         raise ValueError("assumed channel label is required for a state channel")
-    tables = _gate_table(dim, *assumed)[None, None]
-    levels = [((0, 1), _bell_bra(dim))]
+    _, levels, tables, settle = _label_stack(dim, [assumed])
     channels = chan_state.amplitudes[None]
-    teleports = partial(_teleports, client.amplitudes[None], channels, levels, tables, _walked)
+    teleports = partial(_teleports, client.amplitudes[None], channels, levels, tables, settle)
     labels, read = _outcomes(dim)
     return _teleport_one(teleports, labels, (0, 1), _forced_row(labels, forced, read), rng)
 

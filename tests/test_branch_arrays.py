@@ -184,8 +184,7 @@ def qudit_teleports(client, channel, assumed, follow):
     """The branches of ``protocol._teleports`` over the qudit ``channel``
     alone, with Bob's gate table for ``assumed``."""
     d = client.local_dim
-    tables = qudit._gate_table(d, *assumed)[None, None]
-    levels = [((0, 1), qudit._bell_bra(d))]
+    _, levels, tables, _ = qudit._label_stack(d, [assumed])
     return protocol._teleports(
         client.amplitudes[None], channel.amplitudes[None], levels, tables, qudit._walked, follow
     )[3]
@@ -561,7 +560,7 @@ def test_stacked_qudit_pass_matches_one_pass_per_label(d):
     assert len(set(labels)) == 4  # distinct for every d >= 2, d = 2 too
     channels, levels, tables, settle = qudit._label_stack(d, labels)  # the stack qudit-demo walks
     assert np.array_equal(channels, [qudit_bell(d, j, k).amplitudes for j, k in labels])
-    assert np.array_equal(tables, [[qudit._gate_table(d, j, k)] for j, k in labels])
+    assert np.array_equal(tables, [qudit._label_stack(d, [label])[2][0] for label in labels])
     assert levels == [((0, 1), qudit._bell_bra(d))] and settle is qudit._walked
     clients = client.amplitudes[None]
     roots, _, _, new = protocol._teleports(clients, channels, levels, tables, settle)

@@ -10,10 +10,10 @@ The growth of the peak per extra row bounds what a row costs until it
 is written: the tables go out a chunk at a time from column arrays, so
 a row holds a few numbers, not a Python row object.
 
-The channel builders, checks and class analyses are measured
-in-process with ``tracemalloc``, in units of the 1 MiB state of 16
-qubits: each is run once first, so that cached tables such as the
-parity sign are not counted.
+The channel builders, checks, class analyses and the bound scan are
+measured in-process with ``tracemalloc``, the first ones in units of the
+1 MiB state of 16 qubits: each is run once first, so that cached tables
+such as the parity sign are not counted.
 """
 
 import argparse
@@ -23,9 +23,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bellport import bell, channels, cli
+from bellport import bell, channels, cli, protocol, qudit
+from bellport.states import random_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = (
@@ -128,3 +130,26 @@ def test_parity_signs_are_kept_for_at_most_four_sizes():
     for L in range(2, 14, 2):
         bell.upsilon_expectations(channels.build(channels.parse_channel_spec(f"random:{L}:1")))
     assert bell._parity.cache_info().currsize <= 4
+
+
+def test_bound_scan_holds_one_grid_of_delta():
+    # Delta on the 121^3 grid is 14 MiB, two while a refinement replaces it
+    # (28 MiB), and the rest of the scan 121^2 arrays; three full
+    # meshgrids, |b|^2, |c|^2 and their complex temporaries peaked at 203 MiB
+    assert traced_peak(lambda: protocol.min_fidelity_scan(np.pi / 3)) <= 64 * 2**20
+
+
+def test_qudit_teleport_keeps_no_gate_table():
+    # a cache of one-label tables kept 16 tables of 16 d^4 B (64 KiB at
+    # d = 8) after 16 calls with distinct labels
+    d = 8
+    client = random_state(1, d, 0)
+    qudit.qudit_teleport(client, (0, 0), rng=0)
+    tracemalloc.start()
+    try:
+        for label in np.ndindex(4, 4):
+            qudit.qudit_teleport(client, label, rng=0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * d**4

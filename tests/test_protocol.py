@@ -320,6 +320,79 @@ def test_min_fidelity_scan_argmin_structure():
         min_fidelity_scan(3.5)
 
 
+def old_min_fidelity_scan(theta, grid_points=121, refinements=2):
+    """The scan as it evaluated full meshgrids and built a result per pass."""
+    c2, s2 = np.cos(theta / 2.0), np.sin(theta / 2.0)
+
+    def evaluate(re_a, im_a, frac):
+        a = re_a + 1j * im_a
+        abs_a2 = np.abs(a) ** 2
+        leftover = 2.0 * np.clip(1.0 - abs_a2, 0.0, None)
+        b2 = leftover * frac
+        num = np.abs(c2 + a * s2) ** 2
+        delta = num / (num + b2 * s2**2)
+        delta = np.where(abs_a2 > 1.0, np.inf, delta)
+        return delta, b2, leftover * (1.0 - frac)
+
+    lo = np.array([-1.0, -1.0, 0.0])
+    hi = np.array([1.0, 1.0, 1.0])
+    best = None
+    for _ in range(refinements + 1):
+        axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(3)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        delta, b2, cc2 = evaluate(*grids)
+        i = np.unravel_index(np.argmin(delta), delta.shape)
+        best = (
+            float(theta),
+            float(delta[i]),
+            complex(grids[0][i] + 1j * grids[1][i]),
+            float(np.sqrt(b2[i])),
+            float(np.sqrt(cc2[i])),
+        )
+        center = np.array([grids[0][i], grids[1][i], grids[2][i]])
+        span = (hi - lo) * (2.0 / (grid_points - 1))
+        lo = np.maximum(center - span, [-1.0, -1.0, 0.0])
+        hi = np.minimum(center + span, [1.0, 1.0, 1.0])
+    return best
+
+
+def scan_fields(res):
+    return (res.theta, res.minimum, res.a, res.b_mag, res.c_mag)
+
+
+SCAN_THETAS = [
+    *np.linspace(0.0, np.pi, 41, endpoint=False),
+    np.pi / 2,
+    np.nextafter(np.pi / 2, 0.0),
+    np.nextafter(np.pi, 0.0),
+]
+
+
+@pytest.mark.parametrize("refinements", range(4))
+@pytest.mark.parametrize("grid_points", [3, 11, 31])
+def test_min_fidelity_scan_is_the_meshgrid_scan_bit_for_bit(grid_points, refinements):
+    for theta in SCAN_THETAS:
+        new = min_fidelity_scan(theta, grid_points, refinements)
+        old = old_min_fidelity_scan(theta, grid_points, refinements)
+        assert repr(scan_fields(new)) == repr(old), theta
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 1.0471975512, np.pi / 2, 2.5])
+def test_min_fidelity_scan_defaults_are_the_meshgrid_scan_bit_for_bit(theta):
+    assert repr(scan_fields(min_fidelity_scan(theta))) == repr(old_min_fidelity_scan(theta))
+
+
+@pytest.mark.parametrize("grid_points", [1, 2])
+def test_min_fidelity_scan_refuses_fewer_than_three_grid_points(grid_points):
+    with pytest.raises(ValueError, match="grid_points"):
+        min_fidelity_scan(1.0, grid_points=grid_points)
+
+
+def test_min_fidelity_scan_refuses_negative_refinements():
+    with pytest.raises(ValueError, match="refinements"):
+        min_fidelity_scan(1.0, refinements=-1)
+
+
 def test_fig2_rows_respect_bound_and_cover_range():
     rows = fig2_run(trials=150, seed=7)
     assert len(rows) == 600

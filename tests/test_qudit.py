@@ -11,7 +11,6 @@ from bellport.measure import bell_measure
 from bellport.protocol import _teleports, teleport
 from bellport.qudit import (
     _bell_bra,
-    _gate_table,
     _label_stack,
     _walked,
     apply_qudit_upsilon,
@@ -157,31 +156,38 @@ def test_qudit_teleport_all_branches(d):
             assert abs(res.record.joint_probability - 1.0 / d**2) < 1e-12
 
 
-@pytest.mark.parametrize("d", range(2, 8))
-def test_gate_table_is_c_ordered_read_only_and_the_transposed_build(d):
-    # the build before the tables were made C-ordered: a transposed view
+def transposed_build(d):
+    """The oracle of Bob's gate table of each label (j, k): the transposed
+    view of ``generalized_pauli(d, k, j) @ tail`` built before the tables
+    were C-ordered, copied C-ordered."""
     shift, phase = permutation_matrix(d), phase_matrix(d)
     powers_p = [np.linalg.matrix_power(shift, q) for q in range(d)]
     powers_q = [np.linalg.matrix_power(phase, -p % d) for p in range(d)]
     tail = np.array(powers_p)[None] @ np.array(powers_q)[:, None]
+    return lambda j, k: np.ascontiguousarray(
+        (generalized_pauli(d, k, j) @ tail).conj().swapaxes(-1, -2).reshape(d * d, d, d)
+    )
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_gate_table_is_c_ordered_read_only_and_the_transposed_build(d):
+    # the one-label table that qudit_teleport reads; it is filled for each
+    # call, so nothing shared is left to be read-only
+    old = transposed_build(d)
     for j, k in product(range(d), repeat=2):
-        old = (generalized_pauli(d, k, j) @ tail).conj().swapaxes(-1, -2).reshape(d * d, d, d)
-        table = _gate_table(d, j, k)
-        assert table.flags.c_contiguous and not table.flags.writeable
-        assert np.array_equal(table.view(np.uint64), np.ascontiguousarray(old).view(np.uint64))
-        with pytest.raises(ValueError):
-            table[0, 0, 0] = 0.0
+        _, _, tables, _ = _label_stack(d, [(j, k)])
+        assert tables.shape == (1, 1, d * d, d, d) and tables.flags.c_contiguous
+        assert np.array_equal(tables[0, 0].view(np.uint64), old(j, k).view(np.uint64))
 
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_label_stack_holds_each_gate_table_once(d):
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # qudit-demo's
-    _gate_table.cache_clear()
+    old = transposed_build(d)
     _, _, tables, _ = _label_stack(d, labels)
-    assert _gate_table.cache_info().currsize == 0  # none kept besides the stack
     assert tables.shape == (4, 1, d * d, d, d) and tables.flags.c_contiguous
     for (j, k), table in zip(labels, tables[:, 0]):
-        assert np.array_equal(table.view(np.uint64), _gate_table(d, j, k).view(np.uint64))
+        assert np.array_equal(table.view(np.uint64), old(j, k).view(np.uint64))
 
 
 def test_qudit_bell_bra_built_once_and_read_only():
@@ -199,7 +205,6 @@ def test_bell_bra_cache_keeps_the_four_dimensions_of_the_gate_tables():
     for d in range(2, 13):
         _bell_bra(d)
         assert _bell_bra.cache_info().currsize <= 4
-    assert 4 * _bell_bra.cache_info().maxsize == _gate_table.cache_info().maxsize  # 4 labels a dim
     assert _bell_bra(12) is _bell_bra(12)
 
 
@@ -319,9 +324,8 @@ def test_mean_branch_fidelity_is_the_class_weight_law(d, seed):
     weights = qudit_decompose(channel)
     clients = mub_states(d)
     for label in product(range(d), repeat=2):
-        tables = _gate_table(d, *label)[None, None]  # one channel, one class
+        _, levels, tables, _ = _label_stack(d, [label])  # one channel, one class
         channels = channel.amplitudes[None]
-        levels = [((0, 1), _bell_bra(d))]
         mean = np.mean(
             [
                 np.dot(branches.probs[:, 0], branches.fidelities)

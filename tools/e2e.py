@@ -50,7 +50,7 @@ CASES = (
     Case("order-param --channel random:8:3"),
     Case("cluster-check"),
     Case("aklt-check"),
-    Case("bound-scan --theta 1.0471975512"),
+    Case("bound-scan --theta 1.0471975512", 75),  # Delta is its one 121^3 grid
     Case("three-qubit"),
     Case("qudit-demo"),
     Case("heisenberg-check"),
