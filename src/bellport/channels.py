@@ -10,13 +10,14 @@ state is built in the virtual-qubit picture together with its string
 order parameter.  These builders are index maps: a dimer product moves
 the bits of the Majumdar-Ghosh product, the Heisenberg ring uses
 S_i . S_j = SWAP_ij / 2 - 1/4 in its S^z = 0 sector, split by
-translation momentum (conjugate momenta share a spectrum, and the gap is
-taken over the union of all of them), and an AKLT junction is
-(1 + SWAP) / 2.  No builder exceeds MAX_QUBITS qubits.
+translation momentum (only the ground state's momentum is diagonalized,
+and Cholesky factorizations of the other sectors certify the gap), and
+an AKLT junction is (1 + SWAP) / 2.  No builder exceeds MAX_QUBITS qubits.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,8 +126,17 @@ def parse_channel_spec(text: str) -> ChannelSpec:
     return ChannelSpec(kind=kind, qubits=qubits, seed=seed)
 
 
+def _index(L: int) -> int:
+    """L as an int; a size such as 2.0 is refused."""
+    try:
+        return operator.index(L)
+    except TypeError:
+        raise TypeError(f"channel size must be an integer, got {L!r}") from None
+
+
 def _require_even(L: int) -> int:
     """The pair count L // 2 of a positive even qubit count L."""
+    L = _index(L)
     if L < 2 or L % 2 != 0:
         raise ValueError(f"channel size must be a positive even qubit count, got {L}")
     return L // 2
@@ -134,6 +144,7 @@ def _require_even(L: int) -> int:
 
 def _check_size(L: int) -> int:
     """L, unless it exceeds MAX_QUBITS."""
+    L = _index(L)
     if L > MAX_QUBITS:
         raise ValueError(f"{L} qubits exceed the limit of {MAX_QUBITS}")
     return L
@@ -251,23 +262,31 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     fall into orbits under the cyclic shift T; the momentum state of
     representative r with period p exists when m p = 0 mod L, and bond
     swaps give H_k[b, a] = sum e^{ikt} sqrt(p_a / p_b) / 2 over the bonds
-    taking a to T^t b.  H_k and H_{-k} share a spectrum, so only
-    m <= L/2 is diagonalized and 0 < m < L/2 counts twice; H_k is real
-    at k = 0 and k = pi.  All H_k are filled by one scatter-add into a
-    zero-padded stack, in momentum order, and each is diagonalized as
-    its own block of the stack.  The gap is taken over the union of the
-    sector spectra, so it is the S^z = 0 gap, which is the full gap:
-    every SU(2) multiplet of an even ring has an S^z = 0 member.
-    Raises DegenerateGroundStateError unless the gap is at least
-    ``degeneracy_tol`` (so a NaN tolerance always raises).
+    taking a to T^t b.  H_k is real at k = 0 and k = pi, and H_{-k} has
+    the spectrum of H_k, so only m <= L/2 is built: all H_k are filled by
+    one scatter-add into a zero-padded stack, in momentum order.
+
+    By the Marshall and Lieb-Mattis theorems the ground state has k = 0
+    when L/2 is even and k = pi when it is odd, so one eigh of that block
+    gives the ground state, and ``_gap_certified`` checks the gap against
+    the other blocks by Cholesky factorizations, without their spectra.
+    Only when the certificate fails is every block diagonalized, each
+    0 < m < L/2 counting twice, and the gap taken over the union of the
+    spectra, with the ground state from the block holding the minimum;
+    the outcome is the union's either way.  The gap is the S^z = 0 gap,
+    which is the full gap: every SU(2) multiplet of an even ring has an
+    S^z = 0 member.  Raises DegenerateGroundStateError unless the gap is
+    at least ``degeneracy_tol`` (so a NaN tolerance always raises).
     """
     _require_even(L)
     if L > 12:
         raise ValueError("the Heisenberg ring ground state is limited to L <= 12")
     place = np.arange(L - 1, -1, -1)  # site s is bit L-1-s
     weights = 1 << place
-    bits = np.arange(2**L)[:, None] >> place & 1
-    basis = np.flatnonzero(bits.sum(1) == L // 2)
+    ones = np.zeros(1, dtype=np.intp)  # ones[x] counts the set bits of x
+    for _ in range(L):  # a new top bit adds one to the table so far
+        ones = np.concatenate((ones, ones + 1))
+    basis = np.flatnonzero(ones == L // 2)
     # images[:, j - 1] is T^j x for j = 1..L, where T moves site s to s + 1
     j = np.arange(1, L + 1)
     images = (basis[:, None] >> j | basis[:, None] << L - j) & (2**L - 1)
@@ -278,8 +297,9 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     shift = L - 1 - first  # x = T^shift r for the representative r of its orbit
     period = (images[np.searchsorted(basis, reps)] == reps[:, None]).argmax(1) + 1
     # bond b of representative a swaps it into T^t r for the representative r
-    nxt = np.roll(np.arange(L), -1)
-    swapped = reps[:, None] + (bits[reps][:, nxt] - bits[reps]) * (weights - weights[nxt])
+    nxt = (np.arange(L) + 1) % L
+    bits = reps[:, None] >> place & 1
+    swapped = reps[:, None] + (bits[:, nxt] - bits) * (weights - weights[nxt])
     col = np.searchsorted(basis, swapped).ravel()
     source, target, t = np.repeat(np.arange(len(reps)), L), orbit[col], shift[col]
     weight = 0.5 * np.sqrt(period[source] / period[target])
@@ -294,27 +314,28 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
     size = row[:, -1] + 1
     n = int(size.max())
     H = np.zeros((len(ms), n, n), dtype=complex)
-    H[:, np.arange(n), np.arange(n)] = -L / 4
+    H.reshape(len(ms), n * n)[:, :: n + 1] = -L / 4  # every diagonal
     sector, bond = np.nonzero(live[:, source] & live[:, target])
     phase = root[sector * t[bond] % L]
     flat = (sector * n + row[sector, target[bond]]) * n + row[sector, source[bond]]
     np.add.at(H.reshape(-1), flat, phase * weight[bond])
 
-    spectra, blocks = [], []
-    for m in ms:
+    def block(m):  # sector m's H_k, real at k = 0 and k = pi
         h = H[m, : size[m], : size[m]]
-        if 2 * m % L == 0:
-            h = h.real
-            spectra.append(np.linalg.eigvalsh(h))
-        else:  # the conjugate momentum -k has the same spectrum
-            spectra.append(np.repeat(np.linalg.eigvalsh(h), 2))
-        blocks.append(h)
-    union = np.sort(np.concatenate(spectra))
-    gap = float(union[1] - union[0])
-    if not gap >= degeneracy_tol:
-        raise DegenerateGroundStateError(gap, degeneracy_tol)
-    m = int(np.argmin([e[0] for e in spectra]))
-    vector = np.linalg.eigh(blocks[m])[1][:, 0]
+        return h.real if 2 * m % L == 0 else h
+
+    m = L // 2 if L // 2 % 2 else 0  # Marshall, Lieb-Mattis: k = pi iff L/2 is odd
+    energies, vectors = np.linalg.eigh(block(m))
+    vector = vectors[:, 0]
+    if not _gap_certified(H, size, m, energies, degeneracy_tol):
+        spectra = [np.linalg.eigvalsh(block(k)) for k in ms]
+        # the conjugate momenta -k of 0 < k < pi have the same spectra
+        union = np.sort(np.concatenate(spectra + spectra[1:-1]))
+        gap = float(union[1] - union[0])
+        if not gap >= degeneracy_tol:
+            raise DegenerateGroundStateError(gap, degeneracy_tol)
+        m = int(np.argmin([e[0] for e in spectra]))
+        vector = np.linalg.eigh(block(m))[1][:, 0]
     live, row = live[m], row[m]
     keep = live[orbit]  # x = T^shift r holds e^{-ik shift} / sqrt(period) of r's state
     ground = np.zeros(2**L, dtype=complex)
@@ -324,6 +345,46 @@ def heisenberg_ring_ground(L: int, degeneracy_tol: float = 1e-8) -> PureState:
         / np.sqrt(period[orbit[keep]])
     )
     return _normalize_own(ground)
+
+
+# The certificate asks for this much more gap than the tolerance: far more
+# than eigh, eigvalsh and Cholesky round by at L <= 12 (n eps ||H|| < 1e-12),
+# so it never passes where the union of the sector spectra would raise.
+_GAP_SLACK = 1e-9
+
+
+def _gap_certified(
+    H: np.ndarray, size: np.ndarray, m: int, energies: np.ndarray, tol: float
+) -> bool:
+    """Whether sector m of the stack H holds the ground state alone, with
+    every other level at least ``tol`` above it.
+
+    Sector m is one of the two real sectors, k = 0 (H[0]) or k = pi
+    (H[-1]), and ``energies`` is its spectrum.  Inside it the check is
+    energies[1] - energies[0] >= tol.  Every other sector's
+    H_k - (E_0 + tol) I must be positive definite, which a Cholesky
+    factorization decides: one of the other real block, and one batched
+    over the complex blocks, whose padding gets a unit diagonal.  Both
+    checks ask for _GAP_SLACK more than ``tol``.  A tolerance that is not
+    a finite number >= 0 certifies nothing; a negative one would not even
+    place the sector's E_0 below the other sectors.
+    """
+    if not 0 <= tol < np.inf:
+        return False
+    tol += _GAP_SLACK
+    if len(energies) > 1 and not energies[1] - energies[0] >= tol:
+        return False
+    shift = energies[0] + tol
+    n, k = H.shape[1], len(H) - 1 - m  # the other real sector
+    real = H[k, : size[k], : size[k]].real - shift * np.eye(size[k])
+    inner = H[1:-1] - shift * np.eye(n)
+    inner.reshape(len(inner), n * n)[:, :: n + 1][np.arange(n) >= size[1:-1, None]] = 1
+    try:
+        np.linalg.cholesky(real)
+        np.linalg.cholesky(inner)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

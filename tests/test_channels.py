@@ -467,16 +467,83 @@ def old_heisenberg_ring_ground(L, degeneracy_tol=1e-8):
     return _normalize_own(ground)
 
 
+def heisenberg_outcome(build, L, tol):
+    """The state's bits, or the bits of the gap that refused it."""
+    try:
+        return "state", build(L, degeneracy_tol=tol).amplitudes.tobytes()
+    except DegenerateGroundStateError as err:
+        return "raised", np.float64(err.gap).tobytes()
+
+
+def certificate_tolerances(L):
+    """Tolerances on both sides of the certificate, by name; some are set by
+    the sector loop's gap."""
+    with pytest.raises(DegenerateGroundStateError) as err:
+        old_heisenberg_ring_ground(L, degeneracy_tol=np.inf)
+    gap = err.value.gap
+    return {
+        "default": 1e-8,
+        "nan": np.nan,
+        "inf": np.inf,
+        "zero": 0.0,
+        "minus-one": -1.0,
+        "ten": 10.0,
+        "gap-1e-6": gap - 1e-6,
+        "gap+1e-6": gap + 1e-6,
+        "gap-ulp": np.nextafter(gap, 0),
+        "gap": gap,
+        "gap+ulp": np.nextafter(gap, np.inf),
+    }
+
+
 @pytest.mark.parametrize("L", range(2, 13, 2))
 def test_heisenberg_sector_stack_keeps_the_bits_of_the_sector_loop(L):
-    """The padded stack hands each sector's block to the same eigvalsh and
-    eigh, so the ground state and the gap are the loop's bits."""
-    assert same_bits(heisenberg_ring_ground(L), old_heisenberg_ring_ground(L))
-    with pytest.raises(DegenerateGroundStateError) as new:
-        heisenberg_ring_ground(L, degeneracy_tol=10.0)
-    with pytest.raises(DegenerateGroundStateError) as old:
-        old_heisenberg_ring_ground(L, degeneracy_tol=10.0)
-    assert new.value.gap == old.value.gap
+    """Whether the Lieb-Mattis sector's gap is certified or every sector is
+    diagonalized, the state's bits, the raise and the gap's bits are the
+    sector loop's, at every tolerance, one ulp either side of the gap too."""
+    for name, tol in certificate_tolerances(L).items():
+        expected = heisenberg_outcome(old_heisenberg_ring_ground, L, tol)
+        assert heisenberg_outcome(heisenberg_ring_ground, L, tol) == expected, name
+
+
+def count_eigensolves(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def spy(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("L", range(2, 13, 2))
+def test_heisenberg_certified_ground_state_is_one_eigensolve(L, monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    heisenberg_ring_ground(L)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("L", [2, 8])
+def test_heisenberg_uncertified_tolerance_diagonalizes_every_sector(L, monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    heisenberg_ring_ground(L, degeneracy_tol=-1.0)
+    assert calls == {"eigh": 2, "eigvalsh": L // 2 + 1}
+
+
+def test_heisenberg_certificate_on_a_small_stack():
+    """Each check decides where the rings up to L = 12 leave it idle: the
+    lowest excitation inside the certified sector, and a padded diagonal
+    below E_0 + tol, which must fail nothing since only live parts count."""
+    H = np.zeros((3, 2, 2), dtype=complex)
+    H[0] = np.diag([-2.0, 5.0])  # the certified sector, k = 0
+    H[1] = np.diag([3.0, -1.0])  # one live level; -1 is padding
+    H[2] = np.diag([4.0, 6.0])
+    size = np.array([2, 1, 2])
+    assert channels._gap_certified(H, size, 0, np.array([-2.0, 5.0]), 1.5)
+    assert not channels._gap_certified(H, size, 0, np.array([-2.0, 5.0]), 5.5)
+    assert not channels._gap_certified(H, size, 0, np.array([-2.0, -1.0]), 1.5)
 
 
 def test_heisenberg_nan_tolerance_raises():
@@ -653,6 +720,34 @@ def test_builders_refuse_more_than_max_qubits():
     ):
         with pytest.raises(ValueError, match="limit"):
             make()
+
+
+SIZED_BUILDERS = {
+    "ghz": ghz_state,
+    "mg-dimers": majumdar_ghosh_dimers,
+    "singlet-random": singlet_random,
+    "heisenberg-ring": heisenberg_ring_ground,
+    "cluster1d": cluster_state,
+    "aklt": aklt_state,
+    "aklt-norm": aklt_projection_norm,
+    "matchings": noncrossing_matchings,
+    "g-operators": cluster_g_operators,
+} | {
+    f"spec-{kind}": partial(lambda kind, L: build(ChannelSpec(kind=kind, qubits=L, seed=1)), kind)
+    for kind in ("singlet-random", "mg-dimers", "heisenberg-ring", "cluster1d", "ghz", "aklt", "random")
+}
+
+
+@pytest.mark.parametrize("size", [2.0, 4.0, np.float64(6), "4"], ids=repr)
+@pytest.mark.parametrize("builder", SIZED_BUILDERS)
+def test_builders_refuse_a_size_that_is_not_an_integer(builder, size):
+    with pytest.raises(TypeError, match="channel size must be an integer"):
+        SIZED_BUILDERS[builder](size)
+
+
+@pytest.mark.parametrize("builder", SIZED_BUILDERS)
+def test_builders_take_a_numpy_integer_size(builder):
+    SIZED_BUILDERS[builder](np.int64(4))
 
 
 def test_builders_accept_max_qubits():
