@@ -23,7 +23,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
 from itertools import chain, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,7 +93,12 @@ _APPENDIX_A_PAIRS = [
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the BSD EX_USAGE exit code for bad invocations."""
+    """argparse with the BSD EX_USAGE exit code for bad invocations, and the
+    description and epilog printed unwrapped: a subcommand's --help ends
+    with its CSV header on one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs)
 
     def error(self, message):  # noqa: D102 - argparse override
         self.print_usage(sys.stderr)
@@ -231,11 +236,22 @@ def _chunks(n: int) -> Iterator[slice]:
     return (slice(i, i + _CHUNK_ROWS) for i in range(0, n, _CHUNK_ROWS))
 
 
-def _one_row(cells: Sequence[tuple[str, object]]) -> tuple[tuple[str, ...], list[list]]:
-    """The columns and the one chunk of a one-row table given as (column,
-    value) pairs."""
-    columns, row = zip(*cells)
-    return columns, [[[value] for value in row]]
+def _one_row(values: Iterable) -> list[list[list]]:
+    """The one chunk of a one-row table with ``values`` in header order."""
+    return [[[value] for value in values]]
+
+
+def _failures(*held) -> int:
+    """The number of claims that fail; each of ``held`` is a bool, or an array
+    of them, True where its claim holds, so a comparison with a NaN fails."""
+    return sum(int(np.size(h) - np.count_nonzero(h)) for h in held)
+
+
+def _check_rows(checks: Sequence[tuple]) -> tuple[list, int]:
+    """The one chunk of a check table, whose rows are (check, value,
+    reference, held) with held printed as 0 or 1, and its failures."""
+    names, values, references, held = zip(*checks)
+    return [(names, values, references, tuple(map(int, held)))], _failures(held)
 
 
 class EmptyDataError(ValueError):
@@ -283,10 +299,10 @@ def _outcome_texts(codes: np.ndarray, pairs: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (meta, columns, chunks, violations), the
-# chunks as write_table takes them, and main puts the subcommand's name first
-# in meta and, unless violations is None (a subcommand that checks no claim),
-# the violations last
+# subcommand handlers: each returns (meta, chunks, violations), the chunks as
+# write_table takes them under the subcommand's header in _SUBCOMMANDS, and
+# main puts the subcommand's name first in meta and, unless violations is None
+# (a subcommand that checks no claim), the violations last
 
 
 def _cmd_teleport(args):
@@ -301,7 +317,6 @@ def _cmd_teleport(args):
             f"pairing {args.pairing!r} must measure all but one of sites 0..{sites - 1}"
         ) from exc
     client = random_state(1, 2, np.random.default_rng(args.seed))
-    columns = ["run", "outcomes", "measured_class", "joint_probability", "fidelity"]
     trials = None if args.enumerate_branches else args.trials
     rng = np.random.default_rng(args.seed + 1)  # read only by sampled runs
     _, leaves, branches = _channel_teleports(client, channel, [assumed], pairing, trials, rng)
@@ -332,7 +347,7 @@ def _cmd_teleport(args):
         "pairing": args.pairing or "default",
         "enumerate_branches": args.enumerate_branches,
     }
-    return meta, columns, chunks(), None
+    return meta, chunks(), None
 
 
 def _cmd_fig2(args):
@@ -362,8 +377,7 @@ def _cmd_fig2(args):
                     _KINDS[b.kind[chunk]],
                 )
 
-    columns = ["trial", "assumed_class", "omega", "measured_class", "fidelity", "channel_kind"]
-    return meta, columns, chunks(), violations
+    return meta, chunks(), violations
 
 
 def _cmd_appendix_a(args):
@@ -372,7 +386,6 @@ def _cmd_appendix_a(args):
         raise UsageError(f"phi must be a number with 2 * phi finite, got {phi}")
     channel = PureState(np.cos(phi) * _APPENDIX_A_PAIRS[0] + np.sin(phi) * _APPENDIX_A_PAIRS[1])
     client = random_state(1, 2, np.random.default_rng(args.seed))
-    columns = ["p1", "q1", "p2", "q2", "probability", "expected", "agg_class"]
     _, _, branches = _channel_teleports(client, channel, [], None)  # no class: rows only
     first, second = np.divmod(np.arange(16), 4)  # the rows of each branch, in order
     prob = np.zeros(16)  # an impossible branch has probability 0
@@ -381,8 +394,9 @@ def _cmd_appendix_a(args):
     expected = (1.0 - labels[second].prod(axis=1) * np.sin(2 * phi)) / 16.0
     agg = first ^ second  # the class of both outcomes
     class_prob = np.bincount(agg, weights=prob, minlength=4)  # summed in branch order
-    violations = int((~(abs(prob - expected) <= _CLOSED_FORM_TOL)).sum())  # NaN is a violation too
-    violations += int((~(abs(class_prob - 0.25) <= _CLOSED_FORM_TOL)).sum())
+    violations = _failures(
+        abs(prob - expected) <= _CLOSED_FORM_TOL, abs(class_prob - 0.25) <= _CLOSED_FORM_TOL
+    )
     chunk = (*labels[first].T, *labels[second].T, prob, expected, _SIGNS[agg])
     meta = {
         "seed": args.seed,
@@ -391,42 +405,35 @@ def _cmd_appendix_a(args):
             f"{sign}={p:.12g}" for sign, p in zip(_SIGNS.tolist(), class_prob.tolist())
         ),
     }
-    return meta, columns, [chunk], violations
+    return meta, [chunk], violations
 
 
 def _cmd_order_param(args):
     state = _channel(args.channel, args.seed)
     op = order_parameter(state)
     weights = _class_weights(state)
-    cells = [*zip(("t1", "t2", "t3"), op.t_vector), ("efficiency", op.efficiency)]
-    cells += [(f"omega_{format_sign_pair(c)}", op.omega[c]) for c in BELL_CLASSES]
-    cells += [(f"weight_{format_sign_pair(c)}", weights[c] ** 2) for c in BELL_CLASSES]
+    omegas = [op.omega[c] for c in BELL_CLASSES]
+    values = [*op.t_vector, op.efficiency, *omegas, *(weights[c] ** 2 for c in BELL_CLASSES)]
     meta = {"channel": args.channel, "seed": args.seed}
-    return meta, *_one_row(cells), None
+    return meta, _one_row(values), None
 
 
 def _cmd_cluster_check(args):
     L = args.qubits
     state = _built(cluster_state, L, "cluster-check")
-    columns = ["check", "value", "deviation", "ok"]
-    rows = []
-    violations = 0
-    checks = [(f"K{j}", cluster_stabilizer(j, L)) for j in range(1, L + 1)]
-    checks += [
+    ops = [(f"K{j}", cluster_stabilizer(j, L)) for j in range(1, L + 1)]
+    ops += [
         (f"{name}[{'-' if g.sign < 0 else '+'}{''.join(str(f) for f in g.factors)}]", g)
         for name, g in zip(("G1", "G2"), cluster_g_operators(L))
     ]
-    for name, op in checks:
+    checks = []
+    for name, op in ops:
         rep = stabilizer_report(state, op, name)
         ok = abs(rep.eigenvalue - 1.0) <= _CLAIM_TOL and rep.deviation <= _CLAIM_TOL
-        violations += not ok
-        rows.append([name, rep.eigenvalue, rep.deviation, int(ok)])
-    top = max(_class_weights(state).values()) ** 2
-    ok = top < 1.0 - 1e-6  # cluster states must straddle classes
-    violations += not ok
-    rows.append(["max_class_weight", top, 0.0, int(ok)])
-    meta = {"qubits": L}
-    return meta, columns, [list(zip(*rows))], violations
+        checks.append((name, rep.eigenvalue, rep.deviation, ok))
+    top = max(_class_weights(state).values()) ** 2  # cluster states must straddle classes
+    checks.append(("max_class_weight", top, 0.0, top < 1.0 - 1e-6))
+    return {"qubits": L}, *_check_rows(checks)
 
 
 def _cmd_aklt_check(args):
@@ -436,8 +443,6 @@ def _cmd_aklt_check(args):
     e1, e2, e3 = upsilon_expectations(state)
     relation = -((-1.0) ** (L // 2)) * s_order
     pure = _pure_class(_omega_squares(_omega(e1, e2, e3)))
-    columns = ["check", "value", "expected", "ok"]
-    rows = []
     checks = [
         ("string_order", s_order, -1.0, abs(s_order + 1.0) <= _CLAIM_TOL),
         ("upsilon2_vs_string", e2, relation, abs(e2 - relation) <= _CLAIM_TOL),
@@ -448,12 +453,7 @@ def _cmd_aklt_check(args):
             pure is not None,
         ),
     ]
-    violations = 0
-    for name, value, expected, ok in checks:
-        violations += not ok
-        rows.append([name, value, expected, int(ok)])
-    meta = {"qubits": L}
-    return meta, columns, [list(zip(*rows))], violations
+    return {"qubits": L}, *_check_rows(checks)
 
 
 def _cmd_bound_scan(args):
@@ -463,27 +463,15 @@ def _cmd_bound_scan(args):
     res = min_fidelity_scan(theta)
     cos, sin = float(np.cos(theta)), np.sin(theta)
     expected = max(cos, 0.0)
-    ok = abs(res.minimum - expected) <= 1e-3
+    error = abs(res.minimum - expected)
     predicted_a = 0.0
     if theta > 0:  # the minimizing real a: -tan(theta/2), or -cot(theta/2) at Delta = 0
         predicted_a = (cos - 1.0 if theta <= np.pi / 2 else -(1.0 + cos)) / sin
-    cells = [
-        ("theta", theta),
-        ("minimum", res.minimum),
-        ("cos_theta", cos),
-        ("abs_error", abs(res.minimum - expected)),
-        ("argmin_re_a", res.a.real),
-        ("argmin_im_a", res.a.imag),
-        ("argmin_abs_b", res.b_mag),
-        ("argmin_abs_c", res.c_mag),
-        ("predicted_a", predicted_a),
-    ]
-    meta = {"theta": theta}
-    return meta, *_one_row(cells), int(not ok)
+    values = [theta, res.minimum, cos, error, res.a.real, res.a.imag, res.b_mag, res.c_mag]
+    return {"theta": theta}, _one_row([*values, predicted_a]), _failures(error <= 1e-3)
 
 
 def _cmd_three_qubit(args):
-    columns = ["j", "k", "l", "mode", "outcome", "probability", "fidelity"]
     client = random_state(1, 2, np.random.default_rng(args.seed)).amplitudes
     parts = []  # per mode: its branches' (channel, mode, outcome, probability, fidelity)
     for mode, (labels, levels, _, settle) in _OUTCOMES.items():
@@ -495,7 +483,7 @@ def _cmd_three_qubit(args):
     roots, *cells = map(np.concatenate, zip(*parts))
     order = np.argsort(roots, kind="stable")  # by channel, each in mode order
     chunk = (*np.array(BELL3_LABELS)[roots[order]].T, *(cell[order] for cell in cells))
-    violations = int((~(cells[-1] >= 1.0 - _CLAIM_TOL)).sum())
+    violations = _failures(cells[-1] >= 1.0 - _CLAIM_TOL)
     rank_p, det_p = theta_rank(1)
     rank_m, det_m = theta_rank(-1)
     meta = {
@@ -505,7 +493,7 @@ def _cmd_three_qubit(args):
         "theta_rank_kappa_minus": rank_m,
         "theta_det_kappa_minus": f"{abs(det_m):.3e}",
     }
-    return meta, columns, [chunk], violations
+    return meta, [chunk], violations
 
 
 def _cmd_qudit_demo(args):
@@ -518,15 +506,14 @@ def _cmd_qudit_demo(args):
             f"{16 * 2**MAX_QUBITS} B limit"
         )
     client = random_state(1, d, np.random.default_rng(args.seed)).amplitudes
-    columns = ["d", "j", "k", "p", "q", "probability", "fidelity"]
     labels = [(0, 0), (1 % d, 0), (0, 1 % d), (d - 1, d - 1)]  # distinct for d >= 2
     roots, _, _, branches = _teleports(client[None], *_label_stack(d, labels))
     j, k = np.array(labels)[roots].T
     p, q = np.divmod(branches.rows[:, 0], d)
     chunk = (np.full(len(roots), d), j, k, p, q, branches.probs[:, 0], branches.fidelities)
-    violations = int((~(branches.fidelities >= 1.0 - _CLAIM_TOL)).sum())
+    violations = _failures(branches.fidelities >= 1.0 - _CLAIM_TOL)
     meta = {"seed": args.seed, "dim": d}
-    return meta, columns, [chunk], violations
+    return meta, [chunk], violations
 
 
 def _cmd_heisenberg_check(args):
@@ -539,166 +526,148 @@ def _cmd_heisenberg_check(args):
     client = random_state(1, 2, rng)
     assumed = _dominant_class(squares)
     _, _, branches = _channel_teleports(client, ground, [assumed], None, args.trials, rng)
-    min_f = min(branches.fidelities.tolist())  # Python's min: a NaN orders as it always has
-    violations = int(abs(op.efficiency - 1.0) > _EIGEN_TOL) + int(min_f < 1.0 - _EIGEN_TOL)
-    cells = [
-        ("L", L),
-        ("efficiency", op.efficiency),
-        ("pure_class", format_sign_pair(pure) if pure else "none"),
-        ("sampled_runs", args.trials),
-        ("min_fidelity", min_f),
-    ]
+    min_f = float(branches.fidelities.min())  # NaN if any run's fidelity is NaN
+    violations = _failures(abs(op.efficiency - 1.0) <= _EIGEN_TOL, min_f >= 1.0 - _EIGEN_TOL)
+    values = [L, op.efficiency, format_sign_pair(pure) if pure else "none", args.trials, min_f]
     meta = {"qubits": L, "seed": args.seed, "trials": args.trials}
-    return meta, *_one_row(cells), violations
+    return meta, _one_row(values), violations
 
 
-_HANDLERS: dict[str, Callable] = {
-    "teleport": _cmd_teleport,
-    "fig2": _cmd_fig2,
-    "appendix-a": _cmd_appendix_a,
-    "order-param": _cmd_order_param,
-    "cluster-check": _cmd_cluster_check,
-    "aklt-check": _cmd_aklt_check,
-    "bound-scan": _cmd_bound_scan,
-    "three-qubit": _cmd_three_qubit,
-    "qudit-demo": _cmd_qudit_demo,
-    "heisenberg-check": _cmd_heisenberg_check,
+class _Subcommand(NamedTuple):
+    """A subcommand's handler, its --help line and its CSV header; whether it
+    reads --seed, and --trials' default where it reads --trials."""
+
+    handler: Callable
+    help: str
+    header: tuple[str, ...]
+    seed: bool = True
+    trials: int | None = None
+
+
+_SUBCOMMANDS = {
+    "teleport": _Subcommand(
+        _cmd_teleport,
+        "run the protocol over a configurable channel",
+        ("run", "outcomes", "measured_class", "joint_probability", "fidelity"),
+        trials=100,
+    ),
+    "fig2": _Subcommand(
+        _cmd_fig2,
+        "fidelity vs order-parameter scatter with the (omega-1)/2 bound",
+        ("trial", "assumed_class", "omega", "measured_class", "fidelity", "channel_kind"),
+        trials=2000,
+    ),
+    "appendix-a": _Subcommand(
+        _cmd_appendix_a,
+        "two-singlet-pair channel outcome probabilities (1 +- sin 2phi)/16",
+        ("p1", "q1", "p2", "q2", "probability", "expected", "agg_class"),
+    ),
+    "order-param": _Subcommand(
+        _cmd_order_param,
+        "teleportation-order parameter of a channel",
+        (
+            "t1", "t2", "t3", "efficiency",
+            *(f"omega_{c}" for c in _SIGNS),
+            *(f"weight_{c}" for c in _SIGNS),
+        ),
+    ),
+    "cluster-check": _Subcommand(
+        _cmd_cluster_check,
+        "cluster-state stabilizers, G factorization, class weights",
+        ("check", "value", "deviation", "ok"),
+        seed=False,
+    ),
+    "aklt-check": _Subcommand(
+        _cmd_aklt_check,
+        "AKLT string order and Bell-class purity",
+        ("check", "value", "expected", "ok"),
+        seed=False,
+    ),
+    "bound-scan": _Subcommand(
+        _cmd_bound_scan,
+        "grid-scan of the worst-case fidelity, min Delta = cos(theta) "
+        "for theta <= pi/2; 0 above",
+        (
+            "theta", "minimum", "cos_theta", "abs_error", "argmin_re_a", "argmin_im_a",
+            "argmin_abs_b", "argmin_abs_c", "predicted_a",
+        ),
+        seed=False,
+    ),
+    "three-qubit": _Subcommand(
+        _cmd_three_qubit,
+        "three-qubit basis channels, full and reduced measurements",
+        ("j", "k", "l", "mode", "outcome", "probability", "fidelity"),
+    ),
+    "qudit-demo": _Subcommand(
+        _cmd_qudit_demo,
+        "qudit teleportation over generalized Bell channels",
+        ("d", "j", "k", "p", "q", "probability", "fidelity"),
+    ),
+    "heisenberg-check": _Subcommand(
+        _cmd_heisenberg_check,
+        "Heisenberg ring ground state as a perfect channel",
+        ("L", "efficiency", "pure_class", "sampled_runs", "min_fidelity"),
+        trials=20,
+    ),
 }
 
 
 @cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bellport",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    parser = _Parser(prog="bellport", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, *, seed=True, trials_default=None):
-        """Output options, plus --seed and --trials where the handler reads them."""
-        if seed:
-            p.add_argument("--seed", type=_seed, default=0, help="non-negative RNG seed")
-        if trials_default is not None:
-            p.add_argument("--trials", type=_trials, default=trials_default)
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument(
+    p = {}  # each subcommand's parser: --seed, --trials, the output options, then its own
+    for name, cmd in _SUBCOMMANDS.items():
+        p[name] = sub.add_parser(name, help=cmd.help, epilog="CSV: " + ",".join(cmd.header))
+        if cmd.seed:
+            p[name].add_argument("--seed", type=_seed, default=0, help="non-negative RNG seed")
+        if cmd.trials is not None:
+            p[name].add_argument("--trials", type=_trials, default=cmd.trials)
+        p[name].add_argument("--out", help="output CSV path (default: stdout)")
+        p[name].add_argument(
             "--deterministic",
             action="store_true",
             help="suppress the timestamp comment for byte-identical output",
         )
-
-    p = sub.add_parser(
-        "teleport",
-        help="run the protocol over a configurable channel",
-        epilog="CSV: run,outcomes,measured_class,joint_probability,fidelity",
-    )
-    common(p, trials_default=100)
-    p.add_argument(
+    p["teleport"].add_argument(
         "--channel",
         required=True,
         help="channel spec, e.g. bell:+-,-+ | cluster1d:6 | singlet-random:4:7 "
         "| mg-dimers:4 | heisenberg-ring:6 | ghz:4 | aklt:6 | random:4:3",
     )
-    p.add_argument(
+    p["teleport"].add_argument(
         "--assumed-class",
         default="++",
         help="Bob's channel class as two signs; p/m work as aliases "
         "(e.g. 'mm' for the [-:-] class)",
     )
-    p.add_argument("--pairing", help="measurement pairs like 0-1,2-3")
-    p.add_argument(
+    p["teleport"].add_argument("--pairing", help="measurement pairs like 0-1,2-3")
+    p["teleport"].add_argument(
         "--enumerate-branches",
         action="store_true",
         help="force every outcome branch instead of sampling",
     )
-
-    p = sub.add_parser(
-        "fig2",
-        help="fidelity vs order-parameter scatter with the (omega-1)/2 bound",
-        epilog="CSV: trial,assumed_class,omega,measured_class,fidelity,channel_kind",
-    )
-    common(p, trials_default=2000)
-    p.add_argument("--plot-out", help="also write whitespace plot data to this path")
-    p.add_argument(
+    p["fig2"].add_argument("--plot-out", help="also write whitespace plot data to this path")
+    p["fig2"].add_argument(
         "--enumerate-branches",
         action="store_true",
         help="verification mode: force every reachable branch per assumed class",
     )
-
-    p = sub.add_parser(
-        "appendix-a",
-        help="two-singlet-pair channel outcome probabilities (1 +- sin 2phi)/16",
-        epilog="CSV: p1,q1,p2,q2,probability,expected,agg_class",
-    )
-    common(p)
-    p.add_argument("--phi", type=float, default=0.3)
-
-    p = sub.add_parser(
-        "order-param",
-        help="teleportation-order parameter of a channel",
-        epilog="CSV: t1,t2,t3,efficiency,omega_*,weight_*",
-    )
-    common(p)
-    p.add_argument("--channel", required=True)
-
-    p = sub.add_parser(
-        "cluster-check",
-        help="cluster-state stabilizers, G factorization, class weights",
-        epilog="CSV: check,value,deviation,ok",
-    )
-    common(p, seed=False)
-    p.add_argument("--qubits", "-L", type=int, default=6)
-
-    p = sub.add_parser(
-        "aklt-check",
-        help="AKLT string order and Bell-class purity",
-        epilog="CSV: check,value,expected,ok",
-    )
-    common(p, seed=False)
-    p.add_argument("--qubits", "-L", type=int, default=6)
-
-    p = sub.add_parser(
-        "bound-scan",
-        help="grid-scan of the worst-case fidelity, min Delta = cos(theta) "
-        "for theta <= pi/2; 0 above",
-        epilog="CSV: theta,minimum,cos_theta,abs_error,argmin_*,predicted_a",
-    )
-    common(p, seed=False)
-    p.add_argument("--theta", type=float, required=True)
-
-    p = sub.add_parser(
-        "three-qubit",
-        help="three-qubit basis channels, full and reduced measurements",
-        epilog="CSV: j,k,l,mode,outcome,probability,fidelity",
-    )
-    common(p)
-
-    p = sub.add_parser(
-        "qudit-demo",
-        help="qudit teleportation over generalized Bell channels",
-        epilog="CSV: d,j,k,p,q,probability,fidelity",
-    )
-    common(p)
-    p.add_argument("--dim", "-d", type=int, default=3)
-
-    p = sub.add_parser(
-        "heisenberg-check",
-        help="Heisenberg ring ground state as a perfect channel",
-        epilog="CSV: L,efficiency,pure_class,sampled_runs,min_fidelity",
-    )
-    common(p, trials_default=20)
-    p.add_argument("--qubits", "-L", type=int, default=4)
-
+    p["appendix-a"].add_argument("--phi", type=float, default=0.3)
+    p["order-param"].add_argument("--channel", required=True)
+    for name, default in [("cluster-check", 6), ("aklt-check", 6), ("heisenberg-check", 4)]:
+        p[name].add_argument("--qubits", "-L", type=int, default=default)
+    p["bound-scan"].add_argument("--theta", type=float, required=True)
+    p["qudit-demo"].add_argument("--dim", "-d", type=int, default=3)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.subcommand]
+    cmd = _SUBCOMMANDS[args.subcommand]
     try:
-        meta, columns, chunks, violations = handler(args)
+        meta, chunks, violations = cmd.handler(args)
     except UsageError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     meta = {"subcommand": args.subcommand, **meta}
@@ -706,10 +675,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         meta["violations"] = violations
     if args.out:
         with open(args.out, "w") as fh:
-            write_table(fh, meta, columns, chunks, args.deterministic)
+            write_table(fh, meta, cmd.header, chunks, args.deterministic)
     else:
         try:
-            write_table(sys.stdout, meta, columns, chunks, args.deterministic)
+            write_table(sys.stdout, meta, cmd.header, chunks, args.deterministic)
         except BrokenPipeError:  # reader (head, less, ...) went away
             sys.stderr.close()
             return 0

@@ -401,10 +401,9 @@ def test_enumerated_fig2_in_blocks_matches_forced_teleports(monkeypatch, seed):
 
 def cli_rows(argv):
     out = io.StringIO()
-    meta, columns, rows, violations = cli._HANDLERS[argv[0]](
-        cli.build_parser().parse_args(argv)
-    )
-    cli.write_table(out, meta, columns, rows, True)
+    cmd = cli._SUBCOMMANDS[argv[0]]
+    meta, rows, violations = cmd.handler(cli.build_parser().parse_args(argv))
+    cli.write_table(out, meta, cmd.header, rows, True)
     return out.getvalue()
 
 

@@ -1,9 +1,9 @@
 """CLI subcommands: CSV output, determinism, exit codes."""
 
-import fnmatch
+import argparse
+import dataclasses
 import io
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,19 +183,65 @@ HEADER_ARGS = {
 
 
 def test_help_epilog_names_the_csv_header(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "1000")  # so argparse does not wrap the epilog
-    assert sorted(HEADER_ARGS) == sorted(cli._HANDLERS)
+    monkeypatch.setenv("COLUMNS", "40")  # narrower than every header: the epilog is not wrapped
+    assert sorted(HEADER_ARGS) == sorted(cli._SUBCOMMANDS)
     for name, args in HEADER_ARGS.items():
         with pytest.raises(SystemExit) as err:
             cli.main([name, "--help"])
         assert err.value.code == 0
-        (epilog,) = re.findall(r"^CSV: (\S+)$", capsys.readouterr().out, re.M)
+        help_text = capsys.readouterr().out
         code, text = run_cli([name, *args], tmp_path, name=f"{name}.csv")
         assert code == 0
         _, header, _ = parse_csv(text)
-        assert fnmatch.fnmatchcase(",".join(header), epilog), name
-        for field in epilog.split(","):
-            assert fnmatch.filter(header, field), (name, field)
+        assert help_text.endswith(f"\nCSV: {','.join(header)}\n"), name
+        assert tuple(header) == cli._SUBCOMMANDS[name].header
+
+
+# each subcommand's usage line at 80 columns: its options and their order
+USAGE = {
+    "teleport": """usage: bellport teleport [-h] [--seed SEED] [--trials TRIALS] [--out OUT]
+                         [--deterministic] --channel CHANNEL
+                         [--assumed-class ASSUMED_CLASS] [--pairing PAIRING]
+                         [--enumerate-branches]
+""",
+    "fig2": """usage: bellport fig2 [-h] [--seed SEED] [--trials TRIALS] [--out OUT]
+                     [--deterministic] [--plot-out PLOT_OUT]
+                     [--enumerate-branches]
+""",
+    "appendix-a": """usage: bellport appendix-a [-h] [--seed SEED] [--out OUT] [--deterministic]
+                           [--phi PHI]
+""",
+    "order-param": """usage: bellport order-param [-h] [--seed SEED] [--out OUT] [--deterministic]
+                            --channel CHANNEL
+""",
+    "cluster-check": """usage: bellport cluster-check [-h] [--out OUT] [--deterministic]
+                              [--qubits QUBITS]
+""",
+    "aklt-check": """usage: bellport aklt-check [-h] [--out OUT] [--deterministic]
+                           [--qubits QUBITS]
+""",
+    "bound-scan": """usage: bellport bound-scan [-h] [--out OUT] [--deterministic] --theta THETA
+""",
+    "three-qubit": """usage: bellport three-qubit [-h] [--seed SEED] [--out OUT] [--deterministic]
+""",
+    "qudit-demo": """usage: bellport qudit-demo [-h] [--seed SEED] [--out OUT] [--deterministic]
+                           [--dim DIM]
+""",
+    "heisenberg-check": """usage: bellport heisenberg-check [-h] [--seed SEED] [--trials TRIALS]
+                                 [--out OUT] [--deterministic]
+                                 [--qubits QUBITS]
+""",
+}
+
+
+def test_every_subcommand_keeps_its_usage_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == list(USAGE) == list(cli._SUBCOMMANDS)
+    for name, usage in USAGE.items():
+        assert subparsers.choices[name].format_usage() == usage, name
 
 
 def test_three_qubit_subcommand(tmp_path):
@@ -221,6 +267,32 @@ def test_heisenberg_check_subcommand(tmp_path):
     _, _, rows = parse_csv(text)
     assert abs(float(rows[0]["efficiency"]) - 1.0) < 1e-8
     assert float(rows[0]["min_fidelity"]) > 1.0 - 1e-8
+
+
+def test_heisenberg_check_counts_a_nan_efficiency_as_a_violation(monkeypatch, tmp_path):
+    real = cli.order_parameter
+    monkeypatch.setattr(
+        cli, "order_parameter", lambda state: dataclasses.replace(real(state), efficiency=np.nan)
+    )
+    code, text = run_cli(["heisenberg-check", "-L", "4"], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 2 and meta["violations"] == "1"
+    assert rows[0]["efficiency"] == "nan" and float(rows[0]["min_fidelity"]) > 1.0 - 1e-8
+
+
+def test_heisenberg_check_counts_a_nan_fidelity_after_the_first_run(monkeypatch, tmp_path):
+    real = cli._channel_teleports
+
+    def teleports(*args):
+        roots, leaves, branches = real(*args)
+        branches.fidelities[1] = np.nan  # after a number, where Python's min skips a NaN
+        return roots, leaves, branches
+
+    monkeypatch.setattr(cli, "_channel_teleports", teleports)
+    code, text = run_cli(["heisenberg-check", "-L", "4", "--trials", "5"], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 2 and meta["violations"] == "1"
+    assert rows[0]["min_fidelity"] == "nan" and abs(float(rows[0]["efficiency"]) - 1.0) < 1e-8
 
 
 def test_unknown_subcommand_exits_64():
@@ -382,7 +454,7 @@ def test_plain_value_error_is_not_a_usage_error(monkeypatch, tmp_path):
     def broken(args):
         raise ValueError("a fault inside the program")
 
-    monkeypatch.setitem(cli._HANDLERS, "fig2", broken)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "fig2", cli._SUBCOMMANDS["fig2"]._replace(handler=broken))
     with pytest.raises(ValueError, match="a fault inside the program"):
         cli.main(["fig2", "--out", str(tmp_path / "x.csv")])
 
@@ -608,7 +680,10 @@ def test_write_table_refuses_a_row_of_another_length(rows, monkeypatch, tmp_path
         cli.write_table(out, {}, ["a", "b"], [rows], True)
     assert out.getvalue() == ""
     # a fault of the program, not a usage error: it ends in a traceback
-    monkeypatch.setitem(cli._HANDLERS, "appendix-a", lambda args: ({}, ["a", "b"], [rows], 0))
+    two_columns = cli._SUBCOMMANDS["appendix-a"]._replace(
+        handler=lambda args: ({}, [rows], 0), header=("a", "b")
+    )
+    monkeypatch.setitem(cli._SUBCOMMANDS, "appendix-a", two_columns)
     with pytest.raises(ValueError, match="a chunk has"):
         cli.main(["appendix-a", "--out", str(tmp_path / "x.csv")])
 

@@ -29,7 +29,7 @@ def newest_bench():
 
 
 def test_every_subcommand_has_a_case():
-    assert {case.argv.split()[0] for case in e2e.CASES} == set(cli._HANDLERS)
+    assert {case.argv.split()[0] for case in e2e.CASES} == set(cli._SUBCOMMANDS)
     assert len({case.argv for case in e2e.CASES}) == len(e2e.CASES)
 
 
